@@ -1,10 +1,14 @@
-"""Homological invariants of a finite-dimensional algebra given by structure
-constants: radical, simples, projective covers, syzygies, and the global,
-dominant, and selfinjective dimensions, all with exact certificates.
+"""Homological invariants of a basic finite-dimensional algebra given by
+structure constants and its primitive idempotents: radical, projectives,
+simples, projective covers, syzygies, and the global, dominant, and
+selfinjective dimensions, all with exact certificates.
 
-The algebra here is typically an endomorphism ring assembled from concrete
-matrices, so nothing assumes a quiver presentation.  Modules are plain
-coordinate spaces with one action matrix per algebra basis element.
+The algebra here is typically End(M) assembled from the hom blocks between
+the indecomposable summands of M, so the idempotents e_i = id_{M_i} come
+with it and nothing assumes a quiver presentation.  The projectives are the
+left ideals A*e_i, the simples their tops, and a projective cover takes one
+copy of A*e_i per generator it needs.  Modules are plain coordinate spaces
+with one action matrix per algebra basis element.
 
 Resolution-length answers come back as DimBound values: exact, "at least n"
 (a resolution passed the configured cap while still alive), or infinite (a
@@ -83,33 +87,34 @@ class DimBound:
 
 
 class AbstractAlgebra:
-    """Associative unital algebra from structure constants.
+    """Basic associative unital algebra from structure constants.
 
-    table[i, j, k] is the coefficient of basis element k in e_i * e_j.
+    table[i, j, k] is the coefficient of basis element k in b_i * b_j.
+    idempotents is a complete set of primitive orthogonal idempotents e_i
+    (coordinate vectors summing to the unit) whose projectives A*e_i are
+    pairwise non-isomorphic; the opposite algebra shares them.
     """
 
     def __init__(self, field: PrimeField, table: np.ndarray, unit: np.ndarray,
-                 labels: list[str] | None = None):
+                 idempotents: list[np.ndarray]):
         self.field = field
         self.table = np.asarray(table, dtype=np.int64) % field.p
         self.dim = self.table.shape[0]
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constants must be a cube")
         self.unit = np.asarray(unit, dtype=np.int64) % field.p
-        self.labels = labels
+        self.idempotents = [np.asarray(e, dtype=np.int64) % field.p for e in idempotents]
+        for i, e in enumerate(self.idempotents):
+            for j, f in enumerate(self.idempotents):
+                if not np.array_equal(self.multiply(e, f), e if i == j else np.zeros_like(e)):
+                    raise ValueError("idempotents are not orthogonal")
+        if not np.array_equal(sum(self.idempotents) % field.p, self.unit):
+            raise ValueError("idempotents do not sum to the unit")
         self._opposite: AbstractAlgebra | None = None
         self._radical: np.ndarray | None = None
-        self._generators: list[np.ndarray] | None = None
         self._regular: AbstractModule | None = None
         self._proj_leaves: list["ProjectiveLeaf"] | None = None
         self._simples: list["AbstractModule"] | None = None
-        self._simple_of_leaf: list[int] | None = None
-
-    @classmethod
-    def from_matrix_span(cls, field: PrimeField, mats: list[np.ndarray],
-                         labels: list[str] | None = None) -> "AbstractAlgebra":
-        ring = fitting._RingData(field, mats)
-        return cls(field, ring.table, ring.unit, labels)
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", x, y, self.table) % self.field.p
@@ -117,14 +122,11 @@ class AbstractAlgebra:
     def left_mult(self, i: int) -> np.ndarray:
         return self.table[i].T
 
-    def right_mult(self, i: int) -> np.ndarray:
-        return self.table[:, i, :].T
-
     @property
     def opposite(self) -> "AbstractAlgebra":
         if self._opposite is None:
             op = AbstractAlgebra(self.field, np.transpose(self.table, (1, 0, 2)).copy(),
-                                 self.unit.copy(), self.labels)
+                                 self.unit.copy(), self.idempotents)
             op._opposite = self
             self._opposite = op
         return self._opposite
@@ -135,36 +137,6 @@ class AbstractAlgebra:
             self._radical = fitting.radical_from_table(self.field, self.table, self.unit)
         return self._radical
 
-    def generators(self) -> list[np.ndarray]:
-        """A small generating set (as coordinate vectors) including the unit."""
-        if self._generators is not None:
-            return self._generators
-        F = self.field
-        span = F.column_reduce(self.unit.reshape(-1, 1))
-        gens = [self.unit.copy()]
-        for i in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[i] = 1
-            if F.column_space_contains(span, e.reshape(-1, 1)):
-                continue
-            gens.append(e)
-            span = self._close_span(np.concatenate([span, e.reshape(-1, 1)], axis=1))
-            if span.shape[1] == self.dim:
-                break
-        self._generators = gens
-        return gens
-
-    def _close_span(self, span: np.ndarray) -> np.ndarray:
-        F = self.field
-        span = F.column_reduce(span)
-        while True:
-            tmp = np.tensordot(span.T % F.p, self.table, axes=1) % F.p  # (u, j, k)
-            prods = np.einsum("ujk,jv->kuv", tmp, span) % F.p
-            new = F.column_reduce(np.concatenate([span, prods.reshape(self.dim, -1)], axis=1))
-            if new.shape[1] == span.shape[1]:
-                return new
-            span = new
-
     def regular_module(self) -> "AbstractModule":
         if self._regular is None:
             action = np.stack([self.left_mult(i) for i in range(self.dim)]) % self.field.p
@@ -173,81 +145,37 @@ class AbstractAlgebra:
 
     # -- projectives and simples ---------------------------------------------
 
-    def projective_leaves(self, seed: int = 0) -> list["ProjectiveLeaf"]:
-        """Indecomposable direct summands of the regular module, with the
-        idempotent data that makes their hom spaces cheap."""
-        if self._proj_leaves is not None:
-            return self._proj_leaves
-        reg = self.regular_module()
-        endos = [self.right_mult(i) for i in range(self.dim)]
-        leaves = _decompose_module(reg, seed, endos=endos)
-        out = []
-        for mod, incl, proj in leaves:
-            idem = (incl @ (proj @ self.unit)) % self.field.p
-            out.append(ProjectiveLeaf(mod, incl, proj, idem))
-        self._proj_leaves = out
-        return out
+    def projective_leaves(self) -> list["ProjectiveLeaf"]:
+        """The indecomposable projectives A*e_i, one per idempotent."""
+        if self._proj_leaves is None:
+            reg = self.regular_module()
+            self._proj_leaves = []
+            for e in self.idempotents:
+                right_e = np.einsum("c,ack->ka", e, self.table) % self.field.p
+                mod, incl = submodule(reg, right_e)
+                self._proj_leaves.append(ProjectiveLeaf(mod, incl, e))
+        return self._proj_leaves
 
-    def simples(self, seed: int = 0) -> list["AbstractModule"]:
-        """One module per isomorphism class of simples (tops of the
-        indecomposable projectives, deduplicated)."""
-        if self._simples is not None:
-            return self._simples
-        leaves = self.projective_leaves(seed)
-        simples: list[AbstractModule] = []
-        tops: list[tuple[AbstractModule, np.ndarray]] = []
-        of_leaf: list[int] = []
-        for leaf in leaves:
-            t, tproj = top_module(leaf.module)
-            found = None
-            for k, s in enumerate(simples):
-                if _indec_iso_witness(t, s) is not None:
-                    found = k
-                    break
-            if found is None:
-                simples.append(t)
-                found = len(simples) - 1
-            of_leaf.append(found)
-            tops.append((t, tproj))
-        self._simples = simples
-        self._simple_of_leaf = of_leaf
-        self._leaf_tops = tops  # type: ignore[attr-defined]
-        return simples
-
-    def leaf_for_simple(self, simple_idx: int) -> int:
-        self.simples()
-        assert self._simple_of_leaf is not None
-        for li, si in enumerate(self._simple_of_leaf):
-            if si == simple_idx:
-                return li
-        raise AssertionError("simple without a projective cover leaf")
+    def simples(self) -> list["AbstractModule"]:
+        """The simple tops of the projective leaves, in the same order; they
+        are pairwise non-isomorphic because the algebra is basic."""
+        if self._simples is None:
+            self._simples = [top_module(leaf.module)[0]
+                             for leaf in self.projective_leaves()]
+        return self._simples
 
 
 class AbstractModule:
-    def __init__(self, algebra: AbstractAlgebra, dim: int, action: np.ndarray,
-                 check: bool = False):
+    def __init__(self, algebra: AbstractAlgebra, dim: int, action: np.ndarray):
         self.algebra = algebra
         self.dim = int(dim)
         self.action = np.asarray(action, dtype=np.int64) % algebra.field.p
         if self.action.shape != (algebra.dim, self.dim, self.dim):
             raise ValueError("action must be one square matrix per basis element")
-        self._gen_acts: list[np.ndarray] | None = None
-        if check:
-            self.check_action()
 
     @property
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def check_action(self) -> None:
-        F = self.algebra.field
-        lhs = np.einsum("iab,jbc->ijac", self.action, self.action) % F.p
-        rhs = np.einsum("ijk,kac->ijac", self.algebra.table, self.action) % F.p
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("action is not an algebra representation")
-        unit_act = np.einsum("i,iab->ab", self.algebra.unit, self.action) % F.p
-        if not np.array_equal(unit_act, np.eye(self.dim, dtype=np.int64)):
-            raise ValueError("unit does not act as the identity")
 
     def act(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix of the algebra element with the given coordinates."""
@@ -258,11 +186,6 @@ class AbstractModule:
         return np.tensordot(coeff_cols.T % self.algebra.field.p, self.action,
                             axes=([1], [0])) % self.algebra.field.p
 
-    def generator_actions(self) -> list[np.ndarray]:
-        if self._gen_acts is None:
-            self._gen_acts = [self.act(g) for g in self.algebra.generators()]
-        return self._gen_acts
-
     def __repr__(self) -> str:
         return f"AbstractModule(dim={self.dim})"
 
@@ -270,41 +193,10 @@ class AbstractModule:
 class ProjectiveLeaf:
     """An indecomposable projective summand A*e of the regular module."""
 
-    def __init__(self, module: AbstractModule, incl: np.ndarray, proj: np.ndarray,
-                 idempotent: np.ndarray):
+    def __init__(self, module: AbstractModule, incl: np.ndarray, idempotent: np.ndarray):
         self.module = module
         self.incl = incl  # columns: leaf basis as algebra coordinates
-        self.proj = proj
         self.idempotent = idempotent
-
-
-def hom_module(m: AbstractModule, n: AbstractModule) -> list[np.ndarray]:
-    """Basis of Hom(m, n) as matrices; the commutation system only ranges
-    over algebra generators."""
-    F = m.algebra.field
-    if m.dim == 0 or n.dim == 0:
-        return []
-    rows = []
-    for am, an in zip(m.generator_actions(), n.generator_actions()):
-        # X @ am - an @ X = 0 as a linear system on vec(X), row-major
-        rows.append((np.kron(np.eye(n.dim, dtype=np.int64), am.T)
-                     - np.kron(an, np.eye(m.dim, dtype=np.int64))) % F.p)
-    basis = F.nullspace(np.concatenate(rows) % F.p)
-    return [basis[:, j].reshape(n.dim, m.dim) for j in range(basis.shape[1])]
-
-
-def hom_from_leaf(leaf: ProjectiveLeaf, m: AbstractModule) -> list[np.ndarray]:
-    """Basis of Hom(A*e, m) via the evaluation-at-e bijection with e*m."""
-    F = m.algebra.field
-    e_act = m.act(leaf.idempotent)
-    targets = F.column_reduce(e_act)
-    basis_acts = m.act_many(leaf.incl)  # one action matrix per leaf basis vector
-    out = []
-    for j in range(targets.shape[1]):
-        u = targets[:, j]
-        cols = np.tensordot(basis_acts, u, axes=([2], [0])).T % F.p
-        out.append(cols)
-    return out
 
 
 def submodule(m: AbstractModule, basis: np.ndarray) -> tuple[AbstractModule, np.ndarray]:
@@ -335,12 +227,6 @@ def kernel_module(f: np.ndarray, m: AbstractModule, n: AbstractModule
     F = m.algebra.field
     basis = F.nullspace(f)
     return submodule(m, basis)
-
-
-def image_module(f: np.ndarray, m: AbstractModule, n: AbstractModule
-                 ) -> tuple[AbstractModule, np.ndarray]:
-    F = m.algebra.field
-    return submodule(n, F.column_reduce(f))
 
 
 def cokernel_module(f: np.ndarray, m: AbstractModule, n: AbstractModule
@@ -389,169 +275,38 @@ def top_module(m: AbstractModule) -> tuple[AbstractModule, np.ndarray]:
     return quotient_module(m, radical_subspace(m))
 
 
-def _indec_iso_witness(a: AbstractModule, b: AbstractModule) -> np.ndarray | None:
-    """Isomorphism a -> b for indecomposable inputs, or None.
-
-    A composite g o f avoiding rad End(a) is a unit there, so f splits and
-    equal dimensions force it to be an isomorphism; bilinearity makes the
-    basis search exhaustive.
-    """
-    if a.dim != b.dim:
-        return None
-    if a.dim == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    F = a.algebra.field
-    fwd = hom_module(a, b)
-    if not fwd:
-        return None
-    bwd = hom_module(b, a)
-    ends = hom_module(a, a)
-    rad = fitting.radical_coordinates(F, ends)
-    basis_mat = np.stack([e.reshape(-1) for e in ends], axis=1) % F.p
-    for f in fwd:
-        for g in bwd:
-            comp = (g @ f) % F.p
-            coords = F.solve_many(basis_mat, comp.reshape(-1, 1))
-            if coords is None:
-                raise AssertionError("composite escaped End")
-            if rad.shape[1] == 0:
-                in_rad = not coords.any()
-            else:
-                in_rad = F.column_space_contains(rad, coords)
-            if not in_rad:
-                if F.rank(f) != a.dim:
-                    raise AssertionError("unit witness is not invertible")
-                return f
-    return None
-
-
-def _decompose_module(m: AbstractModule, seed: int,
-                      endos: list[np.ndarray] | None = None
-                      ) -> list[tuple[AbstractModule, np.ndarray, np.ndarray]]:
-    """(module, incl, proj) triples for the indecomposable summands."""
-    if m.dim == 0:
-        return []
-    if endos is None:
-        endos = hom_module(m, m)
-    F = m.algebra.field
-    if len(endos) == 1:
-        ident = np.eye(m.dim, dtype=np.int64)
-        return [(m, ident, ident)]
-    rng = np.random.default_rng(seed)
-    e = fitting.find_splitting_idempotent(F, endos, rng)
-    if e is None:
-        ident = np.eye(m.dim, dtype=np.int64)
-        return [(m, ident, ident)]
-    img, incl_i = submodule(m, F.column_reduce(e))
-    ker, incl_k = submodule(m, F.nullspace(e))
-    glue = np.concatenate([incl_i, incl_k], axis=1) % F.p
-    inv = F.solve_many(glue, np.eye(m.dim, dtype=np.int64))
-    if inv is None:
-        raise AssertionError("idempotent did not split the module")
-    proj_i, proj_k = inv[: img.dim], inv[img.dim:]
-    out = []
-    for part, incl, proj, s in ((img, incl_i, proj_i, 2 * seed + 1),
-                                (ker, incl_k, proj_k, 2 * seed + 2)):
-        for mod, sub_incl, sub_proj in _decompose_module(part, s):
-            out.append((mod, (incl @ sub_incl) % F.p, (sub_proj @ proj) % F.p))
-    return out
-
-
-def peel_semisimple(t: AbstractModule, simples: list[AbstractModule]
-                    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Split a semisimple module into simple copies without any radical or
-    idempotent machinery: (simple index, incl, proj) per copy, where
-    proj o incl = id on the simple and the incls/projs assemble the identity.
-
-    Works over any prime field; only hom solves against the listed simples
-    are used, so no size precondition beyond those.
-    """
-    F = t.algebra.field
-    out: list[tuple[int, np.ndarray, np.ndarray]] = []
-    cur = t
-    incl_acc = np.eye(t.dim, dtype=np.int64)
-    proj_acc = np.eye(t.dim, dtype=np.int64)
-    while cur.dim > 0:
-        advanced = False
-        for s_idx, s in enumerate(simples):
-            hs = hom_module(s, cur)
-            if not hs:
-                continue
-            phi = hs[0]
-            if F.rank(phi) != s.dim:
-                raise AssertionError("nonzero map out of a simple must embed")
-            back = hom_module(cur, s)
-            comps = np.stack([((psi @ phi) % F.p).reshape(-1) for psi in back], axis=1)
-            ident = np.eye(s.dim, dtype=np.int64).reshape(-1, 1)
-            sol = F.solve_many(comps, ident)
-            if sol is None:
-                raise AssertionError("split mono into a semisimple module has no retraction")
-            psi = np.zeros((s.dim, cur.dim), dtype=np.int64)
-            for c, b in zip(sol[:, 0].tolist(), back):
-                psi = (psi + c * b) % F.p
-            out.append((s_idx, (incl_acc @ phi) % F.p, (psi @ proj_acc) % F.p))
-            ker_basis = F.nullspace(psi)
-            nxt, kappa = submodule(cur, ker_basis)
-            # projection of cur onto the kernel part in its own coordinates
-            complement = (np.eye(cur.dim, dtype=np.int64) - (phi @ psi)) % F.p
-            onto_k = F.solve_many(kappa, complement)
-            if onto_k is None:
-                raise AssertionError("complement did not land in the kernel part")
-            incl_acc = (incl_acc @ kappa) % F.p
-            proj_acc = (onto_k @ proj_acc) % F.p
-            cur = nxt
-            advanced = True
-            break
-        if not advanced:
-            raise AssertionError("semisimple module contains no listed simple")
-    return out
-
-
 class CoverData:
-    def __init__(self, cover: np.ndarray, source: AbstractModule,
-                 leaf_indices: list[int]):
+    def __init__(self, cover: np.ndarray, source: AbstractModule):
         self.cover = cover
         self.source = source
-        self.leaf_indices = leaf_indices
 
 
-def projective_cover_module(m: AbstractModule, seed: int = 0) -> CoverData:
-    """Minimal projective cover built by lifting a peeled top."""
+def projective_cover_module(m: AbstractModule) -> CoverData:
+    """Minimal projective cover, one leaf per generator.
+
+    Leaf by leaf, each basis vector u of e*m outside rad(m) plus the image
+    so far becomes a generator: the map A*e -> m, a |-> a*u, whose image A*u
+    adds one copy of the simple top of A*e to the covered part of top(m).
+    """
     alg = m.algebra
     F = alg.field
     if m.dim == 0:
         zero = AbstractModule(alg, 0, np.zeros((alg.dim, 0, 0), dtype=np.int64))
-        return CoverData(np.zeros((0, 0), dtype=np.int64), zero, [])
-    simples = alg.simples(seed)
-    leaves = alg.projective_leaves(seed)
-    t, tproj = top_module(m)
-    copies = peel_semisimple(t, simples)
+        return CoverData(np.zeros((0, 0), dtype=np.int64), zero)
+    covered = radical_subspace(m)
     blocks: list[np.ndarray] = []
     parts: list[AbstractModule] = []
-    leaf_indices: list[int] = []
-    for s_idx, phi_c, _ in copies:
-        li = alg.leaf_for_simple(s_idx)
-        leaf = leaves[li]
-        lt, ltproj = alg._leaf_tops[li]  # type: ignore[attr-defined]
-        u = _indec_iso_witness(lt, simples[s_idx])
-        if u is None:
-            raise AssertionError("leaf top stopped matching its simple")
-        target = (phi_c @ u @ ltproj) % F.p  # leaf module -> top(m)
-        hom_basis = hom_from_leaf(leaf, m)
-        if not hom_basis:
-            raise AssertionError("no maps from a cover summand")
-        stacked = np.stack([((tproj @ h) % F.p).reshape(-1) for h in hom_basis], axis=1)
-        sol = F.solve_many(stacked, target.reshape(-1, 1))
-        if sol is None:
-            raise AssertionError("projective cover lift failed")
-        lift = np.zeros((m.dim, leaf.module.dim), dtype=np.int64)
-        for c, h in zip(sol[:, 0].tolist(), hom_basis):
-            lift = (lift + c * h) % F.p
-        blocks.append(lift)
-        parts.append(leaf.module)
-        leaf_indices.append(li)
-    total, _, projs = direct_sum_modules(alg, parts)
-    cover = np.concatenate(blocks, axis=1) % F.p if blocks else np.zeros((m.dim, 0), dtype=np.int64)
+    for leaf in alg.projective_leaves():
+        basis_acts = m.act_many(leaf.incl)  # one action matrix per leaf basis vector
+        for u in F.column_reduce(m.act(leaf.idempotent)).T:
+            if F.column_space_contains(covered, u.reshape(-1, 1)):
+                continue
+            lift = np.tensordot(basis_acts, u, axes=([2], [0])).T % F.p
+            covered = F.column_reduce(np.concatenate([covered, lift], axis=1))
+            blocks.append(lift)
+            parts.append(leaf.module)
+    total, _, _ = direct_sum_modules(alg, parts)
+    cover = np.concatenate(blocks, axis=1) % F.p
     if F.rank(cover) != m.dim:
         raise AssertionError("projective cover is not surjective")
     ker = F.nullspace(cover)
@@ -559,41 +314,36 @@ def projective_cover_module(m: AbstractModule, seed: int = 0) -> CoverData:
         rad_p = radical_subspace(total)
         if not F.column_space_contains(rad_p, ker):
             raise AssertionError("projective cover kernel escapes the radical")
-    return CoverData(cover, total, leaf_indices)
+    return CoverData(cover, total)
 
 
-def syzygy_module(m: AbstractModule, seed: int = 0) -> AbstractModule:
-    cd = projective_cover_module(m, seed)
+def syzygy_module(m: AbstractModule) -> AbstractModule:
+    cd = projective_cover_module(m)
     k, _ = kernel_module(cd.cover, cd.source, m)
     return k
 
 
-def is_projective(m: AbstractModule, seed: int = 0) -> bool:
+def is_projective(m: AbstractModule) -> bool:
     if m.dim == 0:
         return True
-    cd = projective_cover_module(m, seed)
+    cd = projective_cover_module(m)
     return cd.source.dim == m.dim
 
 
-def injective_envelope_module(m: AbstractModule, seed: int = 0
-                              ) -> tuple[np.ndarray, AbstractModule]:
+def injective_envelope_module(m: AbstractModule) -> tuple[np.ndarray, AbstractModule]:
     """Envelope map and its target, via the cover of the dual module."""
-    cd = projective_cover_module(dual_module(m), seed)
+    cd = projective_cover_module(dual_module(m))
     env_target = dual_module(cd.source)
     return cd.cover.T.copy() % m.algebra.field.p, env_target
 
 
-def cosyzygy_module(m: AbstractModule, seed: int = 0) -> AbstractModule:
-    env, target = injective_envelope_module(m, seed)
+def cosyzygy_module(m: AbstractModule) -> AbstractModule:
+    env, target = injective_envelope_module(m)
     c, _ = cokernel_module(env, m, target)
     return c
 
 
-def is_injective(m: AbstractModule, seed: int = 0) -> bool:
-    return is_projective(dual_module(m), seed)
-
-
-def projective_dimension(m: AbstractModule, cap: int = 20, seed: int = 0) -> DimBound:
+def projective_dimension(m: AbstractModule, cap: int = 20) -> DimBound:
     if m.dim == 0:
         return DimBound.exact(-1)
     cur = m
@@ -601,12 +351,12 @@ def projective_dimension(m: AbstractModule, cap: int = 20, seed: int = 0) -> Dim
     while cur.dim > 0:
         if count > cap:
             return DimBound.at_least(cap + 1)
-        cur = syzygy_module(cur, seed)
+        cur = syzygy_module(cur)
         count += 1
     return DimBound.exact(count - 1)
 
 
-def injective_dimension(m: AbstractModule, cap: int = 20, seed: int = 0) -> DimBound:
+def injective_dimension(m: AbstractModule, cap: int = 20) -> DimBound:
     if m.dim == 0:
         return DimBound.exact(-1)
     cur = m
@@ -614,17 +364,17 @@ def injective_dimension(m: AbstractModule, cap: int = 20, seed: int = 0) -> DimB
     while cur.dim > 0:
         if count > cap:
             return DimBound.at_least(cap + 1)
-        cur = cosyzygy_module(cur, seed)
+        cur = cosyzygy_module(cur)
         count += 1
     return DimBound.exact(count - 1)
 
 
-def global_dimension(alg: AbstractAlgebra, cap: int = 20, seed: int = 0) -> DimBound:
+def global_dimension(alg: AbstractAlgebra, cap: int = 20) -> DimBound:
     best = DimBound.exact(0)
     capped = False
     top_val = 0
-    for s in alg.simples(seed):
-        pd = projective_dimension(s, cap, seed)
+    for s in alg.simples():
+        pd = projective_dimension(s, cap)
         if pd.kind == "at_least":
             capped = True
             top_val = max(top_val, pd.value)
@@ -634,7 +384,7 @@ def global_dimension(alg: AbstractAlgebra, cap: int = 20, seed: int = 0) -> DimB
     return DimBound.at_least(max(top_val, cap + 1)) if capped else DimBound.exact(top_val)
 
 
-def dominant_dimension(alg: AbstractAlgebra, cap: int = 20, seed: int = 0) -> DimBound:
+def dominant_dimension(alg: AbstractAlgebra, cap: int = 20) -> DimBound:
     """Length of the initial projective segment of the minimal injective
     coresolution of the regular module (infinite when the coresolution
     closes up while still projective)."""
@@ -645,17 +395,16 @@ def dominant_dimension(alg: AbstractAlgebra, cap: int = 20, seed: int = 0) -> Di
             return DimBound.at_least(cap + 1)
         if cur.dim == 0:
             return DimBound.infinite()
-        env, target = injective_envelope_module(cur, seed)
-        if not is_projective(target, seed):
+        env, target = injective_envelope_module(cur)
+        if not is_projective(target):
             return DimBound.exact(count)
         c, _ = cokernel_module(env, cur, target)
         cur = c
         count += 1
 
 
-def selfinjective_dimensions(alg: AbstractAlgebra, cap: int = 20, seed: int = 0
-                             ) -> tuple[DimBound, DimBound]:
+def selfinjective_dimensions(alg: AbstractAlgebra, cap: int = 20) -> tuple[DimBound, DimBound]:
     """Injective dimension of the regular module on each side."""
-    left = injective_dimension(alg.regular_module(), cap, seed)
-    right = injective_dimension(alg.opposite.regular_module(), cap, seed)
+    left = injective_dimension(alg.regular_module(), cap)
+    right = injective_dimension(alg.opposite.regular_module(), cap)
     return left, right

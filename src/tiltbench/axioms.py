@@ -24,7 +24,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from tiltbench import algebra_ops, rep, subcat
-from tiltbench.algebra_ops import AbstractAlgebra
 from tiltbench.rep import ModuleMorphism, Representation
 from tiltbench.subcat import (SubcategoryX, XMap,
                               DCokernelNotRightExact, DKernelNotLeftExact,
@@ -186,19 +185,7 @@ def is_left_approximation(x: SubcategoryX, coev: ModuleMorphism
     return True, None
 
 
-# -- endomorphism algebra --------------------------------------------------------
-
-
-def endomorphism_algebra(x: SubcategoryX) -> AbstractAlgebra:
-    """End of the basic module (each summand once), as an abstract algebra.
-
-    The invariants read off downstream (global, dominant, selfinjective
-    dimensions) are Morita invariant, so multiplicities in the input module
-    do not matter and the basic version keeps dim End small.
-    """
-    basic, _, _ = rep.direct_sum(x.algebra, x.summands)
-    mats = [h.total_matrix() for h in rep.hom_space(basic, basic)]
-    return AbstractAlgebra.from_matrix_span(x.field, mats)
+# -- generator-cogenerator membership ---------------------------------------------
 
 
 def _gen_cogen_certificate(x: SubcategoryX) -> tuple[bool, dict | None]:
@@ -530,7 +517,7 @@ def classify_gen_cogen_ff(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
     ok, wit = _gen_cogen_certificate(x)
     details: dict = {}
     if cross_check:
-        gamma = endomorphism_algebra(x)
+        gamma = x.endomorphism_algebra()
         domdim = algebra_ops.dominant_dimension(gamma, cap=cap)
         axioms_pass = (check_A1_A1op(x, trials, seed).passed
                        and check_A2_A2op(x, trials, seed).passed
@@ -695,7 +682,7 @@ def classify_d_precluster(x: SubcategoryX, d: int, trials: int = DEFAULT_TRIALS,
     tau_wit = _tau_membership_witness(x, d)
 
     cap = max(cap, d + 3)
-    gamma = endomorphism_algebra(x)
+    gamma = x.endomorphism_algebra()
     domdim = algebra_ops.dominant_dimension(gamma, cap=cap)
     inj_left, inj_right = algebra_ops.selfinjective_dimensions(gamma, cap=cap)
     dims_ok = domdim.ge(d + 1) and inj_left.le(d + 1) and inj_right.le(d + 1)
@@ -828,7 +815,7 @@ def classify_d_cluster_tilting(x: SubcategoryX, d: int,
                        details={"routes": {"gen_cogen": "fail"}})
 
     cap = max(cap, d + 3)
-    gamma = endomorphism_algebra(x)
+    gamma = x.endomorphism_algebra()
     gldim = algebra_ops.global_dimension(gamma, cap=cap)
     domdim = algebra_ops.dominant_dimension(gamma, cap=cap)
     cert_ok = gldim.le(d + 1) and domdim.ge(d + 1)
@@ -1091,7 +1078,7 @@ def replay_witness(x: SubcategoryX, witness: dict, d: int | None = None,
         return _d_kernel_witness(x, d, [m]) is not None
     if kind == "gamma-dimensions":
         assert d is not None
-        gamma = endomorphism_algebra(x)
+        gamma = x.endomorphism_algebra()
         gldim = algebra_ops.global_dimension(gamma, cap=max(20, d + 3))
         domdim = algebra_ops.dominant_dimension(gamma, cap=max(20, d + 3))
         return not (gldim.le(d + 1) and domdim.ge(d + 1))

@@ -7,8 +7,10 @@
 Seed precedence: --seed, then the job file's options.seed, then the
 TILTBENCH_SEED environment variable, then 42.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 input error,
-3 internal route disagreement (a tool bug worth reporting).
+Exit codes: 0 all checks passed, 1 some check failed, 2 input error
+(including a negative integer flag), 3 a bug in the tool worth reporting:
+an internal route disagreement, or any other exception escaping the run,
+which prints "internal error" and its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -16,11 +18,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from tiltbench import report as report_mod
 from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.jobspec import SchemaError, ingest
 from tiltbench.quiver import NotAdmissible
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of the integer flags: negative values are input errors."""
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {val}")
+    return val
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,10 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the checks requested by a job file")
     check.add_argument("job", help="path to a JSON job file")
     check.add_argument("--report", choices=("text", "json"), default="text")
-    check.add_argument("--seed", type=int, default=None)
-    check.add_argument("--trials", type=int, default=None)
-    check.add_argument("--max-path-len", type=int, default=None)
-    check.add_argument("--resolution-cap", type=int, default=None)
+    check.add_argument("--seed", type=_non_negative_int, default=None)
+    check.add_argument("--trials", type=_non_negative_int, default=None)
+    check.add_argument("--max-path-len", type=_non_negative_int, default=None)
+    check.add_argument("--resolution-cap", type=_non_negative_int, default=None)
     check.add_argument("--out", default=None, help="write the report here "
                                                    "instead of stdout")
     return parser
@@ -71,6 +82,10 @@ def main(argv=None) -> int:
     except (SchemaError, NotAdmissible, RadicalPreconditionViolated, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return report_mod.EXIT_INPUT_ERROR
+    except Exception:
+        print("internal error (a bug in tiltbench):", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return report_mod.EXIT_INTERNAL_ERROR
 
     text = report_mod.emit(rpt, args.report)
     if args.out is not None:

@@ -133,10 +133,15 @@ def _lookup(data: dict, key: str, path: str, typ=None, required=True,
             raise SchemaError(f"{path}.{key}" if path else key, "missing field")
         return default
     val = data[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is not None and not (_is_int(val) if typ is int else isinstance(val, typ)):
         raise SchemaError(f"{path}.{key}" if path else key,
                           f"expected {typ.__name__}, got {type(val).__name__}")
     return val
+
+
+def _is_int(val) -> bool:
+    """JSON integer; true and false are not integers here."""
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _validate_vertex(v, vertices: list[str], path: str) -> str:
@@ -180,7 +185,7 @@ def _build_summand(algebra, spec, path: str) -> list[Representation]:
             raise SchemaError(f"{path}.explicit", "expected an object")
         dims = _lookup(arg, "dims", f"{path}.explicit", list)
         if len(dims) != quiver.num_vertices or not all(
-                isinstance(d, int) and d >= 0 for d in dims):
+                _is_int(d) and d >= 0 for d in dims):
             raise SchemaError(f"{path}.explicit.dims",
                               f"need {quiver.num_vertices} non-negative ints")
         arrow_maps = _lookup(arg, "arrows", f"{path}.explicit", dict,
@@ -196,7 +201,7 @@ def _build_summand(algebra, spec, path: str) -> list[Representation]:
             mat = arrow_maps.get(a.name, [[0] * dims[s] for _ in range(dims[t])])
             if (len(mat) != dims[t]
                     or any(not isinstance(row, list) or len(row) != dims[s]
-                           or not all(isinstance(e, int) for e in row)
+                           or not all(_is_int(e) for e in row)
                            for row in mat)):
                 raise SchemaError(f"{path}.explicit.arrows.{a.name}",
                                   f"need a {dims[t]}x{dims[s]} integer matrix")
@@ -227,6 +232,9 @@ def _parse_checks(data, path: str) -> list[CheckRequest]:
         if d is not None and d < 1:
             raise SchemaError(f"{here}.d", "d must be a positive integer")
         trials = _lookup(entry, "trials", here, int, required=False)
+        if trials is not None and trials < 0:
+            raise SchemaError(f"{here}.trials",
+                              "trials must be a non-negative integer")
         extra = set(entry) - {"check", "d", "trials"}
         if extra:
             raise SchemaError(here, f"unknown fields {sorted(extra)}")
@@ -275,7 +283,7 @@ def parse(data: dict, name: str = "<job>") -> JobSpec:
         for j, term in enumerate(rel):
             there = f"{here}[{j}]"
             if not (isinstance(term, list) and len(term) == 2
-                    and isinstance(term[0], int) and isinstance(term[1], list)
+                    and _is_int(term[0]) and isinstance(term[1], list)
                     and all(isinstance(n, str) for n in term[1])):
                 raise SchemaError(there, "expected [coefficient, [arrow names]]")
             for n in term[1]:
@@ -295,7 +303,7 @@ def parse(data: dict, name: str = "<job>") -> JobSpec:
     for key, val in options.items():
         if key not in _DEFAULT_OPTIONS:
             raise SchemaError(f"options.{key}", "unknown option")
-        if not isinstance(val, int) or val < 0:
+        if not _is_int(val) or val < 0:
             raise SchemaError(f"options.{key}", "expected a non-negative int")
 
     extra = set(data) - {"name", "characteristic", "quiver", "relations",

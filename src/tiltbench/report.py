@@ -31,6 +31,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_ROUTE_DISAGREEMENT = 3
+EXIT_INTERNAL_ERROR = 3  # any other exception escaping a run
 
 
 @dataclass

@@ -8,7 +8,9 @@ A SubcategoryX fixes the indecomposable summands of a module M and provides:
   extraction so composition matrices never solve large systems twice;
 * right/left approximations, weak kernels and weak cokernels, and the
   higher kernel/cokernel sequences whose exactness the axiom checkers test;
-* membership ("is this module in add(M)?") with an explicit isomorphism.
+* membership ("is this module in add(M)?") with an explicit isomorphism;
+* End(M) of the basic module as an abstract algebra, built once from the
+  cached block homs together with its summand idempotents.
 
 Module-level functions cover the algebra-side homology that does not depend
 on X: minimal projective resolutions, Ext groups, the transpose, and the
@@ -20,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from tiltbench import rep
+from tiltbench.algebra_ops import AbstractAlgebra
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import BoundQuiverAlgebra
 from tiltbench.rep import ModuleMorphism, Representation
@@ -160,8 +163,11 @@ def negate_xmap(m: XMap) -> XMap:
 class SubcategoryX:
     """add(M) for a fixed module M, with cached hom data.
 
-    summands may be supplied directly (trusted to be indecomposable and
-    pairwise non-isomorphic); otherwise M is split and deduplicated.
+    M is given as a list of parts (by default M itself).  Every part is split
+    into indecomposables, and a summand isomorphic to an earlier one is
+    dropped, so `summands` lists each indecomposable summand of M once, in
+    the order of the parts.  Parts that are already indecomposable and
+    pairwise non-isomorphic are kept as the same objects.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
@@ -170,17 +176,16 @@ class SubcategoryX:
         self.field: PrimeField = algebra.field
         self.module = module
         self.seed = seed
-        if summands is None:
-            leaves = rep.decompose(module, seed)
-            summands = []
-            for leaf in leaves:
-                if any(rep._unit_witness(s, leaf.rep) is not None for s in summands):
-                    continue
-                summands.append(leaf.rep)
-        if any(s.is_zero for s in summands):
+        parts = [module] if summands is None else summands
+        if any(s.is_zero for s in summands or ()):
             raise ValueError("zero summand in a subcategory")
-        self.summands = summands
+        self.summands: list[Representation] = []
+        for part in parts:
+            for leaf in rep.decompose(part, seed):
+                if all(rep._unit_witness(s, leaf.rep) is None for s in self.summands):
+                    self.summands.append(leaf.rep)
         self._op: SubcategoryX | None = None
+        self._gamma: AbstractAlgebra | None = None
         self._hom: dict[tuple[int, int], list[ModuleMorphism]] = {}
         self._hom_solvers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._hom_to: dict[tuple[int, int], list[ModuleMorphism]] = {}
@@ -217,6 +222,44 @@ class SubcategoryX:
         if key not in self._hom:
             self._hom[key] = rep.hom_space(self.summands[i], self.summands[j])
         return self._hom[key]
+
+    def endomorphism_algebra(self) -> AbstractAlgebra:
+        """Gamma = End(M_1 (+) ... (+) M_n) of the basic module, built once.
+
+        The basis is the cached hom bases Hom(M_i, M_j), block by block, and
+        e_i = id_{M_i} are its primitive idempotents.  The invariants read
+        off downstream (global, dominant, selfinjective dimensions) are
+        Morita invariant, so multiplicities in M do not matter.
+        """
+        if self._gamma is None:
+            F = self.field
+            n = len(self.summands)
+            offset: dict[tuple[int, int], int] = {}
+            dim = 0
+            for i in range(n):
+                for j in range(n):
+                    offset[i, j] = dim
+                    dim += len(self.hom(i, j))
+            # b_g * b_h for h: M_i -> M_j and g: M_j -> M_k lies in block (i, k)
+            table = np.zeros((dim, dim, dim), dtype=np.int64)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        _, left = self.hom_solver(i, k)
+                        out = slice(offset[i, k], offset[i, k] + left.shape[0])
+                        for a, g in enumerate(self.hom(j, k)):
+                            for b, h in enumerate(self.hom(i, j)):
+                                table[offset[j, k] + a, offset[i, j] + b, out] = (
+                                    left @ g.compose(h).flatten()) % F.p
+            idempotents = []
+            for i in range(n):
+                e = np.zeros(dim, dtype=np.int64)
+                _, left = self.hom_solver(i, i)
+                ident = rep.identity_morphism(self.summands[i]).flatten()
+                e[offset[i, i]:offset[i, i] + left.shape[0]] = (left @ ident) % F.p
+                idempotents.append(e)
+            self._gamma = AbstractAlgebra(F, table, sum(idempotents) % F.p, idempotents)
+        return self._gamma
 
     def hom_solver(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(stacked flats, left inverse) of the (i, j) hom basis; coordinates

@@ -75,7 +75,7 @@ def test_1_serial_generators_have_auslander_endomorphism_algebras(corpus, capsys
         t0 = perf_counter()
         x = corpus.spec(name).realize().x
         verdict = axioms.classify_d_cluster_tilting(x, 1, None, 60, 42)
-        gamma = axioms.endomorphism_algebra(x)
+        gamma = x.endomorphism_algebra()
         gldim = algebra_ops.global_dimension(gamma, cap=8)
         domdim = algebra_ops.dominant_dimension(gamma, cap=8)
         dt = perf_counter() - t0
@@ -103,7 +103,7 @@ def test_2_generator_cogenerator_matches_dominant_dimension(fresh, corpus, capsy
                      and all(x.contains(rep.injective(alg, v))
                              for v in range(nverts)))
         domdim = algebra_ops.dominant_dimension(
-            axioms.endomorphism_algebra(x), cap=8)
+            x.endomorphism_algebra(), cap=8)
         if gen_cogen and not domdim.ge(2):
             problems.append(f"{name}: gen-cogen but domdim={domdim}")
         if name not in CONVERSE_GAP:
@@ -249,7 +249,7 @@ def test_6_precluster_routes_agree(fresh, corpus, capsys):
                                          "approx_sequences":
                                              "no-counterexample-in-sample"}:
                 problems.append(f"{name} d={d}: routes {pre.details['routes']}")
-            gamma = axioms.endomorphism_algebra(fresh(name).x)
+            gamma = fresh(name).x.endomorphism_algebra()
             domdim = algebra_ops.dominant_dimension(gamma, cap=10)
             inj_l, inj_r = algebra_ops.selfinjective_dimensions(gamma, cap=10)
             if not (domdim.ge(d + 1) and inj_l.le(d + 1) and inj_r.le(d + 1)):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tiltbench import cli, report
+from tiltbench import axioms, cli, report
 from tiltbench.axioms import Verdict
 
 A2_JOB = {
@@ -57,6 +57,29 @@ class TestExitCodes:
         rc = cli.main(["check", write_job(tmp_path, characteristic=4)])
         assert rc == 2
         assert "odd prime" in capsys.readouterr().err
+
+    def test_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("projective cover kernel escapes the radical")
+        monkeypatch.setattr(axioms, "check_A1_A1op", broken)
+        rc = cli.main(["check", write_job(tmp_path)])
+        assert rc == report.EXIT_INTERNAL_ERROR == 3
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "Traceback" in err and "escapes the radical" in err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed", "--max-path-len",
+                                      "--resolution-cap"])
+    def test_negative_flag(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["check", write_job(tmp_path), flag, "-3"])
+        assert ei.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bool_seed_option(self, tmp_path, capsys):
+        rc = cli.main(["check", write_job(tmp_path, options={"seed": True})])
+        assert rc == 2
+        assert "options.seed" in capsys.readouterr().err
 
     def test_empty_checks_pass(self, tmp_path, capsys):
         rc = cli.main(["check", write_job(tmp_path, checks=[])])

@@ -1,9 +1,8 @@
 """Ext, the translate, and endomorphism-ring dimension invariants."""
 import pytest
 
-from tiltbench import algebra_ops, rep, subcat
+from tiltbench import algebra_ops, axioms, jobspec, report, rep, subcat
 from tiltbench.algebra_ops import DimBound
-from tiltbench.axioms import endomorphism_algebra
 from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import Quiver, build_algebra
@@ -94,7 +93,7 @@ class TestDimBound:
 
 
 def gamma_of(alg, parts):
-    return endomorphism_algebra(make_x(alg, parts))
+    return make_x(alg, parts).endomorphism_algebra()
 
 
 class TestAlgebraDimensions:
@@ -137,6 +136,82 @@ class TestAlgebraDimensions:
         pd = algebra_ops.projective_dimension(s, cap=8)
         assert pd.kind in ("infinite", "at_least")
         assert pd.ge(8)
+
+
+A2 = {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]]}
+A3 = {"vertices": ["1", "2", "3"], "arrows": [["a", "1", "2"], ["b", "2", "3"]]}
+KRONECKER = {"vertices": ["1", "2"], "arrows": [["a", "1", "2"], ["b", "1", "2"]]}
+
+
+def job(quiver, module, checks=()):
+    return jobspec.parse({"characteristic": 101, "quiver": quiver,
+                          "module": module, "checks": list(checks)})
+
+
+def verdicts(spec):
+    return [(v.name, v.status) for v in report.run(spec, trials=20).verdicts]
+
+
+class TestSummandNormalization:
+    """A part of M may be decomposable or repeat an earlier summand; the
+    subcategory splits and deduplicates it before building End(M)."""
+
+    def test_decomposable_part_is_split(self):
+        # S1 (+) S2 as one explicit part: M = P1 + P2 + S1 + S2 is an additive
+        # generator of mod kA2, so End(M) is its Auslander algebra
+        spec = job(A2, ["regular", {"explicit": {"dims": [1, 1], "arrows": {"a": [[0]]}}}],
+                   ["gen-cogen-ff", {"check": "d-cluster-tilting", "d": 1}])
+        x = spec.realize().x
+        assert [s.dims.tolist() for s in x.summands] == [[1, 1], [0, 1], [1, 0]]
+        assert algebra_ops.global_dimension(x.endomorphism_algebra()) == 2
+        assert verdicts(spec) == [("gen-cogen-ff", "certified-pass"),
+                                  ("1-cluster-tilting", "certified-pass")]
+
+    def test_repeated_summand_is_dropped(self):
+        checks = ["gen-cogen-ff", {"check": "d-precluster", "d": 1},
+                  {"check": "d-cluster-tilting", "d": 1}]
+        dup = job(A3, ["regular", "coregular"], checks)  # P1 = I3
+        plain = job(A3, ["regular", {"injective": "1"}, {"injective": "2"}], checks)
+        assert len(dup.realize().x.summands) == len(plain.realize().x.summands) == 5
+        assert verdicts(dup) == verdicts(plain)
+
+    def test_given_indecomposables_keep_their_objects(self, a3rad2):
+        parts = rep.regular_parts(a3rad2)
+        x = make_x(a3rad2, parts)
+        assert all(s is p for s, p in zip(x.summands, parts))
+
+
+def test_non_split_simple():
+    # x^2 - 2 is irreducible mod 101, so End of the explicit summand is the
+    # field F_{101^2} and Gamma has a simple of dimension 2 over F_101
+    spec = job(KRONECKER, ["regular", "coregular", {"explicit": {
+        "dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]}}}])
+    g = spec.realize().x.endomorphism_algebra()
+    assert g.dim == 22
+    assert sorted(s.dim for s in g.simples()) == [1, 1, 1, 1, 2]
+    assert algebra_ops.global_dimension(g, cap=8) == 3
+    assert algebra_ops.dominant_dimension(g, cap=8) == 2
+    assert algebra_ops.selfinjective_dimensions(g, cap=8) == (3, 3)
+
+
+def test_classifiers_share_one_gamma(a3rad2, monkeypatch):
+    seen = []
+
+    def recording(real):
+        def wrapped(g, *args, **kwargs):
+            seen.append(g)
+            return real(g, *args, **kwargs)
+        return wrapped
+
+    for name in ("global_dimension", "dominant_dimension", "selfinjective_dimensions"):
+        monkeypatch.setattr(algebra_ops, name, recording(getattr(algebra_ops, name)))
+    x = make_x(a3rad2, rep.regular_parts(a3rad2) + [rep.simple(a3rad2, 0)])
+    axioms.classify_gen_cogen_ff(x, 5)
+    axioms.classify_d_precluster(x, 1, 5)
+    axioms.classify_d_cluster_tilting(x, 1, trials=5)
+    axioms.replay_witness(x, {"kind": "gamma-dimensions"}, d=1)
+    assert len(seen) >= 5
+    assert all(g is x.endomorphism_algebra() for g in seen)
 
 
 def test_small_field_precondition():

@@ -88,6 +88,26 @@ class TestValidation:
         with pytest.raises(SchemaError):
             jobspec.parse(base_job(extra_field=1))
 
+    def test_bool_is_not_an_int(self):
+        for data, field in [(base_job(options={"seed": True}), "options.seed"),
+                            (base_job(checks=[{"check": "d-rigid", "d": True}]),
+                             "checks[0].d"),
+                            (base_job(characteristic=True), "characteristic")]:
+            with pytest.raises(SchemaError) as ei:
+                jobspec.parse(data)
+            assert ei.value.field == field
+
+    def test_bool_in_explicit_dims(self):
+        job = jobspec.parse(base_job(module=[{"explicit": {"dims": [True, 0]}}]))
+        with pytest.raises(SchemaError) as ei:
+            job.realize()
+        assert ei.value.field == "module[0].explicit.dims"
+
+    def test_negative_check_trials(self):
+        with pytest.raises(SchemaError) as ei:
+            jobspec.parse(base_job(checks=[{"check": "A0", "trials": -5}]))
+        assert ei.value.field == "checks[0].trials"
+
     def test_option_precedence(self):
         spec = jobspec.parse(base_job(options={"trials": 17}))
         assert spec.option("trials") == 17
