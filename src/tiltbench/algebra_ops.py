@@ -1,14 +1,19 @@
-"""Homological invariants of a basic finite-dimensional algebra given by
-structure constants and its primitive idempotents: radical, projectives,
-simples, projective covers, syzygies, and the global, dominant, and
-selfinjective dimensions, all with exact certificates.
+"""Homological invariants of Gamma = End(M), with exact certificates:
+projectives, simples, projective covers, syzygies, and the global, dominant
+and selfinjective dimensions.
 
-The algebra here is typically End(M) assembled from the hom blocks between
-the indecomposable summands of M, so the idempotents e_i = id_{M_i} come
-with it and nothing assumes a quiver presentation.  The projectives are the
-left ideals A*e_i, the simples their tops, and a projective cover takes one
-copy of A*e_i per generator it needs.  Modules are plain coordinate spaces
-with one action matrix per algebra basis element.
+Gamma is assembled from the hom blocks between the pairwise non-isomorphic
+indecomposable summands M_i of M, so it comes with its idempotents
+e_i = id_{M_i}, and each basis element lies in one block
+e_j Gamma e_i = Hom(M_i, M_j).  A Gamma-module N is then a representation of
+the block quiver, with the space e_i N at vertex i and one arrow i -> j per
+basis element of e_j Gamma e_i (the Peirce decomposition; Assem-Simson-
+Skowronski, Elements vol. 1, ch. I-III).  Gamma-modules are therefore plain
+`rep.Representation`s, and their kernels, cokernels, direct sums and duals
+are rep's.  What stays here is Gamma's own resolution algorithm, kept apart
+from rep's so that the two routes to a verdict stay independent: the
+projectives Gamma e_i read off the structure constants, the radical read
+block by block, and a greedy projective cover with its certificates.
 
 Resolution-length answers come back as DimBound values: exact, "at least n"
 (a resolution passed the configured cap while still alive), or infinite (a
@@ -17,10 +22,14 @@ coresolution closed up, which certifies infinity rather than guessing it).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from tiltbench import fitting
+from tiltbench import fitting, rep
 from tiltbench.linalg import PrimeField
+from tiltbench.quiver import Quiver
+from tiltbench.rep import ModuleMorphism, Representation
 
 
 class DimBound:
@@ -46,12 +55,7 @@ class DimBound:
 
     def ge(self, n: int) -> bool:
         """True when the dimension is certainly >= n."""
-        if self.kind == "infinite":
-            return True
-        assert self.value is not None
-        if self.kind == "exact":
-            return self.value >= n
-        return self.value >= n  # lower bound semantics
+        return self.kind == "infinite" or self.value >= n
 
     def le(self, n: int) -> bool:
         """True/False when decidable; raises if the cap hid the answer."""
@@ -87,12 +91,16 @@ class DimBound:
 
 
 class AbstractAlgebra:
-    """Basic associative unital algebra from structure constants.
+    """Basic associative unital algebra from structure constants, with its
+    block quiver.
 
     table[i, j, k] is the coefficient of basis element k in b_i * b_j.
     idempotents is a complete set of primitive orthogonal idempotents e_i
     (coordinate vectors summing to the unit) whose projectives A*e_i are
-    pairwise non-isomorphic; the opposite algebra shares them.
+    pairwise non-isomorphic.  Every basis element must lie in a single block
+    e_j A e_i (ValueError otherwise); it becomes the arrow i -> j of
+    `quiver`, and `blocks[i, j]` lists the basis elements of that block.
+    The opposite algebra shares the idempotents and reverses the quiver.
     """
 
     def __init__(self, field: PrimeField, table: np.ndarray, unit: np.ndarray,
@@ -110,17 +118,33 @@ class AbstractAlgebra:
                     raise ValueError("idempotents are not orthogonal")
         if not np.array_equal(sum(self.idempotents) % field.p, self.unit):
             raise ValueError("idempotents do not sum to the unit")
+        n = len(self.idempotents)
+        ids = np.stack(self.idempotents)
+        # in_source[i, k]: b_k * e_i = b_k; in_target[j, k]: e_j * b_k = b_k
+        eye = np.eye(self.dim, dtype=np.int64)
+        in_source = (np.einsum("ib,kbc->ikc", ids, self.table) % field.p == eye).all(axis=2)
+        in_target = (np.einsum("ja,akc->jkc", ids, self.table) % field.p == eye).all(axis=2)
+        self.blocks: dict[tuple[int, int], list[int]] = {
+            (i, j): [] for i in range(n) for j in range(n)}
+        self.arrow_ends: list[tuple[int, int]] = []
+        for k in range(self.dim):
+            src, dst = np.flatnonzero(in_source[:, k]), np.flatnonzero(in_target[:, k])
+            if len(src) != 1 or len(dst) != 1:
+                raise ValueError(f"basis element {k} lies in no single block e_j A e_i")
+            self.blocks[int(src[0]), int(dst[0])].append(k)
+            self.arrow_ends.append((int(src[0]), int(dst[0])))
+        self.quiver = Quiver([str(i) for i in range(n)],
+                             [(f"b{k}", str(i), str(j))
+                              for k, (i, j) in enumerate(self.arrow_ends)])
         self._opposite: AbstractAlgebra | None = None
-        self._radical: np.ndarray | None = None
-        self._regular: AbstractModule | None = None
-        self._proj_leaves: list["ProjectiveLeaf"] | None = None
-        self._simples: list["AbstractModule"] | None = None
+        self._radical: dict[tuple[int, int], np.ndarray] | None = None
+        self._leaves: list[Representation] | None = None
+        self._simples: list[Representation] | None = None
+        # results of the dimension functions, keyed by (function, cap)
+        self._dimensions: dict[tuple[str, int], object] = {}
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", x, y, self.table) % self.field.p
-
-    def left_mult(self, i: int) -> np.ndarray:
-        return self.table[i].T
 
     @property
     def opposite(self) -> "AbstractAlgebra":
@@ -131,259 +155,180 @@ class AbstractAlgebra:
             self._opposite = op
         return self._opposite
 
-    def radical(self) -> np.ndarray:
-        """Column basis of the Jacobson radical (certified nilpotent ideal)."""
-        if self._radical is None:
-            self._radical = fitting.radical_from_table(self.field, self.table, self.unit)
-        return self._radical
+    def radical_blocks(self) -> dict[tuple[int, int], np.ndarray]:
+        """rad A block by block: for each (i, j), a column basis, in the
+        coordinates of blocks[i, j], of rad A meet e_j A e_i.
 
-    def regular_module(self) -> "AbstractModule":
-        if self._regular is None:
-            action = np.stack([self.left_mult(i) for i in range(self.dim)]) % self.field.p
-            self._regular = AbstractModule(self, self.dim, action)
-        return self._regular
+        A map between non-isomorphic indecomposables is radical, so every
+        off-diagonal block lies in rad A; a diagonal block contributes
+        rad End(M_i), from the trace form of that block alone.  The assembled
+        ideal is certified nilpotent.  The opposite algebra has the same
+        radical, with each block's ends swapped.
+        """
+        op = self._opposite
+        if self._radical is None and op is not None and op._radical is not None:
+            self._radical = {(j, i): r for (i, j), r in op._radical.items()}
+        if self._radical is None:
+            F = self.field
+            rad: dict[tuple[int, int], np.ndarray] = {}
+            cols = []
+            for (i, j), idx in self.blocks.items():
+                if i != j:
+                    rad[i, j] = np.eye(len(idx), dtype=np.int64)
+                else:
+                    rad[i, j] = fitting.radical_from_table(
+                        F, self.table[np.ix_(idx, idx, idx)], self.idempotents[i][idx])
+                full = np.zeros((self.dim, rad[i, j].shape[1]), dtype=np.int64)
+                full[idx] = rad[i, j]
+                cols.append(full)
+            fitting.certify_nilpotent(F, self.table, np.concatenate(cols, axis=1))
+            self._radical = rad
+        return self._radical
 
     # -- projectives and simples ---------------------------------------------
 
-    def projective_leaves(self) -> list["ProjectiveLeaf"]:
-        """The indecomposable projectives A*e_i, one per idempotent."""
-        if self._proj_leaves is None:
-            reg = self.regular_module()
-            self._proj_leaves = []
-            for e in self.idempotents:
-                right_e = np.einsum("c,ack->ka", e, self.table) % self.field.p
-                mod, incl = submodule(reg, right_e)
-                self._proj_leaves.append(ProjectiveLeaf(mod, incl, e))
-        return self._proj_leaves
+    def projective_leaves(self) -> list[Representation]:
+        """The indecomposable projectives A*e_i, one per idempotent: the space
+        at vertex j is the block e_j A e_i, and an arrow acts on it by left
+        multiplication."""
+        if self._leaves is None:
+            n = self.quiver.num_vertices
+            self._leaves = []
+            for i in range(n):
+                maps = [self.table[k][np.ix_(self.blocks[i, s], self.blocks[i, t])].T
+                        for k, (s, t) in enumerate(self.arrow_ends)]
+                self._leaves.append(Representation(
+                    self, [len(self.blocks[i, v]) for v in range(n)], maps))
+        return self._leaves
 
-    def simples(self) -> list["AbstractModule"]:
+    def simples(self) -> list[Representation]:
         """The simple tops of the projective leaves, in the same order; they
         are pairwise non-isomorphic because the algebra is basic."""
         if self._simples is None:
-            self._simples = [top_module(leaf.module)[0]
-                             for leaf in self.projective_leaves()]
+            self._simples = [top(leaf) for leaf in self.projective_leaves()]
         return self._simples
 
-
-class AbstractModule:
-    def __init__(self, algebra: AbstractAlgebra, dim: int, action: np.ndarray):
-        self.algebra = algebra
-        self.dim = int(dim)
-        self.action = np.asarray(action, dtype=np.int64) % algebra.field.p
-        if self.action.shape != (algebra.dim, self.dim, self.dim):
-            raise ValueError("action must be one square matrix per basis element")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    def act(self, coeffs: np.ndarray) -> np.ndarray:
-        """Matrix of the algebra element with the given coordinates."""
-        return np.tensordot(coeffs % self.algebra.field.p, self.action, axes=1) % self.algebra.field.p
-
-    def act_many(self, coeff_cols: np.ndarray) -> np.ndarray:
-        """Stacked action matrices for each column of coefficients."""
-        return np.tensordot(coeff_cols.T % self.algebra.field.p, self.action,
-                            axes=([1], [0])) % self.algebra.field.p
-
-    def __repr__(self) -> str:
-        return f"AbstractModule(dim={self.dim})"
+    def regular_module(self) -> Representation:
+        return rep.direct_sum(self, self.projective_leaves())[0]
 
 
-class ProjectiveLeaf:
-    """An indecomposable projective summand A*e of the regular module."""
-
-    def __init__(self, module: AbstractModule, incl: np.ndarray, idempotent: np.ndarray):
-        self.module = module
-        self.incl = incl  # columns: leaf basis as algebra coordinates
-        self.idempotent = idempotent
-
-
-def submodule(m: AbstractModule, basis: np.ndarray) -> tuple[AbstractModule, np.ndarray]:
-    """Module structure on an action-stable column span, with its inclusion."""
-    F = m.algebra.field
-    basis = F.column_reduce(basis)
-    k = basis.shape[1]
-    rhs = (np.matmul(m.action, basis) % F.p).transpose(1, 0, 2).reshape(m.dim, -1)
-    sol = F.solve_many(basis, rhs)
-    if sol is None:
-        raise AssertionError("subspace is not action-stable")
-    action = sol.reshape(k, m.algebra.dim, k).transpose(1, 0, 2)
-    return AbstractModule(m.algebra, k, action), basis
+def _block_action(m: Representation, i: int, j: int) -> np.ndarray:
+    """The basis elements of e_j A e_i acting on m, stacked into an array of
+    shape (block size, dim of m at j, dim of m at i)."""
+    idx = m.algebra.blocks[i, j]
+    return np.array([m.maps[k] for k in idx], dtype=np.int64).reshape(
+        len(idx), int(m.dims[j]), int(m.dims[i]))
 
 
-def quotient_module(m: AbstractModule, sub_basis: np.ndarray
-                    ) -> tuple[AbstractModule, np.ndarray]:
-    """Quotient by an action-stable subspace, with the projection."""
-    F = m.algebra.field
-    proj, reps = F.quotient_projection(sub_basis, m.dim)
-    q = proj.shape[0]
-    action = np.matmul(np.matmul(proj, m.action) % F.p, reps) % F.p
-    return AbstractModule(m.algebra, q, action), proj
+def radical_subspaces(m: Representation) -> list[np.ndarray]:
+    """Per-vertex bases of rad(A) * m."""
+    F = m.field
+    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
+    for (i, j), r in m.algebra.radical_blocks().items():
+        if r.shape[1] and m.dims[i] and m.dims[j]:
+            acts = np.tensordot(r.T, _block_action(m, i, j), axes=1) % F.p
+            cols[j].append(np.concatenate(list(acts), axis=1))
+    return [F.column_reduce(np.concatenate(c, axis=1)) if c
+            else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
 
 
-def kernel_module(f: np.ndarray, m: AbstractModule, n: AbstractModule
-                  ) -> tuple[AbstractModule, np.ndarray]:
-    F = m.algebra.field
-    basis = F.nullspace(f)
-    return submodule(m, basis)
+def top(m: Representation) -> Representation:
+    return rep.quotient(m, radical_subspaces(m))[0]
 
 
-def cokernel_module(f: np.ndarray, m: AbstractModule, n: AbstractModule
-                    ) -> tuple[AbstractModule, np.ndarray]:
-    F = m.algebra.field
-    return quotient_module(n, F.column_reduce(f))
-
-
-def direct_sum_modules(algebra: AbstractAlgebra, parts: list[AbstractModule]
-                       ) -> tuple[AbstractModule, list[np.ndarray], list[np.ndarray]]:
-    dims = [p.dim for p in parts]
-    total = sum(dims)
-    action = np.zeros((algebra.dim, total, total), dtype=np.int64)
-    at = 0
-    incls, projs = [], []
-    for part in parts:
-        action[:, at:at + part.dim, at:at + part.dim] = part.action
-        inc = np.zeros((total, part.dim), dtype=np.int64)
-        inc[at:at + part.dim] = np.eye(part.dim, dtype=np.int64)
-        prj = np.zeros((part.dim, total), dtype=np.int64)
-        prj[:, at:at + part.dim] = np.eye(part.dim, dtype=np.int64)
-        incls.append(inc)
-        projs.append(prj)
-        at += part.dim
-    return AbstractModule(algebra, total, action), incls, projs
-
-
-def dual_module(m: AbstractModule) -> AbstractModule:
-    """Vector-space dual over the opposite algebra."""
-    action = np.transpose(m.action, (0, 2, 1)).copy()
-    return AbstractModule(m.algebra.opposite, m.dim, action)
-
-
-def radical_subspace(m: AbstractModule) -> np.ndarray:
-    """Column basis of rad(A) * m."""
-    F = m.algebra.field
-    rad = m.algebra.radical()
-    if rad.shape[1] == 0 or m.dim == 0:
-        return np.zeros((m.dim, 0), dtype=np.int64)
-    acts = m.act_many(rad)
-    cols = np.concatenate(list(acts), axis=1) % F.p
-    return F.column_reduce(cols)
-
-
-def top_module(m: AbstractModule) -> tuple[AbstractModule, np.ndarray]:
-    return quotient_module(m, radical_subspace(m))
-
-
-class CoverData:
-    def __init__(self, cover: np.ndarray, source: AbstractModule):
-        self.cover = cover
-        self.source = source
-
-
-def projective_cover_module(m: AbstractModule) -> CoverData:
+def projective_cover(m: Representation) -> ModuleMorphism:
     """Minimal projective cover, one leaf per generator.
 
-    Leaf by leaf, each basis vector u of e*m outside rad(m) plus the image
-    so far becomes a generator: the map A*e -> m, a |-> a*u, whose image A*u
-    adds one copy of the simple top of A*e to the covered part of top(m).
+    Leaf by leaf, each basis vector u of e_i*m outside rad(m) plus the image
+    so far becomes a generator: the map A*e_i -> m, a |-> a*u, whose image
+    A*u adds one copy of the simple top of A*e_i to the covered part of
+    top(m).  Certified surjective, with its kernel inside the radical.
     """
     alg = m.algebra
     F = alg.field
-    if m.dim == 0:
-        zero = AbstractModule(alg, 0, np.zeros((alg.dim, 0, 0), dtype=np.int64))
-        return CoverData(np.zeros((0, 0), dtype=np.int64), zero)
-    covered = radical_subspace(m)
-    blocks: list[np.ndarray] = []
-    parts: list[AbstractModule] = []
-    for leaf in alg.projective_leaves():
-        basis_acts = m.act_many(leaf.incl)  # one action matrix per leaf basis vector
-        for u in F.column_reduce(m.act(leaf.idempotent)).T:
-            if F.column_space_contains(covered, u.reshape(-1, 1)):
+    covered = radical_subspaces(m)
+    parts: list[Representation] = []
+    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
+    for i, leaf in enumerate(alg.projective_leaves()):
+        for u in np.eye(int(m.dims[i]), dtype=np.int64):
+            if F.column_space_contains(covered[i], u.reshape(-1, 1)):
                 continue
-            lift = np.tensordot(basis_acts, u, axes=([2], [0])).T % F.p
-            covered = F.column_reduce(np.concatenate([covered, lift], axis=1))
-            blocks.append(lift)
-            parts.append(leaf.module)
-    total, _, _ = direct_sum_modules(alg, parts)
-    cover = np.concatenate(blocks, axis=1) % F.p
-    if F.rank(cover) != m.dim:
+            for j in range(len(m.dims)):
+                lift = np.tensordot(_block_action(m, i, j), u, axes=([2], [0])).T % F.p
+                covered[j] = F.column_reduce(np.concatenate([covered[j], lift], axis=1))
+                cols[j].append(lift)
+            parts.append(leaf)
+    cover = ModuleMorphism(rep.direct_sum(alg, parts)[0], m,
+                           [np.concatenate(c, axis=1) if c
+                            else np.zeros((int(d), 0), dtype=np.int64)
+                            for c, d in zip(cols, m.dims)])
+    if not cover.is_surjective():
         raise AssertionError("projective cover is not surjective")
-    ker = F.nullspace(cover)
-    if ker.shape[1]:
-        rad_p = radical_subspace(total)
-        if not F.column_space_contains(rad_p, ker):
+    for f, rad_v in zip(cover.maps, radical_subspaces(cover.source)):
+        ker = F.nullspace(f)
+        if ker.shape[1] and not F.column_space_contains(rad_v, ker):
             raise AssertionError("projective cover kernel escapes the radical")
-    return CoverData(cover, total)
+    return cover
 
 
-def syzygy_module(m: AbstractModule) -> AbstractModule:
-    cd = projective_cover_module(m)
-    k, _ = kernel_module(cd.cover, cd.source, m)
-    return k
+def syzygy(m: Representation) -> Representation:
+    return rep.kernel(projective_cover(m))[0]
 
 
-def is_projective(m: AbstractModule) -> bool:
-    if m.dim == 0:
-        return True
-    cd = projective_cover_module(m)
-    return cd.source.dim == m.dim
+def is_projective(m: Representation) -> bool:
+    return projective_cover(m).source.total_dim == m.total_dim
 
 
-def injective_envelope_module(m: AbstractModule) -> tuple[np.ndarray, AbstractModule]:
-    """Envelope map and its target, via the cover of the dual module."""
-    cd = projective_cover_module(dual_module(m))
-    env_target = dual_module(cd.source)
-    return cd.cover.T.copy() % m.algebra.field.p, env_target
+def injective_envelope(m: Representation) -> ModuleMorphism:
+    """Envelope map, the dual of the cover of the dual module."""
+    cover = projective_cover(rep.dualize(m))
+    return ModuleMorphism(m, rep.dualize(cover.source), [f.T.copy() for f in cover.maps])
 
 
-def cosyzygy_module(m: AbstractModule) -> AbstractModule:
-    env, target = injective_envelope_module(m)
-    c, _ = cokernel_module(env, m, target)
-    return c
+def cosyzygy(m: Representation) -> Representation:
+    return rep.cokernel(injective_envelope(m))[0]
 
 
-def projective_dimension(m: AbstractModule, cap: int = 20) -> DimBound:
-    if m.dim == 0:
-        return DimBound.exact(-1)
-    cur = m
-    count = 0
-    while cur.dim > 0:
+def _resolution_length(m: Representation, step, cap: int) -> DimBound:
+    """Steps until the module vanishes, less one; -1 for the zero module."""
+    count = -1
+    while not m.is_zero:
+        count += 1
         if count > cap:
             return DimBound.at_least(cap + 1)
-        cur = syzygy_module(cur)
-        count += 1
-    return DimBound.exact(count - 1)
+        m = step(m)
+    return DimBound.exact(count)
 
 
-def injective_dimension(m: AbstractModule, cap: int = 20) -> DimBound:
-    if m.dim == 0:
-        return DimBound.exact(-1)
-    cur = m
-    count = 0
-    while cur.dim > 0:
-        if count > cap:
-            return DimBound.at_least(cap + 1)
-        cur = cosyzygy_module(cur)
-        count += 1
-    return DimBound.exact(count - 1)
+def projective_dimension(m: Representation, cap: int = 20) -> DimBound:
+    return _resolution_length(m, syzygy, cap)
 
 
+def injective_dimension(m: Representation, cap: int = 20) -> DimBound:
+    return _resolution_length(m, cosyzygy, cap)
+
+
+def _once_per_algebra(fn):
+    """Keep fn(alg, cap) on the algebra, keyed by (function, cap)."""
+    @functools.wraps(fn)
+    def cached(alg: AbstractAlgebra, cap: int = 20):
+        key = (fn.__name__, cap)
+        if key not in alg._dimensions:
+            alg._dimensions[key] = fn(alg, cap)
+        return alg._dimensions[key]
+    return cached
+
+
+@_once_per_algebra
 def global_dimension(alg: AbstractAlgebra, cap: int = 20) -> DimBound:
-    best = DimBound.exact(0)
-    capped = False
-    top_val = 0
-    for s in alg.simples():
-        pd = projective_dimension(s, cap)
-        if pd.kind == "at_least":
-            capped = True
-            top_val = max(top_val, pd.value)
-        else:
-            assert pd.kind == "exact" and pd.value is not None
-            top_val = max(top_val, pd.value)
-    return DimBound.at_least(max(top_val, cap + 1)) if capped else DimBound.exact(top_val)
+    pds = [projective_dimension(s, cap) for s in alg.simples()]
+    top_val = max(pd.value for pd in pds)
+    if any(pd.kind == "at_least" for pd in pds):
+        return DimBound.at_least(max(top_val, cap + 1))
+    return DimBound.exact(top_val)
 
 
+@_once_per_algebra
 def dominant_dimension(alg: AbstractAlgebra, cap: int = 20) -> DimBound:
     """Length of the initial projective segment of the minimal injective
     coresolution of the regular module (infinite when the coresolution
@@ -393,16 +338,16 @@ def dominant_dimension(alg: AbstractAlgebra, cap: int = 20) -> DimBound:
     while True:
         if count > cap:
             return DimBound.at_least(cap + 1)
-        if cur.dim == 0:
+        if cur.is_zero:
             return DimBound.infinite()
-        env, target = injective_envelope_module(cur)
-        if not is_projective(target):
+        env = injective_envelope(cur)
+        if not is_projective(env.target):
             return DimBound.exact(count)
-        c, _ = cokernel_module(env, cur, target)
-        cur = c
+        cur = rep.cokernel(env)[0]
         count += 1
 
 
+@_once_per_algebra
 def selfinjective_dimensions(alg: AbstractAlgebra, cap: int = 20) -> tuple[DimBound, DimBound]:
     """Injective dimension of the regular module on each side."""
     left = injective_dimension(alg.regular_module(), cap)

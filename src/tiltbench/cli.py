@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: no such file: {e.filename}", file=sys.stderr)
         return report_mod.EXIT_INPUT_ERROR
-    except (SchemaError, NotAdmissible, RadicalPreconditionViolated, ValueError) as e:
+    except (SchemaError, NotAdmissible, RadicalPreconditionViolated) as e:
         print(f"error: {e}", file=sys.stderr)
         return report_mod.EXIT_INPUT_ERROR
     except Exception:

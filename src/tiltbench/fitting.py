@@ -331,13 +331,21 @@ def _radical_of_ring(ring: _RingData) -> np.ndarray:
         if keep.shape[1] == n_space.shape[1]:
             break
         n_space = F.column_reduce((n_space @ keep) % F.p)
-    # certify nilpotency
-    power = n_space
+    certify_nilpotent(F, ring.table, n_space)
+    return n_space
+
+
+def certify_nilpotent(F: PrimeField, table: np.ndarray, basis: np.ndarray) -> None:
+    """Raise AssertionError unless the column span of basis, inside the ring
+    with structure constants table, is nilpotent (some power vanishes within
+    dim + 1 steps)."""
+    k = table.shape[0]
+    power = basis
     for _ in range(k + 1):
         if power.shape[1] == 0:
-            return n_space
-        tmp = np.tensordot(power.T % F.p, ring.table, axes=1) % F.p  # (u, j, k)
-        prods = np.einsum("ujk,jv->kuv", tmp, n_space).reshape(k, -1) % F.p
+            return
+        tmp = np.tensordot(power.T % F.p, table, axes=1) % F.p  # (u, j, k)
+        prods = np.einsum("ujk,jv->kuv", tmp, basis).reshape(k, -1) % F.p
         power = F.column_reduce(prods)
     raise AssertionError("radical candidate failed the nilpotency certificate")
 

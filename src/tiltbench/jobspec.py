@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass, field
 
 from tiltbench import rep, subcat
-from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import Quiver, build_algebra
 from tiltbench.rep import Representation
@@ -97,7 +96,6 @@ class JobSpec:
         for i, spec in enumerate(self.module):
             parts.extend(_build_summand(algebra, spec, f"module[{i}]"))
         module = rep.direct_sum(algebra, parts)[0]
-        _guard_fitting_precondition(F, algebra, module)
         declared = None
         if self.declared_indecomposables is not None:
             declared = []
@@ -115,15 +113,6 @@ class RealizedJob:
     algebra: object
     x: subcat.SubcategoryX
     declared: list[Representation] | None
-
-
-def _guard_fitting_precondition(F: PrimeField, algebra, module) -> None:
-    # decomposition machinery needs p > dim of every endomorphism ring it
-    # splits; End(M) and the algebra itself are the largest rings in play,
-    # so reject bad primes up front (the exception message names a safe one)
-    bound = max(algebra.dim, len(rep.hom_space(module, module)))
-    if F.p <= bound:
-        raise RadicalPreconditionViolated(bound, F.p)
 
 
 def _lookup(data: dict, key: str, path: str, typ=None, required=True,

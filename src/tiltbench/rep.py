@@ -3,7 +3,10 @@
 A module is stored as a representation of the quiver: one coordinate space
 per vertex and one matrix per arrow, with the matrix of an arrow a: v -> w
 mapping the space at v into the space at w.  Morphisms are per-vertex
-matrices commuting with the arrow action.
+matrices commuting with the arrow action.  Modules over Gamma = End(M) use
+the same type, over the block quiver of `algebra_ops.AbstractAlgebra`: the
+kernels, cokernels, images, quotients, direct sums and duals here read only
+the algebra's quiver, field and opposite.
 
 Everything here is exact arithmetic over the algebra's prime field; kernels,
 cokernels and images come back together with the structure maps that witness
@@ -16,7 +19,7 @@ import numpy as np
 
 from tiltbench import fitting
 from tiltbench.linalg import PrimeField
-from tiltbench.quiver import BoundQuiverAlgebra, Path, path_target
+from tiltbench.quiver import BoundQuiverAlgebra, Path
 
 
 class Representation:
@@ -270,24 +273,26 @@ def image(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism, ModuleMorp
     return img, incl, epi
 
 
-def cokernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
-    """Cokernel with the projection from the target."""
-    F = f.source.field
-    projs, reps = [], []
-    qv = f.source.algebra.quiver
-    for v in range(len(f.maps)):
-        sub = F.column_reduce(f.maps[v])
-        proj, rep = F.quotient_projection(sub, int(f.target.dims[v]))
-        projs.append(proj)
-        reps.append(rep)
-    dims = [p.shape[0] for p in projs]
+def quotient(m: Representation, subspaces: list[np.ndarray]
+             ) -> tuple[Representation, ModuleMorphism]:
+    """Quotient by an arrow-stable subspace, given by per-vertex column
+    bases, with the projection onto it."""
+    F = m.field
+    projs, reps = zip(*(F.quotient_projection(sub, int(d))
+                        for sub, d in zip(subspaces, m.dims)))
+    qv = m.algebra.quiver
     maps = []
     for i, a in enumerate(qv.arrows):
         s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
-        maps.append((projs[t] @ f.target.maps[i] @ reps[s]) % F.p)
-    c = Representation(f.target.algebra, dims, maps)
-    proj = ModuleMorphism(f.target, c, projs)
-    return c, proj
+        maps.append((projs[t] @ m.maps[i] @ reps[s]) % F.p)
+    q = Representation(m.algebra, [p.shape[0] for p in projs], maps)
+    return q, ModuleMorphism(m, q, list(projs))
+
+
+def cokernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
+    """Cokernel with the projection from the target."""
+    F = f.source.field
+    return quotient(f.target, [F.column_reduce(mv) for mv in f.maps])
 
 
 def direct_sum(algebra: BoundQuiverAlgebra, parts: list[Representation]
@@ -418,18 +423,7 @@ def radical_subspaces(m: Representation) -> list[np.ndarray]:
 
 def top(m: Representation) -> tuple[Representation, ModuleMorphism]:
     """Largest semisimple quotient, with the projection onto it."""
-    F = m.field
-    rads = radical_subspaces(m)
-    projs, dims = [], []
-    for v in range(len(rads)):
-        proj, _ = F.quotient_projection(rads[v], int(m.dims[v]))
-        projs.append(proj)
-        dims.append(proj.shape[0])
-    maps = [np.zeros((dims[m.algebra.quiver.vertex_index[a.target]],
-                      dims[m.algebra.quiver.vertex_index[a.source]]), dtype=np.int64)
-            for a in m.algebra.quiver.arrows]
-    t = Representation(m.algebra, dims, maps)
-    return t, ModuleMorphism(m, t, projs)
+    return quotient(m, radical_subspaces(m))
 
 
 def socle(m: Representation) -> tuple[Representation, ModuleMorphism]:
@@ -526,12 +520,6 @@ def cosyzygy(m: Representation) -> Representation:
 def syzygy_power(m: Representation, k: int) -> Representation:
     for _ in range(k):
         m = syzygy(m)
-    return m
-
-
-def cosyzygy_power(m: Representation, k: int) -> Representation:
-    for _ in range(k):
-        m = cosyzygy(m)
     return m
 
 

@@ -109,10 +109,6 @@ class XMap:
     def compose(self, other: "XMap") -> "XMap":
         return XMap(other.src, self.dst, self.mor.compose(other.mor))
 
-    def block(self, dst_pos: int, src_pos: int) -> ModuleMorphism:
-        """Component between single summands."""
-        return self.dst.projs[dst_pos].compose(self.mor).compose(self.src.incls[src_pos])
-
     def column(self, src_pos: int) -> ModuleMorphism:
         return self.mor.compose(self.src.incls[src_pos])
 
@@ -188,10 +184,9 @@ class SubcategoryX:
         self._gamma: AbstractAlgebra | None = None
         self._hom: dict[tuple[int, int], list[ModuleMorphism]] = {}
         self._hom_solvers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._hom_to: dict[tuple[int, int], list[ModuleMorphism]] = {}
-        self._hom_to_refs: list[Representation] = []
-        self._embed_cache: dict[int, tuple[XObject, ModuleMorphism] | None] = {}
-        self._embed_refs: list[Representation] = []
+        self._objs: dict[tuple[int, ...], XObject] = {}
+        self._hom_to: dict[tuple[int, Representation], list[ModuleMorphism]] = {}
+        self._embed_cache: dict[Representation, tuple[XObject, ModuleMorphism] | None] = {}
         self._obj_hom: dict[tuple, list[ModuleMorphism]] = {}
         self._obj_solvers: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -208,10 +203,15 @@ class SubcategoryX:
         return self._op
 
     def obj(self, parts) -> XObject:
-        return XObject(self, tuple(parts))
+        """The X-object of a parts tuple; one object per tuple, so each is
+        realized once."""
+        parts = tuple(parts)
+        if parts not in self._objs:
+            self._objs[parts] = XObject(self, parts)
+        return self._objs[parts]
 
     def zero_obj(self) -> XObject:
-        return XObject(self, ())
+        return self.obj(())
 
     def identity(self, x: XObject) -> XMap:
         return XMap(x, x, rep.identity_morphism(x.rep))
@@ -283,17 +283,9 @@ class SubcategoryX:
 
     def hom_to_rep(self, i: int, target: Representation) -> list[ModuleMorphism]:
         """Cached hom basis summand i -> arbitrary representation."""
-        key = (i, id(target))
+        key = (i, target)
         if key not in self._hom_to:
             self._hom_to[key] = rep.hom_space(self.summands[i], target)
-            self._hom_to_refs.append(target)
-        return self._hom_to[key]
-
-    def hom_from_rep(self, source: Representation, j: int) -> list[ModuleMorphism]:
-        key = (-1 - j, id(source))
-        if key not in self._hom_to:
-            self._hom_to[key] = rep.hom_space(source, self.summands[j])
-            self._hom_to_refs.append(source)
         return self._hom_to[key]
 
     def dual_xmap(self, m: XMap) -> XMap:
@@ -309,13 +301,9 @@ class SubcategoryX:
     def embed(self, a: Representation) -> tuple[XObject, ModuleMorphism] | None:
         """An X-object with an isomorphism onto a, or None when a is not in
         add(M)."""
-        key = id(a)
-        if key in self._embed_cache:
-            return self._embed_cache[key]
-        result = self._embed_uncached(a)
-        self._embed_cache[key] = result
-        self._embed_refs.append(a)
-        return result
+        if a not in self._embed_cache:
+            self._embed_cache[a] = self._embed_uncached(a)
+        return self._embed_cache[a]
 
     def _embed_uncached(self, a: Representation):
         if a.total_dim == 0:
@@ -396,19 +384,6 @@ class SubcategoryX:
                 else np.zeros((rows, 0), dtype=np.int64))
         return cols
 
-    def morphism_from_coords(self, z: int, x: XObject, coords: np.ndarray) -> ModuleMorphism:
-        """Inverse of coords_into."""
-        total = rep.zero_morphism(self.summands[z], x.rep)
-        at = 0
-        for pos, i in enumerate(x.parts):
-            basis = self.hom(z, i)
-            for b in basis:
-                c = int(coords[at]) % self.field.p
-                at += 1
-                if c:
-                    total = total.add(x.incls[pos].compose(b).scale(c))
-        return total
-
     # -- hom coordinates between two X-objects ----------------------------------
 
     def obj_hom(self, xa: XObject, xb: XObject) -> list[ModuleMorphism]:
@@ -466,17 +441,6 @@ class SubcategoryX:
             return np.zeros((left.shape[0], 0), dtype=np.int64)
         cols = np.stack([m.mor.compose(e).flatten() for e in basis], axis=1)
         return (left @ cols) % self.field.p
-
-    def xmap_from_block_coords(self, src: XObject, dst: XObject,
-                               coords: dict[tuple[int, int], np.ndarray]) -> XMap:
-        """Assemble an XMap from per-(dst_pos, src_pos) hom coordinates."""
-        mor = rep.zero_morphism(src.rep, dst.rep)
-        for (dp, sp), cvec in coords.items():
-            basis = self.hom(src.parts[sp], dst.parts[dp])
-            for c, b in zip(cvec.tolist(), basis):
-                if c % self.field.p:
-                    mor = mor.add(dst.incls[dp].compose(b).compose(src.projs[sp]).scale(int(c)))
-        return XMap(src, dst, mor)
 
     # -- epis, monos, approximations --------------------------------------------
 
@@ -600,13 +564,6 @@ class SubcategoryX:
         chain = [m]
         for _ in range(length):
             chain.append(self.weak_kernel(chain[-1], minimize))
-        return chain[1:]
-
-    def weak_cokernel_chain(self, m: XMap, length: int, minimize: bool = True
-                            ) -> list[XMap]:
-        chain = [m]
-        for _ in range(length):
-            chain.append(self.weak_cokernel(chain[-1], minimize))
         return chain[1:]
 
     # -- higher kernels -----------------------------------------------------------

@@ -68,6 +68,20 @@ class TestExitCodes:
         assert "internal error" in err
         assert "Traceback" in err and "escapes the radical" in err
 
+    def test_internal_value_error(self, tmp_path, capsys, monkeypatch):
+        # a ValueError from inside a check is a bug, not an input error
+        def broken(*args, **kwargs):
+            raise ValueError("cannot decide from a lower bound")
+        monkeypatch.setattr(axioms, "check_A0", broken)
+        rc = cli.main(["check", write_job(tmp_path, checks=["A0"])])
+        assert rc == report.EXIT_INTERNAL_ERROR
+        assert "internal error" in capsys.readouterr().err
+
+    def test_input_value_error(self, tmp_path, capsys):
+        rc = cli.main(["check", write_job(tmp_path), "--max-path-len", "1"])
+        assert rc == report.EXIT_INPUT_ERROR
+        assert "max_path_len" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--trials", "--seed", "--max-path-len",
                                       "--resolution-cap"])
     def test_negative_flag(self, tmp_path, capsys, flag):

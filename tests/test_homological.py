@@ -1,4 +1,5 @@
 """Ext, the translate, and endomorphism-ring dimension invariants."""
+import numpy as np
 import pytest
 
 from tiltbench import algebra_ops, axioms, jobspec, report, rep, subcat
@@ -137,6 +138,50 @@ class TestAlgebraDimensions:
         assert pd.kind in ("infinite", "at_least")
         assert pd.ge(8)
 
+    def test_modules_are_representations(self, a3rad2):
+        g = gamma_of(a3rad2, rep.regular_parts(a3rad2) + [rep.simple(a3rad2, 0)])
+        assert g.quiver.num_vertices == 4
+        assert len(g.quiver.arrows) == g.dim
+        for m in g.projective_leaves() + g.simples():
+            assert isinstance(m, rep.Representation) and m.algebra is g
+        assert [s.total_dim for s in g.simples()] == [1, 1, 1, 1]
+        # Gamma e_i has the block e_j Gamma e_i = Hom(M_i, M_j) at vertex j
+        leaf = g.projective_leaves()[3]
+        assert leaf.dims.tolist() == [len(g.blocks[3, j]) for j in range(4)]
+        dual = rep.dualize(leaf)
+        assert dual.algebra is g.opposite and g.opposite.opposite is g
+        assert ([(a.target, a.source) for a in g.quiver.arrows]
+                == [(a.source, a.target) for a in g.opposite.quiver.arrows])
+
+    def test_dimensions_computed_once(self, a3rad2):
+        g = gamma_of(a3rad2, rep.regular_parts(a3rad2))
+        for fn in (algebra_ops.global_dimension, algebra_ops.dominant_dimension,
+                   algebra_ops.selfinjective_dimensions):
+            assert fn(g, cap=6) is fn(g, cap=6)
+            assert fn(g, cap=6) is not fn(g, cap=7)
+
+    def test_element_outside_every_block(self, field):
+        # basis (1, e_1) of k x k: the unit lies in no single block
+        table = np.zeros((2, 2, 2), dtype=np.int64)
+        table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = table[1, 1, 1] = 1
+        e1, e2 = np.array([0, 1]), np.array([1, -1])
+        with pytest.raises(ValueError, match="no single block"):
+            algebra_ops.AbstractAlgebra(field, table, np.array([1, 0]), [e1, e2])
+
+
+def test_auslander_algebra_at_its_dimension():
+    # M = P + S over k[x]/(x^2) at p = 5: dim Gamma = 2 + 1 + 1 + 1 = 5 = p,
+    # too small for a trace form on all of Gamma, large enough for each
+    # diagonal block End(P) = k[x]/(x^2) and End(S) = k
+    F5 = PrimeField(5)
+    alg = build_algebra(Quiver(["*"], [("x", "*", "*")]), [[(1, ["x", "x"])]], F5)
+    g = gamma_of(alg, [rep.projective(alg, 0), rep.simple(alg, 0)])
+    assert g.dim == 5
+    assert algebra_ops.global_dimension(g) == 2
+    assert algebra_ops.dominant_dimension(g) == 2
+    assert algebra_ops.selfinjective_dimensions(g) == (2, 2)
+    assert sum(r.shape[1] for r in g.radical_blocks().values()) == 3
+
 
 A2 = {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]]}
 A3 = {"vertices": ["1", "2", "3"], "arrows": [["a", "1", "2"], ["b", "2", "3"]]}
@@ -188,7 +233,7 @@ def test_non_split_simple():
         "dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]}}}])
     g = spec.realize().x.endomorphism_algebra()
     assert g.dim == 22
-    assert sorted(s.dim for s in g.simples()) == [1, 1, 1, 1, 2]
+    assert sorted(s.total_dim for s in g.simples()) == [1, 1, 1, 1, 2]
     assert algebra_ops.global_dimension(g, cap=8) == 3
     assert algebra_ops.dominant_dimension(g, cap=8) == 2
     assert algebra_ops.selfinjective_dimensions(g, cap=8) == (3, 3)

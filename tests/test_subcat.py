@@ -160,3 +160,9 @@ class TestXMapPlumbing:
         cover = rep.projective_cover(rep.simple(a2, 0))[0]
         f = as_xmap(x_a2, cover)
         assert f.mor.add(subcat.negate_xmap(f).mor).is_zero
+
+    def test_objects_are_interned(self, x_a2):
+        assert x_a2.obj((0, 2)) is x_a2.obj([0, 2])
+        assert x_a2.obj((0, 2)).rep is x_a2.obj((0, 2)).rep
+        assert x_a2.zero_obj() is x_a2.obj(())
+        assert x_a2.obj((0, 2)) is not x_a2.obj((2, 0))
