@@ -116,6 +116,25 @@ class XMap:
         return f"XMap({self.src.parts} -> {self.dst.parts})"
 
 
+def _module_key(a: Representation) -> tuple:
+    """Content key of a module: its dimension vector and arrow matrices."""
+    return (a.dims.tobytes(), *map(np.ndarray.tobytes, a.maps))
+
+
+def _xmap_key(m: XMap) -> tuple:
+    """Content key of a morphism of X-objects: the parts of both ends and
+    the entries of each component (the parts fix the shapes)."""
+    return (m.src.parts, m.dst.parts, *map(np.ndarray.tobytes, m.mor.maps))
+
+
+def _read_only(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place, so that a memoized result cannot
+    be changed under a later caller."""
+    for t in arrays:
+        t.setflags(write=False)
+    return tuple(arrays)
+
+
 def concat_xmaps_cols(x: "SubcategoryX", blocks: list[XMap], dst: XObject) -> XMap:
     """[b_1 b_2 ...]: sum of sources -> common target."""
     parts: tuple[int, ...] = ()
@@ -164,40 +183,65 @@ class SubcategoryX:
     dropped, so `summands` lists each indecomposable summand of M once, in
     the order of the parts.  Parts that are already indecomposable and
     pairwise non-isomorphic are kept as the same objects.
+
+    Weak kernels and cokernels, the matrices of Hom(X_z, f) and Hom(f, X_z),
+    right approximations and embeddings are memoized for the life of the
+    subcategory, keyed by content, so the sampled checks of one job share
+    them; a module-keyed result is rebuilt to end at the caller's module.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
                  summands: list[Representation] | None = None, seed: int = 42):
+        parts = [module] if summands is None else summands
+        if any(s.is_zero for s in summands or ()):
+            raise ValueError("zero summand in a subcategory")
+        basic: list[Representation] = []
+        for part in parts:
+            for leaf in rep.decompose(part, seed):
+                if all(rep._unit_witness(s, leaf.rep) is None for s in basic):
+                    basic.append(leaf.rep)
+        self._setup(algebra, module, basic, seed)
+
+    def _setup(self, algebra: BoundQuiverAlgebra, module: Representation,
+               summands: list[Representation], seed: int) -> None:
+        """Fields and caches over summands already split and deduplicated."""
         self.algebra = algebra
         self.field: PrimeField = algebra.field
         self.module = module
         self.seed = seed
-        parts = [module] if summands is None else summands
-        if any(s.is_zero for s in summands or ()):
-            raise ValueError("zero summand in a subcategory")
-        self.summands: list[Representation] = []
-        for part in parts:
-            for leaf in rep.decompose(part, seed):
-                if all(rep._unit_witness(s, leaf.rep) is None for s in self.summands):
-                    self.summands.append(leaf.rep)
+        self.summands = summands
         self._op: SubcategoryX | None = None
         self._gamma: AbstractAlgebra | None = None
         self._hom: dict[tuple[int, int], list[ModuleMorphism]] = {}
         self._hom_solvers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._objs: dict[tuple[int, ...], XObject] = {}
-        self._hom_to: dict[tuple[int, Representation], list[ModuleMorphism]] = {}
-        self._embed_cache: dict[Representation, tuple[XObject, ModuleMorphism] | None] = {}
         self._obj_hom: dict[tuple, list[ModuleMorphism]] = {}
         self._obj_solvers: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._memo: dict[tuple, object] = {}  # see _memoized
+
+    def _memoized(self, key: tuple, compute, *args):
+        """The memo entry under key, computed as compute(*args) on first use.
+
+        Keys hold the content of the arguments (`_module_key`, `_xmap_key`),
+        so a kernel rebuilt as a new object still hits.  Entries live as long
+        as this subcategory and their arrays are read-only.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(*args)
+            return value
 
     # -- basic structure -------------------------------------------------------
 
     @property
     def op(self) -> "SubcategoryX":
         if self._op is None:
-            o = SubcategoryX(self.algebra.opposite, rep.dualize(self.module),
-                             summands=[rep.dualize(s) for s in self.summands],
-                             seed=self.seed)
+            # the duals of split, pairwise non-isomorphic summands are split
+            # and pairwise non-isomorphic
+            o = SubcategoryX.__new__(SubcategoryX)
+            o._setup(self.algebra.opposite, rep.dualize(self.module),
+                     [rep.dualize(s) for s in self.summands], self.seed)
             o._op = self
             self._op = o
         return self._op
@@ -281,13 +325,6 @@ class SubcategoryX:
                                           np.zeros((0, n), dtype=np.int64))
         return self._hom_solvers[key]
 
-    def hom_to_rep(self, i: int, target: Representation) -> list[ModuleMorphism]:
-        """Cached hom basis summand i -> arbitrary representation."""
-        key = (i, target)
-        if key not in self._hom_to:
-            self._hom_to[key] = rep.hom_space(self.summands[i], target)
-        return self._hom_to[key]
-
     def dual_xmap(self, m: XMap) -> XMap:
         """The same map over the opposite side, endpoints swapped."""
         o = self.op
@@ -301,14 +338,16 @@ class SubcategoryX:
     def embed(self, a: Representation) -> tuple[XObject, ModuleMorphism] | None:
         """An X-object with an isomorphism onto a, or None when a is not in
         add(M)."""
-        if a not in self._embed_cache:
-            self._embed_cache[a] = self._embed_uncached(a)
-        return self._embed_cache[a]
+        hit = self._memoized(("embed", _module_key(a)), self._embed, a)
+        if hit is None:
+            return None
+        xobj, maps = hit
+        return xobj, ModuleMorphism(xobj.rep, a, maps)
 
-    def _embed_uncached(self, a: Representation):
+    def _embed(self, a: Representation):
         if a.total_dim == 0:
             z = self.zero_obj()
-            return z, rep.zero_morphism(z.rep, a)
+            return z, _read_only(rep.zero_morphism(z.rep, a).maps)
         leaves = rep.decompose(a, self.seed)
         parts: list[int] = []
         comps: list[ModuleMorphism] = []
@@ -332,7 +371,7 @@ class SubcategoryX:
         iso = ModuleMorphism(xobj.rep, a, maps)
         if not iso.is_isomorphism():
             raise AssertionError("assembled embedding is not an isomorphism")
-        return xobj, iso
+        return xobj, _read_only(iso.maps)
 
     def contains(self, a: Representation) -> bool:
         return self.embed(a) is not None
@@ -342,47 +381,23 @@ class SubcategoryX:
     def hom_dim(self, z: int, x: XObject) -> int:
         return sum(len(self.hom(z, i)) for i in x.parts)
 
-    def coords_into(self, z: int, x: XObject, u: ModuleMorphism) -> np.ndarray:
-        """Coordinates of u: summand z -> x.rep over the block hom basis."""
-        out = []
-        for pos, i in enumerate(x.parts):
-            comp = x.projs[pos].compose(u)
-            _, left = self.hom_solver(z, i)
-            out.append((left @ comp.flatten()) % self.field.p)
-        return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
-
-    def coords_from(self, x: XObject, z: int, u: ModuleMorphism) -> np.ndarray:
-        """Coordinates of u: x.rep -> summand z over the block hom basis."""
-        out = []
-        for pos, i in enumerate(x.parts):
-            comp = u.compose(x.incls[pos])
-            _, left = self.hom_solver(i, z)
-            out.append((left @ comp.flatten()) % self.field.p)
-        return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
-
     def post_matrix(self, m: XMap, z: int) -> np.ndarray:
         """Matrix of Hom(X_z, m): Hom(X_z, src) -> Hom(X_z, dst)."""
-        rows = sum(len(self.hom(z, i)) for i in m.dst.parts)
-        cols_list = []
-        for pos, i in enumerate(m.src.parts):
-            col_mor = m.column(pos)
-            for h in self.hom(z, i):
-                cols_list.append(self.coords_into(z, m.dst, col_mor.compose(h)))
-        cols = (np.stack(cols_list, axis=1) % self.field.p if cols_list
-                else np.zeros((rows, 0), dtype=np.int64))
-        return cols
+        return self._memoized(("post_matrix", z, _xmap_key(m)), self._post_matrix, m, z)
+
+    def _post_matrix(self, m: XMap, z: int) -> np.ndarray:
+        mat = self.obj_post_matrix(m, self.obj((z,)))
+        mat.setflags(write=False)
+        return mat
 
     def pre_matrix(self, m: XMap, z: int) -> np.ndarray:
         """Matrix of Hom(m, X_z): Hom(dst, X_z) -> Hom(src, X_z)."""
-        rows = sum(len(self.hom(i, z)) for i in m.src.parts)
-        cols_list = []
-        for pos, j in enumerate(m.dst.parts):
-            for h in self.hom(j, z):
-                phi = h.compose(m.dst.projs[pos])
-                cols_list.append(self.coords_from(m.src, z, phi.compose(m.mor)))
-        cols = (np.stack(cols_list, axis=1) % self.field.p if cols_list
-                else np.zeros((rows, 0), dtype=np.int64))
-        return cols
+        return self._memoized(("pre_matrix", z, _xmap_key(m)), self._pre_matrix, m, z)
+
+    def _pre_matrix(self, m: XMap, z: int) -> np.ndarray:
+        mat = self.obj_pre_matrix(m, self.obj((z,)))
+        mat.setflags(write=False)
+        return mat
 
     # -- hom coordinates between two X-objects ----------------------------------
 
@@ -465,37 +480,42 @@ class SubcategoryX:
         """Evaluation map from a sum of summands hitting every morphism
         X_i -> a; with minimize, blocks factoring through the rest are
         dropped greedily."""
+        xobj, maps = self._memoized(("right_approximation", minimize, _module_key(a)),
+                                    self._right_approximation, a, minimize)
+        return xobj, ModuleMorphism(xobj.rep, a, maps)
+
+    def _right_approximation(self, a: Representation, minimize: bool):
         parts: list[int] = []
         blocks: list[ModuleMorphism] = []
-        for i in range(len(self.summands)):
-            for h in self.hom_to_rep(i, a):
+        for i, s in enumerate(self.summands):
+            for h in rep.hom_space(s, a):
                 parts.append(i)
                 blocks.append(h)
         if minimize:
-            parts, blocks = self._minimize_blocks(parts, blocks, a)
+            parts, blocks = self._minimize_blocks(parts, blocks)
         xobj = self.obj(parts)
         maps = []
         for v in range(len(a.dims)):
             cols = [b.maps[v] for b in blocks]
             maps.append(np.concatenate(cols, axis=1) % self.field.p
                         if cols else np.zeros((int(a.dims[v]), 0), dtype=np.int64))
-        return xobj, ModuleMorphism(xobj.rep, a, maps)
+        return xobj, _read_only(maps)
 
-    def _minimize_blocks(self, parts: list[int], blocks: list[ModuleMorphism],
-                         a: Representation):
-        changed = True
-        while changed:
-            changed = False
-            for drop in range(len(parts)):
-                if len(parts) == 1 and blocks[drop].is_zero:
-                    return [], []
-                rest_parts = parts[:drop] + parts[drop + 1:]
-                rest_blocks = blocks[:drop] + blocks[drop + 1:]
-                if self._factors_through(parts[drop], blocks[drop],
-                                         rest_parts, rest_blocks):
-                    parts, blocks = rest_parts, rest_blocks
-                    changed = True
-                    break
+    def _minimize_blocks(self, parts: list[int], blocks: list[ModuleMorphism]
+                         ) -> tuple[list[int], list[ModuleMorphism]]:
+        """Drop, in one forward scan, each block that factors through the
+        blocks still kept.  A block kept against a rest set R is kept against
+        every later rest set, since those are subsets of R; so one scan ends
+        where rescanning until nothing drops would."""
+        parts, blocks = list(parts), list(blocks)
+        pos = 0
+        while pos < len(parts):
+            rest_parts = parts[:pos] + parts[pos + 1:]
+            rest_blocks = blocks[:pos] + blocks[pos + 1:]
+            if self._factors_through(parts[pos], blocks[pos], rest_parts, rest_blocks):
+                parts, blocks = rest_parts, rest_blocks
+            else:
+                pos += 1
         return parts, blocks
 
     def _factors_through(self, part: int, block: ModuleMorphism,
@@ -522,14 +542,26 @@ class SubcategoryX:
     # -- weak kernels / cokernels ------------------------------------------------
 
     def weak_kernel(self, m: XMap, minimize: bool = True) -> XMap:
+        return self._memoized(("weak_kernel", minimize, _xmap_key(m)),
+                              self._weak_kernel, m, minimize)
+
+    def _weak_kernel(self, m: XMap, minimize: bool) -> XMap:
         k, incl = rep.kernel(m.mor)
         xobj, ev = self.right_approximation(k, minimize)
-        return XMap(xobj, m.src, incl.compose(ev))
+        w = incl.compose(ev)
+        _read_only(w.maps)
+        return XMap(xobj, m.src, w)
 
     def weak_cokernel(self, m: XMap, minimize: bool = True) -> XMap:
+        return self._memoized(("weak_cokernel", minimize, _xmap_key(m)),
+                              self._weak_cokernel, m, minimize)
+
+    def _weak_cokernel(self, m: XMap, minimize: bool) -> XMap:
         c, proj = rep.cokernel(m.mor)
         xobj, coev = self.left_approximation(c, minimize)
-        return XMap(m.dst, xobj, coev.compose(proj))
+        w = coev.compose(proj)
+        _read_only(w.maps)
+        return XMap(m.dst, xobj, w)
 
     def is_weak_kernel(self, w: XMap, m: XMap) -> tuple[bool, dict | None]:
         """Is w: W -> src(m) a weak kernel of m? (image of Hom(X, w) equals

@@ -9,10 +9,12 @@ class at the bottom certifies those lists really enumerate the
 indecomposables (local endomorphism rings, pairwise non-isomorphic, and
 closed under kernels and cokernels of sampled maps between projectives).
 """
+import hashlib
+
 import numpy as np
 import pytest
 
-from tiltbench import jobspec, rep
+from tiltbench import jobspec, rep, report
 
 EXPECTED = {
     "hereditary_a3_proj_inj": ("fail", [
@@ -184,6 +186,44 @@ def test_frozen_verdicts(corpus, name):
             v.witness.get("kind") if isinstance(v.witness, dict) else None)
            for v in rpt.verdicts]
     assert got == rows
+
+
+# sha256 of each entry's `--report json` text at seed 42 and 100 trials.  The
+# report is a pure function of (job, seed, trials), so these hold across
+# refactors and speed-ups; only a verdict change or a report-format change
+# (both to be named in CHANGES.md) may move them.
+GOLDEN_REPORT_SHA256 = {
+    "hereditary_a3_proj_inj":
+        "cd2257c2959cd97e06e9dd90da5948031b924bd0ef4a7026e1927f1b04b53839",
+    "hereditary_a3_regular_only":
+        "3d956e564985c264f6a627e36d258c00f2d6a39beacef5b5ee29ec1074ddd41e",
+    "linear_a2_generator":
+        "c4e3a0e089419ad0ea20f38a3427459d3cd684bb65e014203ed7458f16bdae2e",
+    "nakayama_a3_rad2_bimodule":
+        "43b09483c6b5fb73680eaad872a4ff9b98d422ab347580b67a2da60c0e1f3537",
+    "nakayama_a3_rad2_regular_only":
+        "9014258971059f325a05dd03880cb797adf17d83eb7eca33b6602e253069539a",
+    "nakayama_a4_rad2_bimodule":
+        "cd2939cde61dc747f0be76de692fad39a2c09ff0df9998d641b154aed59c7f4e",
+    "regular_only_a2":
+        "7ea526912043cbc2cbd353442694b423b5058071e13a6bf8b8221d61409e8dfd",
+    "semisimple_pair":
+        "3524d31386d3672f904b782dce2fb6baf28f81cda10f2571d79f6a5597450ab5",
+    "serial_x2_generator":
+        "f8272b401c55bb6eb0273cb41ff0bf4e261e516861dd6c02b14ef388c92e82ce",
+    "serial_x2_regular":
+        "65e67b87d8f9bb8796480820013ae8bce7739b49f5dbd60bd98f9000602121a9",
+    "serial_x3_generator":
+        "df8fc7ab4f27e3ccdfe7ae519b15bfc589f00052e3dfc2d1fe0d9df4a63613bd",
+    "serial_x4_generator":
+        "b3e2154116ea3ad1e72c4b81c0486cd4924169bbbb54305c14425ca7a5caaf50",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_golden_report_bytes(corpus, name):
+    text = report.emit_json(corpus.report(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))

@@ -1,10 +1,13 @@
 """Additive subcategory machinery: membership, approximations, weak
 (co)kernels, and the higher kernel/cokernel constructions."""
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tiltbench import rep, subcat
+from tiltbench import axioms, jobspec, rep, subcat
 
-from conftest import make_x
+from conftest import CORPUS_DIR, make_x
 
 
 def as_xmap(x, mor):
@@ -166,3 +169,167 @@ class TestXMapPlumbing:
         assert x_a2.obj((0, 2)).rep is x_a2.obj((0, 2)).rep
         assert x_a2.zero_obj() is x_a2.obj(())
         assert x_a2.obj((0, 2)) is not x_a2.obj((2, 0))
+
+
+class TestOpposite:
+    def test_op_reuses_the_split_summands(self, a3rad2, monkeypatch):
+        parts = [rep.projective(a3rad2, v) for v in range(3)] + [rep.simple(a3rad2, 1)]
+        x = make_x(a3rad2, parts)
+        calls = []
+        for name in ("decompose", "_unit_witness"):
+            real = getattr(rep, name)
+            monkeypatch.setattr(rep, name, lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        o = x.op
+        assert calls == []
+        assert o.op is x
+        assert len(o.summands) == len(x.summands)
+        for s, t in zip(x.summands, o.summands):
+            assert t.algebra is a3rad2.opposite
+            assert t.dims.tolist() == s.dims.tolist()
+            assert all((u == v.T).all() for u, v in zip(t.maps, s.maps))
+
+
+def _restart_minimize(x, parts, blocks):
+    """The greedy minimization as it was before the one-scan version:
+    rescan from the first block after every drop, until a pass drops
+    nothing.  Kept as the reference for `_minimize_blocks`."""
+    changed = True
+    while changed:
+        changed = False
+        for drop in range(len(parts)):
+            if len(parts) == 1 and blocks[drop].is_zero:
+                return [], []
+            rest_parts = parts[:drop] + parts[drop + 1:]
+            rest_blocks = blocks[:drop] + blocks[drop + 1:]
+            if x._factors_through(parts[drop], blocks[drop], rest_parts, rest_blocks):
+                parts, blocks = rest_parts, rest_blocks
+                changed = True
+                break
+    return parts, blocks
+
+
+_MINIMIZE_JOBS = ("linear_a2_generator", "nakayama_a3_rad2_bimodule",
+                  "serial_x3_generator", "hereditary_a3_proj_inj")
+_minimize_cases = {}
+
+
+def _minimize_case(name):
+    """A corpus subcategory and the modules its approximations meet: the
+    kernels and cokernels of its sampled morphisms, and every simple."""
+    if name not in _minimize_cases:
+        x = jobspec.ingest(CORPUS_DIR / f"{name}.json").realize().x
+        mods = [rep.simple(x.algebra, v) for v in range(x.algebra.quiver.num_vertices)]
+        for m in axioms.sample_morphisms(x, 25, 42):
+            mods += [rep.kernel(m.mor)[0], rep.cokernel(m.mor)[0]]
+        _minimize_cases[name] = (x, mods)
+    return _minimize_cases[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimize_blocks_matches_restart_loop(data):
+    """Random block lists X_i -> A (random combinations of hom bases, zero
+    and repeated blocks included) minimize to the same parts and blocks in
+    one forward scan as in the rescanning loop."""
+    x, mods = _minimize_case(data.draw(st.sampled_from(_MINIMIZE_JOBS)))
+    a = data.draw(st.sampled_from(mods))
+    n = len(x.summands)
+    parts, blocks = [], []
+    for _ in range(data.draw(st.integers(0, 7))):
+        i = data.draw(st.integers(0, n - 1))
+        basis = rep.hom_space(x.summands[i], a)
+        block = rep.zero_morphism(x.summands[i], a)
+        for h in basis:
+            block = block.add(h.scale(data.draw(st.integers(0, 3))))
+        parts.append(i)
+        blocks.append(block)
+    got_parts, got_blocks = x._minimize_blocks(parts, blocks)
+    want_parts, want_blocks = _restart_minimize(x, parts, blocks)
+    assert got_parts == want_parts
+    assert [b.flatten().tolist() for b in got_blocks] == \
+        [b.flatten().tolist() for b in want_blocks]
+
+
+class TestMemo:
+    """The approximation calculus is memoized by content, per subcategory."""
+
+    def test_post_matrix_is_read_only(self, a2):
+        x = make_x(a2, [rep.projective(a2, 0), rep.projective(a2, 1)])
+        f = x.identity(x.obj((0, 1)))
+        mat = x.post_matrix(f, 0)
+        assert mat.size
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1
+        assert x.post_matrix(f, 0) is mat
+
+    def test_weak_kernel_arrays_are_read_only(self, a2, x_a2):
+        f = x_a2.identity(x_a2.obj((0,)))
+        w = x_a2.weak_kernel(subcat.negate_xmap(f))
+        assert all(not t.flags.writeable for t in w.mor.maps)
+
+    def test_embed_hit_ends_at_the_module_passed_in(self, a2, monkeypatch):
+        x = make_x(a2, [rep.projective(a2, 0), rep.simple(a2, 0)])
+        computed = []
+        real = subcat.SubcategoryX._embed
+        monkeypatch.setattr(subcat.SubcategoryX, "_embed",
+                            lambda self, a: computed.append(a) or real(self, a))
+        parts = [rep.simple(a2, 0), rep.projective(a2, 0)]
+        first, again = (rep.direct_sum(a2, parts)[0] for _ in range(2))
+        xo1, iso1 = x.embed(first)
+        xo2, iso2 = x.embed(again)
+        assert len(computed) == 1
+        assert xo1 is xo2
+        assert iso1.target is first and iso2.target is again
+        assert iso2.source is xo2.rep and iso2.is_isomorphism()
+        assert iso2.flatten().tolist() == iso1.flatten().tolist()
+
+    def test_right_approximation_hit_ends_at_the_module_passed_in(self, a2, monkeypatch):
+        x = make_x(a2, [rep.projective(a2, 0), rep.projective(a2, 1)])
+        computed = []
+        real = subcat.SubcategoryX._right_approximation
+        monkeypatch.setattr(subcat.SubcategoryX, "_right_approximation",
+                            lambda self, a, m: computed.append(a) or real(self, a, m))
+        first, again = rep.simple(a2, 0), rep.simple(a2, 0)
+        xo1, ev1 = x.right_approximation(first, minimize=True)
+        xo2, ev2 = x.right_approximation(again, minimize=True)
+        assert len(computed) == 1
+        assert xo1 is xo2 and ev2.source is xo2.rep
+        assert ev1.target is first and ev2.target is again
+        x.right_approximation(again, minimize=False)
+        assert len(computed) == 2  # minimize is part of the key
+
+    def test_a2_after_a1_computes_no_weak_kernel(self, corpus, monkeypatch):
+        x = corpus.fresh_x("nakayama_a3_rad2_bimodule").x
+        computed = []
+        real = subcat.SubcategoryX._weak_kernel
+        monkeypatch.setattr(subcat.SubcategoryX, "_weak_kernel",
+                            lambda self, m, mini: computed.append(m) or real(self, m, mini))
+        axioms.check_A1_A1op(x, 40, 42)
+        assert computed  # A1 built its weak kernels
+        before = len(computed)
+        axioms.check_A2_A2op(x, 40, 42)
+        assert len(computed) == before
+
+    @pytest.mark.parametrize("name", ["hereditary_a3_proj_inj",
+                                      "nakayama_a3_rad2_bimodule"])
+    def test_check_order_does_not_change_verdicts(self, name):
+        """A4 before or after A1-A3 on one subcategory gives the verdicts
+        each check gives on a fresh realization."""
+        path = CORPUS_DIR / f"{name}.json"
+        d = next(c.d for c in jobspec.parse(json.loads(path.read_text())).checks
+                 if c.check == "A4")
+        checks = {"A1": lambda x: axioms.check_A1_A1op(x, 30, 42),
+                  "A2": lambda x: axioms.check_A2_A2op(x, 30, 42),
+                  "A3": lambda x: axioms.check_A3_A3op(x, 30, 42),
+                  "A4": lambda x: axioms.check_A4d(x, d, 30, 42)}
+
+        def fresh():
+            return jobspec.ingest(path).realize().x
+
+        want = {k: json.dumps(check(fresh()).to_json(), sort_keys=True)
+                for k, check in checks.items()}
+        for order in (["A4", "A1", "A2", "A3"], ["A1", "A2", "A3", "A4"]):
+            x = fresh()
+            got = {k: json.dumps(checks[k](x).to_json(), sort_keys=True) for k in order}
+            assert got == want, order
