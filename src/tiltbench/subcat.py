@@ -188,6 +188,9 @@ class SubcategoryX:
     right approximations and embeddings are memoized for the life of the
     subcategory, keyed by content, so the sampled checks of one job share
     them; a module-keyed result is rebuilt to end at the caller's module.
+    Empty Hom(X_z, f) and Hom(f, X_z) blocks are not memoized: they are
+    answered from a table of hom dimensions dim Hom(X_z, X_parts) and
+    dim Hom(X_parts, X_z).
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
@@ -218,6 +221,7 @@ class SubcategoryX:
         self._obj_hom: dict[tuple, list[ModuleMorphism]] = {}
         self._obj_solvers: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._memo: dict[tuple, object] = {}  # see _memoized
+        self._hom_dims: dict[tuple, int] = {}
 
     def _memoized(self, key: tuple, compute, *args):
         """The memo entry under key, computed as compute(*args) on first use.
@@ -379,10 +383,36 @@ class SubcategoryX:
     # -- hom coordinates for X-objects ------------------------------------------
 
     def hom_dim(self, z: int, x: XObject) -> int:
-        return sum(len(self.hom(z, i)) for i in x.parts)
+        """dim Hom(X_z, x)."""
+        return self._dim_from(z, x.parts)
+
+    def _dim_from(self, z: int, parts: tuple[int, ...]) -> int:
+        """dim Hom(X_z, X_parts), cached under (z, parts)."""
+        dim = self._hom_dims.get((z, parts))
+        if dim is None:
+            dim = self._hom_dims[z, parts] = sum(len(self.hom(z, i)) for i in parts)
+        return dim
+
+    def _dim_into(self, parts: tuple[int, ...], z: int) -> int:
+        """dim Hom(X_parts, X_z), cached under (parts, z)."""
+        dim = self._hom_dims.get((parts, z))
+        if dim is None:
+            dim = self._hom_dims[parts, z] = sum(len(self.hom(i, z)) for i in parts)
+        return dim
+
+    @staticmethod
+    def _empty_block(rows: int, cols: int) -> np.ndarray:
+        """A read-only rows x cols matrix with no entries (rows or cols is 0)."""
+        block = np.zeros((rows, cols), dtype=np.int64)
+        block.setflags(write=False)
+        return block
 
     def post_matrix(self, m: XMap, z: int) -> np.ndarray:
-        """Matrix of Hom(X_z, m): Hom(X_z, src) -> Hom(X_z, dst)."""
+        """Matrix of Hom(X_z, m): Hom(X_z, src) -> Hom(X_z, dst).  An empty
+        block is answered from the hom dimensions, before the memo."""
+        rows, cols = self._dim_from(z, m.dst.parts), self._dim_from(z, m.src.parts)
+        if not rows or not cols:
+            return self._empty_block(rows, cols)
         return self._memoized(("post_matrix", z, _xmap_key(m)), self._post_matrix, m, z)
 
     def _post_matrix(self, m: XMap, z: int) -> np.ndarray:
@@ -391,7 +421,11 @@ class SubcategoryX:
         return mat
 
     def pre_matrix(self, m: XMap, z: int) -> np.ndarray:
-        """Matrix of Hom(m, X_z): Hom(dst, X_z) -> Hom(src, X_z)."""
+        """Matrix of Hom(m, X_z): Hom(dst, X_z) -> Hom(src, X_z).  An empty
+        block is answered from the hom dimensions, before the memo."""
+        rows, cols = self._dim_into(m.src.parts, z), self._dim_into(m.dst.parts, z)
+        if not rows or not cols:
+            return self._empty_block(rows, cols)
         return self._memoized(("pre_matrix", z, _xmap_key(m)), self._pre_matrix, m, z)
 
     def _pre_matrix(self, m: XMap, z: int) -> np.ndarray:
@@ -666,7 +700,10 @@ class SubcategoryX:
 def _resolution_data(a: Representation) -> dict:
     data = getattr(a, "_resolution_cache", None)
     if data is None:
-        data = {"terms": [a], "covers": [], "parts": [], "diffs": []}
+        # "coboundaries": (b's _module_key, k) -> (columns, rank) of
+        # Hom(d_k, b), filled by ext_dim
+        data = {"terms": [a], "covers": [], "parts": [], "diffs": [],
+                "coboundaries": {}}
         a._resolution_cache = data  # type: ignore[attr-defined]
     return data
 
@@ -755,17 +792,22 @@ def ext_dim(a: Representation, b: Representation, i: int) -> int:
     if i == 0:
         return len(rep.hom_space(a, b))
     data = extend_resolution(a, i + 1)
-    F = a.field
+    known = data["coboundaries"]
+    bkey = _module_key(b)
 
-    def delta(k: int) -> np.ndarray:
-        # Hom(P_k, b) -> Hom(P_{k+1}, b), from the differential P_{k+1} -> P_k
-        diff = data["diffs"][k]
-        return _hom_complex_diff(diff, data["parts"][k + 1], data["parts"][k], b)
+    def delta(k: int) -> tuple[int, int]:
+        # (columns, rank) of Hom(P_k, b) -> Hom(P_{k+1}, b), from the
+        # differential P_{k+1} -> P_k; built once per (a, b, k)
+        got = known.get((bkey, k))
+        if got is None:
+            mat = _hom_complex_diff(data["diffs"][k], data["parts"][k + 1],
+                                    data["parts"][k], b)
+            got = known[bkey, k] = (mat.shape[1], a.field.rank(mat))
+        return got
 
-    upper = delta(i)      # C^i -> C^{i+1}
-    lower = delta(i - 1)  # C^{i-1} -> C^i
-    null_upper = upper.shape[1] - F.rank(upper)
-    return int(null_upper - F.rank(lower))
+    cols_upper, rank_upper = delta(i)  # C^i -> C^{i+1}
+    _, rank_lower = delta(i - 1)       # C^{i-1} -> C^i
+    return int(cols_upper - rank_upper - rank_lower)
 
 
 def _min_presentation(a: Representation):

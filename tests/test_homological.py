@@ -39,6 +39,20 @@ class TestExt:
         assert subcat.ext_dim(S[0], S[2], 2) == 1
         assert subcat.ext_dim(S[0], S[2], 3) == 0
 
+    def test_coboundaries_are_built_once(self, a3rad2, monkeypatch):
+        built = []
+        real = subcat._hom_complex_diff
+        monkeypatch.setattr(subcat, "_hom_complex_diff",
+                            lambda diff, hi, lo, b: built.append(diff) or real(diff, hi, lo, b))
+        S = [rep.simple(a3rad2, v) for v in range(3)]
+        assert subcat.ext_dim(S[0], S[2], 2) == 1
+        assert len(built) == 2  # delta_1 and delta_2
+        assert subcat.ext_dim(S[0], S[2], 2) == 1
+        assert len(built) == 2
+        # a module equal in content to S[2] shares its coboundaries
+        assert subcat.ext_dim(S[0], rep.simple(a3rad2, 2), 3) == 0
+        assert len(built) == 3  # only delta_3 is new
+
 
 class TestTranslate:
     def test_a2(self, a2):

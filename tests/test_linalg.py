@@ -131,3 +131,91 @@ def test_column_reduce_spans_same_space(rows):
     assert red.shape[1] == F.rank(m)
     if m.shape[1]:
         assert F.column_space_contains(red, m)
+
+
+# -- the two elimination kernels and zero-size inputs ---------------------------
+
+F3 = PrimeField(3)
+
+
+def _low_rank(field, rng, rows, cols, rank):
+    """A rows x cols matrix of rank at most `rank`, with unreduced and
+    negative entries."""
+    left = rng.integers(-3 * field.p, 3 * field.p, size=(rows, rank))
+    right = rng.integers(-3, 4, size=(rank, cols))
+    return (left @ right).astype(np.int64)
+
+
+def _same_rref(got, want):
+    assert got[0].dtype == want[0].dtype == np.int64
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F, F3]), st.integers(1, 10), st.integers(1, 10),
+       st.integers(0, 10), st.integers(0, 10**6))
+def test_list_kernel_matches_numpy_kernel(field, rows, cols, rank, seed):
+    m = _low_rank(field, np.random.default_rng(seed), rows, cols,
+                  min(rank, rows, cols))
+    want = field._rref_numpy(field.asarray(m))
+    _same_rref(field._rref_lists(field.asarray(m)), want)
+    _same_rref(field.rref(m), want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (8, 8), (8, 9), (9, 8), (1, 64), (1, 65)])
+def test_kernels_agree_at_the_cutoff(shape):
+    rng = np.random.default_rng(sum(shape))
+    for field in (F, F3):
+        for rank in range(min(shape) + 1):
+            m = _low_rank(field, rng, *shape, rank)
+            want = field._rref_numpy(field.asarray(m))
+            _same_rref(field._rref_lists(field.asarray(m)), want)
+            _same_rref(field.rref(m), want)
+
+
+def test_rref_dispatches_on_cell_count(monkeypatch):
+    from tiltbench import linalg
+    seen = []
+    for name in ("_rref_lists", "_rref_numpy"):
+        real = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, a, name=name, real=real:
+                            seen.append((name, a.shape)) or real(self, a))
+    F.rref(F.eye(8))
+    F.rref(F.zeros(8, 9))
+    assert linalg.SMALL_CELLS == 64
+    assert seen == [("_rref_lists", (8, 8)), ("_rref_numpy", (8, 9))]
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_zero_size_inputs_return_at_once(rows, cols, monkeypatch):
+    def no_elimination(self, a):
+        raise AssertionError("a zero-size matrix reached an elimination loop")
+    monkeypatch.setattr(PrimeField, "_rref_lists", no_elimination)
+    monkeypatch.setattr(PrimeField, "_rref_numpy", no_elimination)
+    m = F.zeros(rows, cols)
+
+    r, pivots = F.rref(m)
+    assert r.shape == (rows, cols) and r.dtype == np.int64 and pivots == []
+    assert F.rank(m) == 0
+
+    ns = F.nullspace(m)
+    assert ns.dtype == np.int64 and np.array_equal(ns, np.eye(cols, dtype=np.int64))
+
+    red = F.column_reduce(m)
+    assert red.shape == (rows, 0) and red.dtype == np.int64
+
+    proj, reps = F.quotient_projection(m, rows)
+    for t in (proj, reps):
+        assert t.dtype == np.int64 and np.array_equal(t, np.eye(rows, dtype=np.int64))
+
+    for k in (0, 2):
+        x = F.solve_many(m, F.zeros(rows, k))
+        assert x.shape == (cols, k) and x.dtype == np.int64 and not x.any()
+    if rows:
+        # no unknowns: solvable exactly when the right-hand side is zero
+        assert F.solve_many(m, F.asarray([[1]] * rows)) is None
+    x = F.solve_many(F.eye(3), F.zeros(3, 0))
+    assert x.shape == (3, 0) and x.dtype == np.int64

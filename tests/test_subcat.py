@@ -2,6 +2,7 @@
 (co)kernels, and the higher kernel/cokernel constructions."""
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -333,3 +334,63 @@ class TestMemo:
             x = fresh()
             got = {k: json.dumps(checks[k](x).to_json(), sort_keys=True) for k in order}
             assert got == want, order
+
+
+class TestEmptyBlocks:
+    """Zero-size hom blocks are answered before the memo and never reach an
+    elimination loop (counts, not times)."""
+
+    def test_sampled_checks_on_counters(self, corpus, monkeypatch):
+        from tiltbench.linalg import PrimeField
+        x = corpus.fresh_x("nakayama_a3_rad2_bimodule").x
+        eliminated = []
+        for name in ("_rref_lists", "_rref_numpy"):
+            real = getattr(PrimeField, name)
+            monkeypatch.setattr(PrimeField, name,
+                                lambda self, a, real=real:
+                                eliminated.append(a.shape) or real(self, a))
+        keys = []
+        real_key = subcat._xmap_key
+        monkeypatch.setattr(subcat, "_xmap_key",
+                            lambda m: keys.append(m) or real_key(m))
+        empty, full = [], []
+        for name in ("post_matrix", "pre_matrix"):
+            real = getattr(subcat.SubcategoryX, name)
+
+            def counted(self, m, z, real=real):
+                before = (len(keys), len(self._memo))
+                mat = real(self, m, z)
+                if mat.size == 0:
+                    empty.append((before, (len(keys), len(self._memo)), mat))
+                else:
+                    full.append(mat)
+                return mat
+            monkeypatch.setattr(subcat.SubcategoryX, name, counted)
+
+        axioms.check_A1_A1op(x, 30, 42)
+        axioms.check_A2_A2op(x, 30, 42)
+        axioms.check_A3_A3op(x, 30, 42)
+        axioms.check_A4d(x, 2, 30, 42)
+        axioms.check_d_rigid(x, 3, 30, 42)
+
+        assert eliminated and all(r * c for r, c in eliminated)
+        assert empty and full
+        for before, after, mat in empty:
+            assert after == before  # no _xmap_key call, no memo entry
+            assert not mat.flags.writeable
+
+    def test_empty_blocks_match_the_general_routine(self, a2):
+        # over 1 -> 2: Hom(P1, P2) = 0, so the inclusion P2 -> P1 has empty
+        # blocks of shape (1, 0) at z = P1 (post) and z = P2 (pre)
+        x = make_x(a2, [rep.projective(a2, 0), rep.projective(a2, 1)])
+        p1, p2 = x.obj((0,)), x.obj((1,))
+        incl = subcat.XMap(p2, p1, x.obj_from_coords(p2, p1, [1]))
+        assert x.post_matrix(incl, 0).shape == (1, 0)
+        assert x.pre_matrix(incl, 1).shape == (1, 0)
+        for f in (incl, x.identity(x.obj((0, 1, 1)))):
+            for z in range(2):
+                for got, want in ((x.post_matrix(f, z), x.obj_post_matrix(f, x.obj((z,)))),
+                                  (x.pre_matrix(f, z), x.obj_pre_matrix(f, x.obj((z,))))):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                assert x.post_matrix(f, z).shape[1] == x.hom_dim(z, f.src)
