@@ -139,6 +139,7 @@ class AbstractAlgebra:
         self._opposite: AbstractAlgebra | None = None
         self._radical: dict[tuple[int, int], np.ndarray] | None = None
         self._leaves: list[Representation] | None = None
+        self._leaf_radicals: list[list[np.ndarray]] | None = None
         self._simples: list[Representation] | None = None
         # results of the dimension functions, keyed by (function, cap)
         self._dimensions: dict[tuple[str, int], object] = {}
@@ -201,15 +202,22 @@ class AbstractAlgebra:
                     self, [len(self.blocks[i, v]) for v in range(n)], maps))
         return self._leaves
 
+    def leaf_radicals(self) -> list[list[np.ndarray]]:
+        """`radical_subspaces` of each projective leaf, in the same order."""
+        if self._leaf_radicals is None:
+            self._leaf_radicals = [radical_subspaces(leaf) for leaf in self.projective_leaves()]
+        return self._leaf_radicals
+
     def simples(self) -> list[Representation]:
         """The simple tops of the projective leaves, in the same order; they
         are pairwise non-isomorphic because the algebra is basic."""
         if self._simples is None:
-            self._simples = [top(leaf) for leaf in self.projective_leaves()]
+            self._simples = [rep.quotient(leaf, rad)[0] for leaf, rad
+                             in zip(self.projective_leaves(), self.leaf_radicals())]
         return self._simples
 
     def regular_module(self) -> Representation:
-        return rep.direct_sum(self, self.projective_leaves())[0]
+        return rep.sum_module(self, self.projective_leaves())
 
 
 def _block_action(m: Representation, i: int, j: int) -> np.ndarray:
@@ -232,24 +240,22 @@ def radical_subspaces(m: Representation) -> list[np.ndarray]:
             else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
 
 
-def top(m: Representation) -> Representation:
-    return rep.quotient(m, radical_subspaces(m))[0]
-
-
 def projective_cover(m: Representation) -> ModuleMorphism:
     """Minimal projective cover, one leaf per generator.
 
     Leaf by leaf, each basis vector u of e_i*m outside rad(m) plus the image
     so far becomes a generator: the map A*e_i -> m, a |-> a*u, whose image
     A*u adds one copy of the simple top of A*e_i to the covered part of
-    top(m).  Certified surjective, with its kernel inside the radical.
+    top(m).  Certified surjective, with its kernel inside the radical; the
+    radical of the cover's source is block diagonal in the radicals of its
+    leaves, which the algebra keeps (`leaf_radicals`).
     """
     alg = m.algebra
     F = alg.field
     covered = radical_subspaces(m)
-    parts: list[Representation] = []
+    picked: list[int] = []
     cols: list[list[np.ndarray]] = [[] for _ in m.dims]
-    for i, leaf in enumerate(alg.projective_leaves()):
+    for i in range(len(m.dims)):
         for u in np.eye(int(m.dims[i]), dtype=np.int64):
             if F.column_space_contains(covered[i], u.reshape(-1, 1)):
                 continue
@@ -257,16 +263,19 @@ def projective_cover(m: Representation) -> ModuleMorphism:
                 lift = np.tensordot(_block_action(m, i, j), u, axes=([2], [0])).T % F.p
                 covered[j] = F.column_reduce(np.concatenate([covered[j], lift], axis=1))
                 cols[j].append(lift)
-            parts.append(leaf)
-    cover = ModuleMorphism(rep.direct_sum(alg, parts)[0], m,
+            picked.append(i)
+    leaves, leaf_rads = alg.projective_leaves(), alg.leaf_radicals()
+    source = rep.sum_module(alg, [leaves[i] for i in picked])
+    cover = ModuleMorphism(source, m,
                            [np.concatenate(c, axis=1) if c
                             else np.zeros((int(d), 0), dtype=np.int64)
                             for c, d in zip(cols, m.dims)])
     if not cover.is_surjective():
         raise AssertionError("projective cover is not surjective")
-    for f, rad_v in zip(cover.maps, radical_subspaces(cover.source)):
+    for v, f in enumerate(cover.maps):
         ker = F.nullspace(f)
-        if ker.shape[1] and not F.column_space_contains(rad_v, ker):
+        if ker.shape[1] and not F.column_space_contains(
+                rep.block_diagonal([leaf_rads[i][v] for i in picked]), ker):
             raise AssertionError("projective cover kernel escapes the radical")
     return cover
 

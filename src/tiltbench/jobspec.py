@@ -95,7 +95,7 @@ class JobSpec:
         parts = []
         for i, spec in enumerate(self.module):
             parts.extend(_build_summand(algebra, spec, f"module[{i}]"))
-        module = rep.direct_sum(algebra, parts)[0]
+        module = rep.sum_module(algebra, parts)
         declared = None
         if self.declared_indecomposables is not None:
             declared = []

@@ -109,22 +109,21 @@ class ModuleMorphism:
     def is_zero(self) -> bool:
         return not any(m.any() for m in self.maps)
 
+    # compose, scale and add hand __init__ unreduced components: it reduces
+    # them mod p once
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self after other."""
         if other.target is not self.source and other.target.dims.tolist() != self.source.dims.tolist():
             raise ValueError("non-composable morphisms")
-        p = self.source.field.p
         return ModuleMorphism(other.source, self.target,
-                              [(a @ b) % p for a, b in zip(self.maps, other.maps)])
+                              [a @ b for a, b in zip(self.maps, other.maps)])
 
     def scale(self, c: int) -> "ModuleMorphism":
-        p = self.source.field.p
-        return ModuleMorphism(self.source, self.target, [(c * m) % p for m in self.maps])
+        return ModuleMorphism(self.source, self.target, [c * m for m in self.maps])
 
     def add(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        p = self.source.field.p
         return ModuleMorphism(self.source, self.target,
-                              [(a + b) % p for a, b in zip(self.maps, other.maps)])
+                              [a + b for a, b in zip(self.maps, other.maps)])
 
     def sub(self, other: "ModuleMorphism") -> "ModuleMorphism":
         return self.add(other.scale(-1))
@@ -295,26 +294,33 @@ def cokernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
     return quotient(f.target, [F.column_reduce(mv) for mv in f.maps])
 
 
+def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """One matrix with the given blocks down its diagonal, in order."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def sum_module(algebra: BoundQuiverAlgebra, parts: list[Representation]) -> Representation:
+    """The direct sum module alone, arrow matrices block diagonal in the
+    order of parts."""
+    dims = np.zeros(algebra.quiver.num_vertices, dtype=np.int64)
+    for m in parts:
+        dims += m.dims
+    return Representation(algebra, dims, [block_diagonal([m.maps[i] for m in parts])
+                                          for i in range(len(algebra.quiver.arrows))])
+
+
 def direct_sum(algebra: BoundQuiverAlgebra, parts: list[Representation]
                ) -> tuple[Representation, list[ModuleMorphism], list[ModuleMorphism]]:
     """Direct sum with inclusions and projections."""
     nv = algebra.quiver.num_vertices
-    dims = np.zeros(nv, dtype=np.int64)
-    for m in parts:
-        dims += m.dims
-    maps = []
-    for i in range(len(algebra.quiver.arrows)):
-        a = algebra.quiver.arrows[i]
-        s, t = algebra.quiver.vertex_index[a.source], algebra.quiver.vertex_index[a.target]
-        blocks = [m.maps[i] for m in parts]
-        big = np.zeros((int(dims[t]), int(dims[s])), dtype=np.int64)
-        ro = co = 0
-        for m in parts:
-            big[ro:ro + int(m.dims[t]), co:co + int(m.dims[s])] = m.maps[i]
-            ro += int(m.dims[t])
-            co += int(m.dims[s])
-        maps.append(big)
-    total = Representation(algebra, dims, maps)
+    total = sum_module(algebra, parts)
+    dims = total.dims
     incls, projs = [], []
     row_off = np.zeros(nv, dtype=np.int64)
     for m in parts:
@@ -469,7 +475,7 @@ def projective_cover(m: Representation) -> tuple[ModuleMorphism, list[int]]:
             verts.append(v)
             targets.append(reps[:, j])
     parts = [projective(m.algebra, v) for v in verts]
-    total, incls, _ = direct_sum(m.algebra, parts)
+    total = sum_module(m.algebra, parts)
     comp_maps = [np.zeros((int(m.dims[v]), int(total.dims[v])), dtype=np.int64)
                  for v in range(len(m.dims))]
     col_off = np.zeros(len(m.dims), dtype=np.int64)
@@ -630,7 +636,23 @@ def _unit_witness(a: Representation, b: Representation,
 
 def is_isomorphic(a: Representation, b: Representation, seed: int = 0,
                   with_map: bool = False):
-    """Module isomorphism test (and witness) via indecomposable matching."""
+    """Module isomorphism test (and witness).
+
+    A hom-basis element a -> b that is bijective settles it at once; when
+    no basis element is, the answer comes from matching indecomposable
+    summands (`_is_isomorphic_by_matching`), which is complete.
+    """
+    if a.dims.tolist() == b.dims.tolist():
+        for f in hom_space(a, b):
+            if f.is_isomorphism():
+                return (True, f) if with_map else True
+    return _is_isomorphic_by_matching(a, b, seed, with_map)
+
+
+def _is_isomorphic_by_matching(a: Representation, b: Representation, seed: int = 0,
+                               with_map: bool = False):
+    """Isomorphism test (and witness) by decomposing both modules and
+    pairing their indecomposable summands."""
     if a.dims.tolist() != b.dims.tolist():
         return (False, None) if with_map else False
     if a.total_dim == 0:

@@ -698,13 +698,18 @@ class SubcategoryX:
 
 
 def _resolution_data(a: Representation) -> dict:
-    data = getattr(a, "_resolution_cache", None)
+    """Resolution data of a, shared by every module equal to a in content:
+    the store, keyed by `_module_key`, lives on a's algebra."""
+    store = getattr(a.algebra, "_resolutions", None)
+    if store is None:
+        store = a.algebra._resolutions = {}  # type: ignore[attr-defined]
+    key = _module_key(a)
+    data = store.get(key)
     if data is None:
         # "coboundaries": (b's _module_key, k) -> (columns, rank) of
         # Hom(d_k, b), filled by ext_dim
-        data = {"terms": [a], "covers": [], "parts": [], "diffs": [],
-                "coboundaries": {}}
-        a._resolution_cache = data  # type: ignore[attr-defined]
+        data = store[key] = {"terms": [a], "covers": [], "parts": [], "diffs": [],
+                             "coboundaries": {}}
     return data
 
 
@@ -847,15 +852,16 @@ def transpose(a: Representation) -> Representation:
     # extract the algebra element of each block of the presentation
     gens1 = _gen_positions(algebra, parts1)
 
-    def offsets(parts):
+    def offsets(mods):
+        """Per-vertex offset of each module in their direct sum."""
         offs = []
         run = np.zeros(algebra.quiver.num_vertices, dtype=np.int64)
-        for v in parts:
+        for m in mods:
             offs.append(run.copy())
-            run += rep.projective(algebra, v).dims
+            run += m.dims
         return offs
 
-    offs0 = offsets(parts0)
+    offs0 = offsets(p0)
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for j, (vj, coord) in enumerate(gens1):
         x = diff.maps[vj][:, coord]
@@ -867,19 +873,24 @@ def transpose(a: Representation) -> Representation:
             for local, g in enumerate(bi[vj]):
                 elem[g] = x[lo + local]
             blocks[(j, i)] = elem  # element of e_{vj} A e_{vi}
-    # assemble the dual map between opposite projectives
+    # assemble the dual map between opposite projectives: block (j, i)
+    # lands once, at the offsets of source part i and target part j
     src_parts = [rep.projective(op, v) for v in parts0]
     dst_parts = [rep.projective(op, v) for v in parts1]
-    src_total, src_incls, src_projs = rep.direct_sum(op, src_parts)
-    dst_total, dst_incls, dst_projs = rep.direct_sum(op, dst_parts)
-    g = rep.zero_morphism(src_total, dst_total)
+    src_total = rep.sum_module(op, src_parts)
+    dst_total = rep.sum_module(op, dst_parts)
+    col_offs, row_offs = offsets(src_parts), offsets(dst_parts)
+    maps = [np.zeros((int(r), int(c)), dtype=np.int64)
+            for r, c in zip(dst_total.dims, src_total.dims)]
     for (j, i), elem in blocks.items():
         if not elem.any():
             continue
         op_elem = (rmap @ elem) % F.p
         block = _yoneda_right_mult(op, op_elem, parts1[j], parts0[i])
-        g = g.add(dst_incls[j].compose(block).compose(src_projs[i]))
-    c, _ = rep.cokernel(g)
+        for w, bw in enumerate(block.maps):
+            r, c = int(row_offs[j][w]), int(col_offs[i][w])
+            maps[w][r:r + bw.shape[0], c:c + bw.shape[1]] = bw
+    c, _ = rep.cokernel(ModuleMorphism(src_total, dst_total, maps))
     return c
 
 

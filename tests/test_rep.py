@@ -5,8 +5,11 @@ projective at a vertex is supported on the vertices its paths can reach.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltbench import rep
+from tiltbench.linalg import PrimeField
+from tiltbench.quiver import Quiver, build_algebra
 
 
 def dims(m):
@@ -186,3 +189,101 @@ def test_representation_relation_check(kx2):
     bad = np.array([[1]], dtype=np.int64)  # x acts as 1, but x^2 = 0
     with pytest.raises(ValueError):
         rep.Representation(kx2, [1], [bad], check=True)
+
+
+# -- the hom-basis probe in is_isomorphic against the matching route ----------
+
+_F = PrimeField(101)
+_KRONECKER = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], _F)
+_A3RAD2 = build_algebra(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]),
+                        [[(1, ["a", "b"])]], _F)
+
+
+def _kron(a, b):
+    """Kronecker module with arrow matrices a, b (shape dim_2 x dim_1)."""
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    return rep.Representation(_KRONECKER, [a.shape[1], a.shape[0]], [a, b])
+
+
+def _pool(alg):
+    """Indecomposables to build sums from: over the Kronecker algebra the
+    simples, the projective P_1 and injective I_2 of dimension 3, the
+    regular modules R_0, R_1, R_2 and R_inf of dimension vector (1, 1) and
+    the length-2 regular module at 0; over kA_3/rad^2 its simples and its
+    uniserial projectives."""
+    if alg is _KRONECKER:
+        return [rep.simple(alg, 0), rep.simple(alg, 1),
+                _kron([[1], [0]], [[0], [1]]), _kron([[1, 0]], [[0, 1]]),
+                _kron([[1]], [[0]]), _kron([[1]], [[1]]), _kron([[1]], [[2]]),
+                _kron([[0]], [[1]]), _kron(np.eye(2), [[0, 1], [0, 0]])]
+    return ([rep.simple(alg, v) for v in range(3)]
+            + [rep.projective(alg, v) for v in range(2)])
+
+
+def _base_change(m, gs):
+    """The module with each arrow matrix conjugated, g_t M g_s^-1."""
+    F = m.field
+    inv = [F.solve_many(g, np.eye(g.shape[0], dtype=np.int64)) for g in gs]
+    qv = m.algebra.quiver
+    return rep.Representation(m.algebra, m.dims, [
+        gs[qv.vertex_index[a.target]] @ m.maps[i] @ inv[qv.vertex_index[a.source]]
+        for i, a in enumerate(qv.arrows)])
+
+
+@st.composite
+def _invertible(draw, n):
+    """Lower unitriangular times upper triangular with a non-zero diagonal."""
+    lower = np.eye(n, dtype=np.int64)
+    upper = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        upper[i, i] = draw(st.integers(1, 100))
+        for j in range(n):
+            if j < i:
+                lower[i, j] = draw(st.integers(0, 100))
+            elif j > i:
+                upper[i, j] = draw(st.integers(0, 100))
+    return lower @ upper % 101
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_isomorphic_agrees_with_matching(data):
+    """Sums of pool modules against a reordering of the same sum or an
+    independent sum, after a random change of basis: the probe route and
+    the decompose-and-match route give the same answer, and a returned map
+    is a module isomorphism."""
+    alg = data.draw(st.sampled_from([_KRONECKER, _A3RAD2]))
+    pool = _pool(alg)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        other = data.draw(st.permutations(picks))
+    else:
+        other = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3))
+    a = rep.sum_module(alg, [pool[i] for i in picks])
+    b = rep.sum_module(alg, [pool[i] for i in other])
+    b = _base_change(b, [data.draw(_invertible(int(d))) for d in b.dims])
+    want = rep._is_isomorphic_by_matching(a, b)
+    assert rep.is_isomorphic(a, b) == want
+    ok, f = rep.is_isomorphic(a, b, with_map=True)
+    assert ok == want
+    if ok:
+        f.check_commutes()
+        assert f.is_isomorphism()
+
+
+@pytest.mark.parametrize("alg, left, right", [
+    (_KRONECKER, [4], [5]),          # R_0 and R_1
+    (_KRONECKER, [4], [7]),          # R_0 and R_inf
+    (_KRONECKER, [4, 4], [8]),       # R_0 + R_0 and the length-2 R_0
+    (_KRONECKER, [4, 5], [4, 6]),    # R_0 + R_1 and R_0 + R_2
+    (_A3RAD2, [0, 1], [3]),          # S_1 + S_2 and the uniserial P_1
+    (_A3RAD2, [1, 2], [4]),          # S_2 + S_3 and the uniserial P_2
+])
+def test_equal_dimension_vectors_not_isomorphic(alg, left, right):
+    pool = _pool(alg)
+    a = rep.sum_module(alg, [pool[i] for i in left])
+    b = rep.sum_module(alg, [pool[i] for i in right])
+    assert a.dims.tolist() == b.dims.tolist()
+    assert not rep._is_isomorphic_by_matching(a, b)
+    assert not rep.is_isomorphic(a, b)
+    assert rep.is_isomorphic(a, b, with_map=True) == (False, None)
