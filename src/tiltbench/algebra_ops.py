@@ -285,7 +285,16 @@ def syzygy(m: Representation) -> Representation:
 
 
 def is_projective(m: Representation) -> bool:
-    return projective_cover(m).source.total_dim == m.total_dim
+    """dim m against the dimension of its projective cover, the sum over i
+    of dim Gamma e_i times the multiplicity of its simple top in top(m)."""
+    alg = m.algebra
+    rad = radical_subspaces(m)
+    cover_dim = 0
+    for i, (leaf, leaf_rad) in enumerate(zip(alg.projective_leaves(), alg.leaf_radicals())):
+        top_m = int(m.dims[i]) - rad[i].shape[1]
+        top_leaf = int(leaf.dims[i]) - leaf_rad[i].shape[1]
+        cover_dim += top_m // top_leaf * leaf.total_dim
+    return cover_dim == m.total_dim
 
 
 def injective_envelope(m: Representation) -> ModuleMorphism:

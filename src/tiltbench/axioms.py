@@ -9,6 +9,12 @@ discharged on two independent routes wherever a finite certificate exists:
 * finite certificates through the endomorphism algebra (dominant, global,
   selfinjective dimensions), Ext vanishing, or membership of translates.
 
+Each op axiom (A1op through A4(d)op, the cogenerating side, coresolutions)
+is its plain axiom for the opposite category: it runs on `x.op`, the
+subcategory add(D M) over the opposite algebra, at the dual of each morphism
+or module, and its witness names the op side and serializes the morphism
+in x's own coordinates.
+
 Verdicts say which route decided and whether the status is certified or
 merely sampled.  Every fail carries a self-contained witness that
 replay_witness can re-run through the definitional test.  When two routes
@@ -27,7 +33,7 @@ from tiltbench import algebra_ops, rep, subcat
 from tiltbench.rep import ModuleMorphism, Representation
 from tiltbench.subcat import (SubcategoryX, XMap,
                               DCokernelNotRightExact, DKernelNotLeftExact,
-                              concat_xmaps_cols, concat_xmaps_rows)
+                              concat_xmaps_cols)
 
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
@@ -166,25 +172,6 @@ def is_right_approximation(x: SubcategoryX, ev: ModuleMorphism
     return True, None
 
 
-def is_left_approximation(x: SubcategoryX, coev: ModuleMorphism
-                          ) -> tuple[bool, int | None]:
-    """Does every morphism source -> X_z factor through coev?"""
-    for z in range(len(x.summands)):
-        want = rep.hom_space(coev.source, x.summands[z])
-        if not want:
-            continue
-        thru = [u.compose(coev).flatten() for u in rep.hom_space(coev.target, x.summands[z])]
-        rhs = np.stack([w.flatten() for w in want], axis=1) % x.field.p
-        if not thru:
-            if rhs.any():
-                return False, z
-            continue
-        mat = np.stack(thru, axis=1) % x.field.p
-        if x.field.solve_many(mat, rhs) is None:
-            return False, z
-    return True, None
-
-
 # -- generator-cogenerator membership ---------------------------------------------
 
 
@@ -277,30 +264,34 @@ def check_A1_A1op(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
 # -- A2 / A2^op --------------------------------------------------------------------
 
 
-def _a2_counterexample(x: SubcategoryX, morphs: list[XMap]) -> dict | None:
-    """First sampled epimorphism that is not a weak cokernel of its weak
+def _on_side(x: SubcategoryX, f: XMap, side: str) -> tuple[SubcategoryX, XMap]:
+    """Where the plain axiom is tested for `side`: x at f, or, for an op
+    side, x.op at the dual of f."""
+    return (x.op, x.dual_xmap(f)) if side.endswith("op") else (x, f)
+
+
+def _a2_witness(x: SubcategoryX, f: XMap, side: str) -> dict | None:
+    """A2 at f: an epimorphism that is not a weak cokernel of its weak
     kernel (by the reduction lemma: equivalent to not being a weak cokernel
-    at all)."""
-    for f in morphs:
-        if not x.is_epi(f)[0]:
-            continue
-        g = x.weak_kernel(f)
-        ok, info = x.is_weak_cokernel(f, g)
-        if not ok:
-            return {"kind": "epi-not-weak-cokernel", "side": "A2",
-                    "morphism": serialize_xmap(f), "info": info}
-    return None
+    at all).  Side "A2op" runs it over x.op at the dual of f: a monomorphism
+    that is not a weak kernel of its weak cokernel."""
+    y, fy = _on_side(x, f, side)
+    if not y.is_epi(fy)[0]:
+        return None
+    ok, info = y.is_weak_cokernel(fy, y.weak_kernel(fy))
+    if ok:
+        return None
+    kind = "epi-not-weak-cokernel" if side == "A2" else "mono-not-weak-kernel"
+    return {"kind": kind, "side": side, "morphism": serialize_xmap(f), "info": info}
 
 
-def _a2op_counterexample(x: SubcategoryX, morphs: list[XMap]) -> dict | None:
-    for f in morphs:
-        if not x.is_mono(f)[0]:
-            continue
-        g = x.weak_cokernel(f)
-        ok, info = x.is_weak_kernel(f, g)
-        if not ok:
-            return {"kind": "mono-not-weak-kernel", "side": "A2op",
-                    "morphism": serialize_xmap(f), "info": info}
+def _a2_counterexample(x: SubcategoryX, morphs: list[XMap]) -> dict | None:
+    """First sampled morphism failing A2, else the first failing A2op."""
+    for side in ("A2", "A2op"):
+        for f in morphs:
+            wit = _a2_witness(x, f, side)
+            if wit is not None:
+                return wit
     return None
 
 
@@ -314,7 +305,7 @@ def check_A2_A2op(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
     """
     morphs = sample_morphisms(x, trials, seed)
     cert, _ = _gen_cogen_certificate(x)
-    wit = _a2_counterexample(x, morphs) or _a2op_counterexample(x, morphs)
+    wit = _a2_counterexample(x, morphs)
     if wit is not None:
         return Verdict("A2+A2op", "fail", route="sampled-reduction",
                        witness=wit, seed=seed, trials=trials,
@@ -331,44 +322,27 @@ def check_A2_A2op(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
 # -- A3 / A3^op --------------------------------------------------------------------
 
 
-def _a3_counterexample(x: SubcategoryX, f: XMap) -> dict | None:
-    """Run the constructed-choices variant: g = wcok(f), h = wk(g), solve l
-    with h.l = f, k = wk(h); [l k] must be an epimorphism."""
-    g = x.weak_cokernel(f)
-    h = x.weak_kernel(g)
-    post_h = x.obj_post_matrix(h, f.src)
-    fc = x.obj_coords(f.src, h.dst, f.mor)
-    sol = x.field.solve_many(post_h, fc.reshape(-1, 1))
+def _a3_witness(x: SubcategoryX, f: XMap, side: str) -> dict | None:
+    """A3 at f, the constructed-choices variant: g = wcok(f), h = wk(g),
+    solve l with h.l = f, k = wk(h); [l k] must be an epimorphism.  Side
+    "A3op" runs it over x.op at the dual of f, where [l k] dualizes to the
+    monomorphism [l; k] of the dual construction."""
+    y, fy = _on_side(x, f, side)
+    g = y.weak_cokernel(fy)
+    h = y.weak_kernel(g)
+    post_h = y.obj_post_matrix(h, fy.src)
+    fc = y.obj_coords(fy.src, h.dst, fy.mor)
+    sol = y.field.solve_many(post_h, fc.reshape(-1, 1))
     if sol is None:
         raise AssertionError("factorization through the weak kernel must exist")
-    l = XMap(f.src, h.src, x.obj_from_coords(f.src, h.src, sol[:, 0]))
-    k = x.weak_kernel(h)
-    lk = concat_xmaps_cols(x, [l, k], h.src)
-    ok, z = x.is_epi(lk)
+    l = XMap(fy.src, h.src, y.obj_from_coords(fy.src, h.src, sol[:, 0]))
+    k = y.weak_kernel(h)
+    lk = concat_xmaps_cols(y, [l, k], h.src)
+    ok, z = y.is_epi(lk)
     if ok:
         return None
-    return {"kind": "a3-not-epi", "side": "A3", "morphism": serialize_xmap(f),
-            "summand": z}
-
-
-def _a3op_counterexample(x: SubcategoryX, f: XMap) -> dict | None:
-    """Dual construction: g = wk(f), h = wcok(g), solve l with l.h = f,
-    k = wcok(h); [l; k] must be a monomorphism."""
-    g = x.weak_kernel(f)
-    h = x.weak_cokernel(g)
-    pre_h = x.obj_pre_matrix(h, f.dst)
-    fc = x.obj_coords(f.src, f.dst, f.mor)
-    sol = x.field.solve_many(pre_h, fc.reshape(-1, 1))
-    if sol is None:
-        raise AssertionError("factorization through the weak cokernel must exist")
-    l = XMap(h.dst, f.dst, x.obj_from_coords(h.dst, f.dst, sol[:, 0]))
-    k = x.weak_cokernel(h)
-    lk = concat_xmaps_rows(x, [l, k], h.dst)
-    ok, z = x.is_mono(lk)
-    if ok:
-        return None
-    return {"kind": "a3op-not-mono", "side": "A3op", "morphism": serialize_xmap(f),
-            "summand": z}
+    kind = "a3-not-epi" if side == "A3" else "a3op-not-mono"
+    return {"kind": kind, "side": side, "morphism": serialize_xmap(f), "summand": z}
 
 
 def check_A3_A3op(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
@@ -377,7 +351,7 @@ def check_A3_A3op(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
     (equivalent to the any-choices form under A1/A1op/A2/A2op)."""
     morphs = sample_morphisms(x, trials, seed)
     for f in morphs:
-        wit = _a3_counterexample(x, f) or _a3op_counterexample(x, f)
+        wit = _a3_witness(x, f, "A3") or _a3_witness(x, f, "A3op")
         if wit is not None:
             return Verdict("A3+A3op", "fail", route="constructed-choices",
                            witness=wit, seed=seed, trials=trials)
@@ -650,7 +624,8 @@ def _approx_sequence_witness(x: SubcategoryX, d: int, a: Representation,
         incl = kincl
         cur = ker
     assert incl is not None
-    ok, z = is_left_approximation(x, incl)
+    # a left approximation is a right approximation over x.op, dualized
+    ok, z = is_right_approximation(x.op, rep.dualize_morphism(incl))
     if ok:
         return None
     return {"kind": "approx-sequence-break", "side": side, "module": desc,
@@ -729,27 +704,10 @@ def classify_d_precluster(x: SubcategoryX, d: int, trials: int = DEFAULT_TRIALS,
 # -- class: d-cluster tilting -----------------------------------------------------------
 
 
-def _coresolution_witness(x: SubcategoryX, d: int, a: Representation,
-                          desc: dict) -> dict | None:
-    """0 -> A -> X_{-1} -> ... -> X_{-d} -> 0 by minimal left approximations;
-    the last cokernel must land in add(M) within d terms."""
-    cur = a
-    for step in range(d):
-        if x.contains(cur):
-            return None
-        if step == d - 1:
-            return {"kind": "coresolution-overruns", "module": desc,
-                    "remainder_dims": cur.dims.tolist()}
-        _, coev = x.left_approximation(cur, minimize=True)
-        if not coev.is_injective():
-            return {"kind": "not-cogenerating", "module": desc,
-                    "stalled_dims": cur.dims.tolist()}
-        cur = rep.cokernel(coev)[0]
-    return None
-
-
 def _resolution_witness(x: SubcategoryX, d: int, a: Representation,
                         desc: dict) -> dict | None:
+    """... -> X_1 -> A -> 0 by minimal right approximations; the last kernel
+    must land in add(M) within d terms."""
     cur = a
     for step in range(d):
         if x.contains(cur):
@@ -763,6 +721,19 @@ def _resolution_witness(x: SubcategoryX, d: int, a: Representation,
                     "stalled_dims": cur.dims.tolist()}
         cur = rep.kernel(ev)[0]
     return None
+
+
+_CO_KINDS = {"resolution-overruns": "coresolution-overruns",
+             "not-generating": "not-cogenerating"}
+
+
+def _coresolution_witness(x: SubcategoryX, d: int, a: Representation,
+                          desc: dict) -> dict | None:
+    """0 -> A -> X_{-1} -> ... -> X_{-d} -> 0 by minimal left approximations:
+    the resolution of D(A) over x.op, the dimensions of each remainder
+    unchanged by duality."""
+    wit = _resolution_witness(x.op, d, rep.dualize(a), desc)
+    return None if wit is None else {**wit, "kind": _CO_KINDS[wit["kind"]]}
 
 
 def _perp_witness(x: SubcategoryX, d: int, a: Representation,
@@ -1014,18 +985,12 @@ def replay_witness(x: SubcategoryX, witness: dict, d: int | None = None,
         if kind == "weak-kernel-defect":
             return not x.is_weak_kernel(x.weak_kernel(m), m)[0]
         return not x.is_weak_cokernel(x.weak_cokernel(m), m)[0]
-    if kind == "epi-not-weak-cokernel":
+    if kind in ("epi-not-weak-cokernel", "mono-not-weak-kernel"):
         f = deserialize_xmap(x, witness["morphism"])
-        return x.is_epi(f)[0] and not x.is_weak_cokernel(f, x.weak_kernel(f))[0]
-    if kind == "mono-not-weak-kernel":
+        return _a2_witness(x, f, witness["side"]) is not None
+    if kind in ("a3-not-epi", "a3op-not-mono"):
         f = deserialize_xmap(x, witness["morphism"])
-        return x.is_mono(f)[0] and not x.is_weak_kernel(f, x.weak_cokernel(f))[0]
-    if kind == "a3-not-epi":
-        f = deserialize_xmap(x, witness["morphism"])
-        return _a3_counterexample(x, f) is not None
-    if kind == "a3op-not-mono":
-        f = deserialize_xmap(x, witness["morphism"])
-        return _a3op_counterexample(x, f) is not None
+        return _a3_witness(x, f, witness["side"]) is not None
     if kind == "ext-nonvanishing":
         return subcat.ext_dim(x.summands[witness["source_summand"]],
                               x.summands[witness["target_summand"]],

@@ -265,12 +265,6 @@ def star(f: CoherentFunctor) -> CoherentFunctor:
     return out
 
 
-def transpose_functor(f: CoherentFunctor) -> CoherentFunctor:
-    """Tr F = Coker(- o pres): presented over the opposite side by the
-    dualized presentation itself."""
-    return CoherentFunctor(f.subcat.op, f.subcat.dual_xmap(f.pres))
-
-
 def _double_star_data(f: CoherentFunctor):
     """(unit, F**, c1x, c2x, s1): the two dualized transpose-chain maps on
     the original side and the first weak kernel presenting F**."""
@@ -292,12 +286,6 @@ def _double_star_data(f: CoherentFunctor):
     u_mor = x.obj_from_coords(x0, s1.src, sol[:, 0])
     unit = FunctorMorphism(f, fss, XMap(x0, s2.dst, u_mor))
     return unit, fss, c1, c2x, s1
-
-
-def unit_to_double_star(f: CoherentFunctor) -> tuple[FunctorMorphism, CoherentFunctor]:
-    """The unit F -> F**, solved from the weak-kernel chains of both stars."""
-    unit, fss, _, _, _ = _double_star_data(f)
-    return unit, fss
 
 
 def verify_star_adjunction_sequences(f: CoherentFunctor) -> dict:
@@ -378,9 +366,13 @@ def functor_ext_yoneda(f: CoherentFunctor, z: int, i: int, cap: int = 10) -> int
     diffs = [f.pres]
     while len(diffs) < i + 1:
         diffs.append(x.weak_kernel(diffs[-1], minimize=True))
+
+    def cochain(k: int) -> np.ndarray:
+        """Hom(d_k, X_z): C^k -> C^{k+1}, read as Hom(D X_z, D d_k) over x.op."""
+        return x.op.post_matrix(x.dual_xmap(diffs[k]), z)
+
     if i == 0:
-        m = x.pre_matrix(diffs[0], z)
+        m = cochain(0)
         return int(m.shape[1] - F.rank(m))
-    upper = x.pre_matrix(diffs[i], z)       # C^i -> C^{i+1}
-    lower = x.pre_matrix(diffs[i - 1], z)   # C^{i-1} -> C^i
+    upper, lower = cochain(i), cochain(i - 1)
     return int(upper.shape[1] - F.rank(upper) - F.rank(lower))

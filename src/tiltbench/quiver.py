@@ -114,7 +114,7 @@ class BoundQuiverAlgebra:
         self._opposite: BoundQuiverAlgebra | None = None
         self._reverse_map: np.ndarray | None = None
         self._left_mult_cache: dict[int, np.ndarray] = {}
-        self._hom_cache: dict = {}
+        self._projectives: dict = {}  # vertex -> rep.projective, built once
 
     # -- structure ----------------------------------------------------------
 

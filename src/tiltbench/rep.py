@@ -359,7 +359,11 @@ def simple(algebra: BoundQuiverAlgebra, v: int) -> Representation:
 
 def projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     """Indecomposable projective at a vertex: paths out of v, arrows acting
-    by path extension."""
+    by path extension.  Built once per (algebra, vertex) and kept on the
+    algebra, its arrow matrices read-only."""
+    got = algebra._projectives.get(v)
+    if got is not None:
+        return got
     qv = algebra.quiver
     nv = qv.num_vertices
     idx = [i for i in range(algebra.dim) if algebra.basis_source(i) == v]
@@ -378,8 +382,10 @@ def projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
                 m[ri, cj] = colv[i]
         maps.append(m)
     rep = Representation(algebra, dims, maps)
-    rep._projective_vertex = v  # type: ignore[attr-defined]
+    for m in rep.maps:
+        m.setflags(write=False)
     rep._basis_index = by_vertex  # type: ignore[attr-defined]
+    algebra._projectives[v] = rep
     return rep
 
 

@@ -7,7 +7,8 @@ A SubcategoryX fixes the indecomposable summands of a module M and provides:
 * cached hom spaces between summands, with block assembly and coordinate
   extraction so composition matrices never solve large systems twice;
 * right/left approximations, weak kernels and weak cokernels, and the
-  higher kernel/cokernel sequences whose exactness the axiom checkers test;
+  higher kernel/cokernel sequences whose exactness the axiom checkers test,
+  the cokernel side run as the kernel side of the opposite subcategory;
 * membership ("is this module in add(M)?") with an explicit isomorphism;
 * End(M) of the basic module as an abstract algebra, built once from the
   cached block homs together with its summand idempotents.
@@ -101,6 +102,7 @@ class XMap:
         self.src = src
         self.dst = dst
         self.mor = mor
+        self._dual: XMap | None = None  # see SubcategoryX.dual_xmap
 
     @property
     def is_zero(self) -> bool:
@@ -150,21 +152,6 @@ def concat_xmaps_cols(x: "SubcategoryX", blocks: list[XMap], dst: XObject) -> XM
     return XMap(src, dst, ModuleMorphism(src.rep, dst.rep, maps))
 
 
-def concat_xmaps_rows(x: "SubcategoryX", blocks: list[XMap], src: XObject) -> XMap:
-    """[b_1; b_2; ...]: common source -> sum of targets."""
-    parts: tuple[int, ...] = ()
-    for b in blocks:
-        parts = parts + b.dst.parts
-    dst = x.obj(parts)
-    maps = []
-    nv = len(src.rep.dims)
-    for v in range(nv):
-        rows = [b.mor.maps[v] for b in blocks]
-        maps.append(np.concatenate(rows, axis=0) % x.field.p if rows
-                    else np.zeros((0, int(src.rep.dims[v])), dtype=np.int64))
-    return XMap(src, dst, ModuleMorphism(src.rep, dst.rep, maps))
-
-
 def block_component(x: "SubcategoryX", m: XMap, first: XObject) -> XMap:
     """Restrict m: W -> (first (+) rest) to its first-block component W -> first."""
     maps = [m.mor.maps[v][: int(first.rep.dims[v]), :] for v in range(len(first.rep.dims))]
@@ -184,13 +171,17 @@ class SubcategoryX:
     the order of the parts.  Parts that are already indecomposable and
     pairwise non-isomorphic are kept as the same objects.
 
-    Weak kernels and cokernels, the matrices of Hom(X_z, f) and Hom(f, X_z),
-    right approximations and embeddings are memoized for the life of the
-    subcategory, keyed by content, so the sampled checks of one job share
-    them; a module-keyed result is rebuilt to end at the caller's module.
-    Empty Hom(X_z, f) and Hom(f, X_z) blocks are not memoized: they are
-    answered from a table of hom dimensions dim Hom(X_z, X_parts) and
-    dim Hom(X_parts, X_z).
+    Every operation on the cokernel side (left approximations, weak
+    cokernels, epimorphisms, higher cokernels) is its kernel-side twin run
+    on `op`, the subcategory add(D M) over the opposite algebra, through
+    `dual_xmap`.
+
+    Weak kernels, the matrices of Hom(X_z, f), right approximations and
+    embeddings are memoized for the life of the subcategory, keyed by
+    content, so the sampled checks of one job share them; a module-keyed
+    result is rebuilt to end at the caller's module.  Empty Hom(X_z, f)
+    blocks are not memoized: they are answered from a table of hom
+    dimensions dim Hom(X_z, X_parts).
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
@@ -330,12 +321,17 @@ class SubcategoryX:
         return self._hom_solvers[key]
 
     def dual_xmap(self, m: XMap) -> XMap:
-        """The same map over the opposite side, endpoints swapped."""
-        o = self.op
-        src = o.obj(m.dst.parts)
-        dst = o.obj(m.src.parts)
-        mor = ModuleMorphism(src.rep, dst.rep, [t.T.copy() for t in m.mor.maps])
-        return XMap(src, dst, mor)
+        """The same map over the opposite side, endpoints swapped.  Built once
+        per map and kept on it, read-only; the dual keeps no link back to m,
+        which would make a reference cycle per map."""
+        if m._dual is None:
+            o = self.op
+            src = o.obj(m.dst.parts)
+            dst = o.obj(m.src.parts)
+            mor = ModuleMorphism(src.rep, dst.rep, [t.T.copy() for t in m.mor.maps])
+            _read_only(mor.maps)
+            m._dual = XMap(src, dst, mor)
+        return m._dual
 
     # -- membership ------------------------------------------------------------
 
@@ -390,15 +386,16 @@ class SubcategoryX:
         """dim Hom(X_z, X_parts), cached under (z, parts)."""
         dim = self._hom_dims.get((z, parts))
         if dim is None:
-            dim = self._hom_dims[z, parts] = sum(len(self.hom(z, i)) for i in parts)
+            dim = self._hom_dims[z, parts] = sum(self._summand_dim(z, i) for i in parts)
         return dim
 
-    def _dim_into(self, parts: tuple[int, ...], z: int) -> int:
-        """dim Hom(X_parts, X_z), cached under (parts, z)."""
-        dim = self._hom_dims.get((parts, z))
-        if dim is None:
-            dim = self._hom_dims[parts, z] = sum(len(self.hom(i, z)) for i in parts)
-        return dim
+    def _summand_dim(self, i: int, j: int) -> int:
+        """dim Hom(X_i, X_j), read off the basis of Hom(D X_j, D X_i) when
+        only `op` has built that one."""
+        basis = self._hom.get((i, j))
+        if basis is None and self._op is not None:
+            basis = self._op._hom.get((j, i))
+        return len(basis if basis is not None else self.hom(i, j))
 
     @staticmethod
     def _empty_block(rows: int, cols: int) -> np.ndarray:
@@ -417,19 +414,6 @@ class SubcategoryX:
 
     def _post_matrix(self, m: XMap, z: int) -> np.ndarray:
         mat = self.obj_post_matrix(m, self.obj((z,)))
-        mat.setflags(write=False)
-        return mat
-
-    def pre_matrix(self, m: XMap, z: int) -> np.ndarray:
-        """Matrix of Hom(m, X_z): Hom(dst, X_z) -> Hom(src, X_z).  An empty
-        block is answered from the hom dimensions, before the memo."""
-        rows, cols = self._dim_into(m.src.parts, z), self._dim_into(m.dst.parts, z)
-        if not rows or not cols:
-            return self._empty_block(rows, cols)
-        return self._memoized(("pre_matrix", z, _xmap_key(m)), self._pre_matrix, m, z)
-
-    def _pre_matrix(self, m: XMap, z: int) -> np.ndarray:
-        mat = self.obj_pre_matrix(m, self.obj((z,)))
         mat.setflags(write=False)
         return mat
 
@@ -494,15 +478,14 @@ class SubcategoryX:
     # -- epis, monos, approximations --------------------------------------------
 
     def is_epi(self, m: XMap) -> tuple[bool, int | None]:
-        """Epimorphism test relative to X: Hom(m, X_z) injective for all z.
-        Returns (ok, witnessing summand index)."""
-        for z in range(len(self.summands)):
-            mat = self.pre_matrix(m, z)
-            if self.field.nullspace(mat).shape[1]:
-                return False, z
-        return True, None
+        """Epimorphism test relative to X: Hom(m, X_z) injective for all z,
+        that is, the dual map is mono over `op`.  Returns (ok, witnessing
+        summand index)."""
+        return self.op.is_mono(self.dual_xmap(m))
 
     def is_mono(self, m: XMap) -> tuple[bool, int | None]:
+        """Monomorphism test relative to X: Hom(X_z, m) injective for all z.
+        Returns (ok, witnessing summand index)."""
         for z in range(len(self.summands)):
             mat = self.post_matrix(m, z)
             if self.field.nullspace(mat).shape[1]:
@@ -587,15 +570,9 @@ class SubcategoryX:
         return XMap(xobj, m.src, w)
 
     def weak_cokernel(self, m: XMap, minimize: bool = True) -> XMap:
-        return self._memoized(("weak_cokernel", minimize, _xmap_key(m)),
-                              self._weak_cokernel, m, minimize)
-
-    def _weak_cokernel(self, m: XMap, minimize: bool) -> XMap:
-        c, proj = rep.cokernel(m.mor)
-        xobj, coev = self.left_approximation(c, minimize)
-        w = coev.compose(proj)
-        _read_only(w.maps)
-        return XMap(m.dst, xobj, w)
+        """The dual of the weak kernel of the dual map over `op`."""
+        o = self.op
+        return o.dual_xmap(o.weak_kernel(self.dual_xmap(m), minimize))
 
     def is_weak_kernel(self, w: XMap, m: XMap) -> tuple[bool, dict | None]:
         """Is w: W -> src(m) a weak kernel of m? (image of Hom(X, w) equals
@@ -613,17 +590,9 @@ class SubcategoryX:
         return True, None
 
     def is_weak_cokernel(self, c: XMap, m: XMap) -> tuple[bool, dict | None]:
-        if not c.mor.compose(m.mor).is_zero:
-            return False, {"reason": "composite-nonzero"}
-        for z in range(len(self.summands)):
-            mc = self.pre_matrix(c, z)
-            mm = self.pre_matrix(m, z)
-            rank_c = self.field.rank(mc)
-            null_m = mm.shape[1] - self.field.rank(mm)
-            if rank_c != null_m:
-                return False, {"summand": z, "image_rank": rank_c,
-                               "kernel_dim": null_m}
-        return True, None
+        """Is c: dst(m) -> C a weak cokernel of m? (the dual of c is a weak
+        kernel of the dual of m over `op`)."""
+        return self.op.is_weak_kernel(self.dual_xmap(c), self.dual_xmap(m))
 
     def weak_kernel_chain(self, m: XMap, length: int, minimize: bool = True
                           ) -> list[XMap]:

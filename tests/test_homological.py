@@ -373,6 +373,24 @@ def test_cover_radical_from_leaf_radicals(name):
     assert checked
 
 
+def test_is_projective_matches_the_cover():
+    """is_projective, read off the dimensions of top(m), agrees with the
+    certified projective cover, also where a simple top has dimension 2."""
+    non_split = job(KRONECKER, ["regular", "coregular", {"explicit": {
+        "dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]}}}])
+    gammas = [_realize(name).endomorphism_algebra()
+              for name in ("serial_x3_generator", "nakayama_a3_rad2_bimodule")]
+    gammas.append(non_split.realize().x.endomorphism_algebra())
+    seen = set()
+    for gamma in gammas:
+        for g in (gamma, gamma.opposite):
+            for m in _gamma_test_modules(g):
+                want = algebra_ops.projective_cover(m).source.total_dim == m.total_dim
+                assert algebra_ops.is_projective(m) == want
+                seen.add(want)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("name, d", [("serial_x4_generator", 1),
                                      ("nakayama_a3_rad2_bimodule", 2)])
 def test_precluster_rebuilds_no_module(name, d, monkeypatch):

@@ -46,6 +46,12 @@ class TestStandardModules:
         p = rep.projective(a3rad2, 0)
         p.check_relations()  # must not raise
 
+    def test_projectives_are_built_once_per_algebra(self, a3rad2):
+        p = rep.projective(a3rad2, 1)
+        assert rep.projective(a3rad2, 1) is p
+        assert rep.projective(a3rad2.opposite, 1) is not p
+        assert not any(m.flags.writeable for m in p.maps)
+
 
 class TestHomAndExactness:
     def test_hom_dimensions_a2(self, a2):
