@@ -125,8 +125,8 @@ def spanning_family(x: SubcategoryX) -> list[XMap]:
         si = x.obj((i,))
         for j in range(n):
             sj = x.obj((j,))
-            for h in x.hom(i, j):
-                fam.append(XMap(si, sj, ModuleMorphism(si.rep, sj.rep, h.maps)))
+            for h in x.hom(i, j):  # shares h's read-only components
+                fam.append(XMap(si, sj, ModuleMorphism._of_reduced(si.rep, sj.rep, h.maps)))
     return fam
 
 
@@ -134,20 +134,26 @@ def sample_morphisms(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
                      seed: int = DEFAULT_SEED) -> list[XMap]:
     """The spanning family first, then seeded random combinations between
     random one- or two-part objects, up to `trials` morphisms total (never
-    truncating the family)."""
+    truncating the family).  Computed once per (x, trials, seed): every
+    call gets a new list of the same maps, their components read-only."""
+    return list(x._memoized(("sample_morphisms", trials, seed),
+                            _sample_morphisms, x, trials, seed))
+
+
+def _sample_morphisms(x: SubcategoryX, trials: int, seed: int) -> tuple[XMap, ...]:
     out = spanning_family(x)
     rng = np.random.default_rng(seed)
     n = len(x.summands)
-    if n == 0:
-        return out
-    while len(out) < trials:
+    while n and len(out) < trials:
         sp = tuple(int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 3))))
         dp = tuple(int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 3))))
         src, dst = x.obj(sp), x.obj(dp)
         dim = len(x.obj_hom(src, dst))
         coords = rng.integers(0, x.field.p, size=dim)
         out.append(XMap(src, dst, x.obj_from_coords(src, dst, coords)))
-    return out
+    for m in out:
+        subcat._read_only(m.mor.maps)
+    return tuple(out)
 
 
 # -- plain-module approximation tests -------------------------------------------

@@ -95,6 +95,17 @@ class ModuleMorphism:
         if check:
             self.check_commutes()
 
+    @classmethod
+    def _of_reduced(cls, source: Representation, target: Representation,
+                    maps) -> "ModuleMorphism":
+        """A morphism whose components are int64 arrays already reduced mod p
+        and of the right shapes, taken as they are: no copy, no check."""
+        f = cls.__new__(cls)
+        f.source = source
+        f.target = target
+        f.maps = list(maps)
+        return f
+
     def check_commutes(self) -> None:
         p = self.source.field.p
         qv = self.source.algebra.quiver
@@ -157,13 +168,13 @@ class ModuleMorphism:
 
 
 def zero_morphism(source: Representation, target: Representation) -> ModuleMorphism:
-    return ModuleMorphism(source, target,
-                          [np.zeros((int(target.dims[v]), int(source.dims[v])), dtype=np.int64)
-                           for v in range(len(source.dims))])
+    return ModuleMorphism._of_reduced(
+        source, target, [np.zeros((int(target.dims[v]), int(source.dims[v])), dtype=np.int64)
+                         for v in range(len(source.dims))])
 
 
 def identity_morphism(m: Representation) -> ModuleMorphism:
-    return ModuleMorphism(m, m, [np.eye(int(d), dtype=np.int64) for d in m.dims])
+    return ModuleMorphism._of_reduced(m, m, [np.eye(int(d), dtype=np.int64) for d in m.dims])
 
 
 def invert_morphism(f: ModuleMorphism) -> ModuleMorphism:
@@ -183,13 +194,34 @@ def invert_morphism(f: ModuleMorphism) -> ModuleMorphism:
 
 def morphism_from_flat(source: Representation, target: Representation,
                        flat: np.ndarray) -> ModuleMorphism:
+    """The morphism whose flattened components are flat, an int64 vector
+    reduced mod p.  The components are copies, so a morphism kept from a
+    hom basis does not hold the whole basis."""
     maps = []
     at = 0
     for v in range(len(source.dims)):
         r, c = int(target.dims[v]), int(source.dims[v])
-        maps.append(flat[at:at + r * c].reshape(r, c))
+        maps.append(flat[at:at + r * c].reshape(r, c).copy())
         at += r * c
-    return ModuleMorphism(source, target, maps)
+    return ModuleMorphism._of_reduced(source, target, maps)
+
+
+def _eye_kron(n: int, a: np.ndarray) -> np.ndarray:
+    """np.kron(I_n, a), written as its n diagonal blocks."""
+    r, c = a.shape
+    out = np.zeros((n, r, n, c), dtype=np.int64)
+    idx = np.arange(n)
+    out[idx, :, idx, :] = a
+    return out.reshape(n * r, n * c)
+
+
+def _kron_eye(b: np.ndarray, n: int) -> np.ndarray:
+    """np.kron(b, I_n), each entry of b written down an n x n diagonal."""
+    r, c = b.shape
+    out = np.zeros((r, n, c, n), dtype=np.int64)
+    idx = np.arange(n)
+    out[:, idx, :, idx] = b
+    return out.reshape(r * n, c * n)
 
 
 def hom_space(a: Representation, b: Representation) -> list[ModuleMorphism]:
@@ -209,11 +241,10 @@ def hom_space(a: Representation, b: Representation) -> list[ModuleMorphism]:
             continue
         block = np.zeros((n_eq, unknowns), dtype=np.int64)
         # F_t @ a_maps[i] contributes (I (x) a_maps[i]^T) acting on vec(F_t)
-        block[:, starts[t]:starts[t + 1]] = np.kron(np.eye(int(b.dims[t]), dtype=np.int64),
-                                                    a.maps[i].T)
+        block[:, starts[t]:starts[t + 1]] = _eye_kron(int(b.dims[t]), a.maps[i].T)
         # b_maps[i] @ F_s contributes (b_maps[i] (x) I) acting on vec(F_s)
         block[:, starts[s]:starts[s + 1]] = (block[:, starts[s]:starts[s + 1]]
-                                             - np.kron(b.maps[i], np.eye(int(a.dims[s]), dtype=np.int64))) % F.p
+                                             - _kron_eye(b.maps[i], int(a.dims[s]))) % F.p
         rows.append(block)
     if rows:
         system = np.concatenate(rows) % F.p
@@ -241,7 +272,7 @@ def kernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
             raise AssertionError("kernel subspace is not arrow-stable")
         maps.append(sol)
     k = Representation(f.source.algebra, dims, maps)
-    incl = ModuleMorphism(k, f.source, bases)
+    incl = ModuleMorphism._of_reduced(k, f.source, bases)
     return k, incl
 
 

@@ -58,6 +58,7 @@ class XObject:
         self._rep: Representation | None = None
         self._incls: list[ModuleMorphism] | None = None
         self._projs: list[ModuleMorphism] | None = None
+        self._offsets: list[list[int]] | None = None
 
     @property
     def rep(self) -> Representation:
@@ -88,6 +89,19 @@ class XObject:
         return self._projs
 
     @property
+    def offsets(self) -> list[list[int]]:
+        """offsets[k][v]: where the k-th part starts at vertex v inside the
+        realization (k = len(parts) gives the dimensions)."""
+        if self._offsets is None:
+            run = [0] * self.subcat.algebra.quiver.num_vertices
+            offs = [run]
+            for i in self.parts:
+                run = [a + int(b) for a, b in zip(run, self.subcat.summands[i].dims)]
+                offs.append(run)
+            self._offsets = offs
+        return self._offsets
+
+    @property
     def is_zero(self) -> bool:
         return len(self.parts) == 0
 
@@ -110,9 +124,6 @@ class XMap:
 
     def compose(self, other: "XMap") -> "XMap":
         return XMap(other.src, self.dst, self.mor.compose(other.mor))
-
-    def column(self, src_pos: int) -> ModuleMorphism:
-        return self.mor.compose(self.src.incls[src_pos])
 
     def __repr__(self) -> str:
         return f"XMap({self.src.parts} -> {self.dst.parts})"
@@ -176,12 +187,13 @@ class SubcategoryX:
     on `op`, the subcategory add(D M) over the opposite algebra, through
     `dual_xmap`.
 
-    Weak kernels, the matrices of Hom(X_z, f), right approximations and
-    embeddings are memoized for the life of the subcategory, keyed by
-    content, so the sampled checks of one job share them; a module-keyed
-    result is rebuilt to end at the caller's module.  Empty Hom(X_z, f)
-    blocks are not memoized: they are answered from a table of hom
-    dimensions dim Hom(X_z, X_parts).
+    Weak kernels, the matrices of Hom(X_z, f), the weak-kernel and mono
+    tests, right approximations and embeddings are memoized for the life of
+    the subcategory, keyed by content, so the sampled checks of one job
+    share them; a module-keyed result is rebuilt to end at the caller's
+    module.  Empty Hom(X_z, f) blocks are not memoized: they are answered
+    from a table of hom dimensions dim Hom(X_z, X_parts), which also lets
+    the tests skip every z with Hom(X_z, source) = 0.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
@@ -207,6 +219,7 @@ class SubcategoryX:
         self._op: SubcategoryX | None = None
         self._gamma: AbstractAlgebra | None = None
         self._hom: dict[tuple[int, int], list[ModuleMorphism]] = {}
+        self._hom_stacks: dict[tuple[int, int], list[np.ndarray]] = {}
         self._hom_solvers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._objs: dict[tuple[int, ...], XObject] = {}
         self._obj_hom: dict[tuple, list[ModuleMorphism]] = {}
@@ -256,11 +269,25 @@ class SubcategoryX:
         return XMap(x, x, rep.identity_morphism(x.rep))
 
     def hom(self, i: int, j: int) -> list[ModuleMorphism]:
-        """Cached hom basis between summands i -> j."""
+        """Cached hom basis between summands i -> j, its components
+        read-only (sampled morphisms share them)."""
         key = (i, j)
         if key not in self._hom:
-            self._hom[key] = rep.hom_space(self.summands[i], self.summands[j])
+            basis = rep.hom_space(self.summands[i], self.summands[j])
+            for h in basis:
+                _read_only(h.maps)
+            self._hom[key] = basis
         return self._hom[key]
+
+    def _hom_stack(self, i: int, j: int) -> list[np.ndarray]:
+        """Per vertex v, the components at v of the (i, j) hom basis stacked
+        into one (len(basis), dim X_j at v, dim X_i at v) array."""
+        key = (i, j)
+        if key not in self._hom_stacks:
+            basis = self.hom(i, j)
+            self._hom_stacks[key] = [np.stack([h.maps[v] for h in basis])
+                                     for v in range(len(self.summands[i].dims))]
+        return self._hom_stacks[key]
 
     def endomorphism_algebra(self) -> AbstractAlgebra:
         """Gamma = End(M_1 (+) ... (+) M_n) of the basic module, built once.
@@ -328,8 +355,8 @@ class SubcategoryX:
             o = self.op
             src = o.obj(m.dst.parts)
             dst = o.obj(m.src.parts)
-            mor = ModuleMorphism(src.rep, dst.rep, [t.T.copy() for t in m.mor.maps])
-            _read_only(mor.maps)
+            mor = ModuleMorphism._of_reduced(src.rep, dst.rep,
+                                             _read_only([t.T.copy() for t in m.mor.maps]))
             m._dual = XMap(src, dst, mor)
         return m._dual
 
@@ -342,7 +369,7 @@ class SubcategoryX:
         if hit is None:
             return None
         xobj, maps = hit
-        return xobj, ModuleMorphism(xobj.rep, a, maps)
+        return xobj, ModuleMorphism._of_reduced(xobj.rep, a, maps)
 
     def _embed(self, a: Representation):
         if a.total_dim == 0:
@@ -413,7 +440,39 @@ class SubcategoryX:
         return self._memoized(("post_matrix", z, _xmap_key(m)), self._post_matrix, m, z)
 
     def _post_matrix(self, m: XMap, z: int) -> np.ndarray:
-        mat = self.obj_post_matrix(m, self.obj((z,)))
+        """Hom(X_z, m), equal to obj_post_matrix(m, obj((z,))), assembled
+        block by block from the summand hom bases.  Block (dp, sp) holds
+        the coordinates, in the basis of Hom(X_z, X_j), of m_{dp,sp} o h for
+        h in the basis of Hom(X_z, X_i), where i and j are the sp-th source
+        and dp-th target parts and m_{dp,sp} is m's component between them;
+        coordinates in a basis are unique, so the blocks are exact."""
+        p = self.field.p
+        mat = np.zeros((self._dim_from(z, m.dst.parts), self._dim_from(z, m.src.parts)),
+                       dtype=np.int64)
+        verts = [v for v, d in enumerate(self.summands[z].dims) if d]
+        so, do = m.src.offsets, m.dst.offsets
+        col = 0
+        for sp, i in enumerate(m.src.parts):
+            k = self._summand_dim(z, i)
+            if not k:
+                continue
+            stack = self._hom_stack(z, i)
+            # per vertex: m's columns of part sp after each basis element
+            comps = [np.matmul(m.mor.maps[v][:, so[sp][v]:so[sp + 1][v]], stack[v]) % p
+                     for v in verts]
+            row = 0
+            for dp, j in enumerate(m.dst.parts):
+                kj = self._summand_dim(z, j)
+                if not kj:
+                    continue
+                flats = np.concatenate(
+                    [c[:, do[dp][v]:do[dp + 1][v], :].reshape(k, -1)
+                     for v, c in zip(verts, comps)], axis=1)
+                if flats.any():
+                    _, left = self.hom_solver(z, j)
+                    mat[row:row + kj, col:col + k] = (left @ flats.T) % p
+                row += kj
+            col += k
         mat.setflags(write=False)
         return mat
 
@@ -486,7 +545,12 @@ class SubcategoryX:
     def is_mono(self, m: XMap) -> tuple[bool, int | None]:
         """Monomorphism test relative to X: Hom(X_z, m) injective for all z.
         Returns (ok, witnessing summand index)."""
+        return self._memoized(("is_mono", _xmap_key(m)), self._is_mono, m)
+
+    def _is_mono(self, m: XMap) -> tuple[bool, int | None]:
         for z in range(len(self.summands)):
+            if not self._dim_from(z, m.src.parts):
+                continue  # a map out of the zero space is injective
             mat = self.post_matrix(m, z)
             if self.field.nullspace(mat).shape[1]:
                 return False, z
@@ -499,7 +563,7 @@ class SubcategoryX:
         dropped greedily."""
         xobj, maps = self._memoized(("right_approximation", minimize, _module_key(a)),
                                     self._right_approximation, a, minimize)
-        return xobj, ModuleMorphism(xobj.rep, a, maps)
+        return xobj, ModuleMorphism._of_reduced(xobj.rep, a, maps)
 
     def _right_approximation(self, a: Representation, minimize: bool):
         parts: list[int] = []
@@ -576,10 +640,18 @@ class SubcategoryX:
 
     def is_weak_kernel(self, w: XMap, m: XMap) -> tuple[bool, dict | None]:
         """Is w: W -> src(m) a weak kernel of m? (image of Hom(X, w) equals
-        kernel of Hom(X, m) at every summand)."""
+        kernel of Hom(X, m) at every summand).  The info dict is the
+        caller's own copy."""
+        ok, info = self._memoized(("is_weak_kernel", _xmap_key(w), _xmap_key(m)),
+                                  self._is_weak_kernel, w, m)
+        return ok, None if info is None else dict(info)
+
+    def _is_weak_kernel(self, w: XMap, m: XMap) -> tuple[bool, dict | None]:
         if not m.mor.compose(w.mor).is_zero:
             return False, {"reason": "composite-nonzero"}
         for z in range(len(self.summands)):
+            if not self._dim_from(z, m.src.parts):
+                continue  # both ranks are 0: Hom(X_z, src m) = 0
             mw = self.post_matrix(w, z)
             mm = self.post_matrix(m, z)
             rank_w = self.field.rank(mw)

@@ -293,3 +293,17 @@ def test_equal_dimension_vectors_not_isomorphic(alg, left, right):
     assert not rep._is_isomorphic_by_matching(a, b)
     assert not rep.is_isomorphic(a, b)
     assert rep.is_isomorphic(a, b, with_map=True) == (False, None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_hom_system_blocks_match_kron(n, r, c, data):
+    """The blocks hom_space writes for I (x) A^T and B (x) I equal np.kron's,
+    0-sized factors included."""
+    a = np.array(data.draw(st.lists(st.integers(0, 100), min_size=r * c, max_size=r * c)),
+                 dtype=np.int64).reshape(r, c)
+    eye = np.eye(n, dtype=np.int64)
+    for got, want in ((rep._eye_kron(n, a), np.kron(eye, a)),
+                      (rep._kron_eye(a, n), np.kron(a, eye))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
