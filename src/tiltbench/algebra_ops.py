@@ -141,6 +141,8 @@ class AbstractAlgebra:
         self._leaves: list[Representation] | None = None
         self._leaf_radicals: list[list[np.ndarray]] | None = None
         self._simples: list[Representation] | None = None
+        # projective covers by module content: (source, read-only maps)
+        self._covers: dict[tuple, tuple[Representation, tuple[np.ndarray, ...]]] = {}
         # results of the dimension functions, keyed by (function, cap)
         self._dimensions: dict[tuple[str, int], object] = {}
 
@@ -228,6 +230,11 @@ def _block_action(m: Representation, i: int, j: int) -> np.ndarray:
         len(idx), int(m.dims[j]), int(m.dims[i]))
 
 
+def _generated(m: Representation, i: int, j: int, u: np.ndarray) -> np.ndarray:
+    """e_j A e_i * u as columns, for u in the space of m at vertex i."""
+    return np.tensordot(_block_action(m, i, j), u, axes=([2], [0])).T % m.field.p
+
+
 def radical_subspaces(m: Representation) -> list[np.ndarray]:
     """Per-vertex bases of rad(A) * m."""
     F = m.field
@@ -246,24 +253,44 @@ def projective_cover(m: Representation) -> ModuleMorphism:
     Leaf by leaf, each basis vector u of e_i*m outside rad(m) plus the image
     so far becomes a generator: the map A*e_i -> m, a |-> a*u, whose image
     A*u adds one copy of the simple top of A*e_i to the covered part of
-    top(m).  Certified surjective, with its kernel inside the radical; the
-    radical of the cover's source is block diagonal in the radicals of its
-    leaves, which the algebra keeps (`leaf_radicals`).
+    top(m).  Only the covered part at i grows: the rest of the lift,
+    e_j A e_i * u for j != i, lies in rad(A)*m, since a map between
+    non-isomorphic indecomposables is radical.  Certified surjective, with
+    its kernel inside the radical; the radical of the cover's source is
+    block diagonal in the radicals of its leaves, which the algebra keeps
+    (`leaf_radicals`).
+
+    Covers are kept on the algebra by the module's content (`rep.module_key`)
+    and rebuilt to end at the caller's m, so the resolutions of the
+    dimension functions share the modules they have in common.
     """
+    alg = m.algebra
+    key = rep.module_key(m)
+    hit = alg._covers.get(key)
+    if hit is None:
+        hit = alg._covers[key] = _projective_cover(m)
+    source, maps = hit
+    return ModuleMorphism._of_reduced(source, m, maps)
+
+
+def _projective_cover(m: Representation) -> tuple[Representation, tuple[np.ndarray, ...]]:
     alg = m.algebra
     F = alg.field
     covered = radical_subspaces(m)
     picked: list[int] = []
-    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
+    gens: list[np.ndarray] = []
     for i in range(len(m.dims)):
         for u in np.eye(int(m.dims[i]), dtype=np.int64):
             if F.column_space_contains(covered[i], u.reshape(-1, 1)):
                 continue
-            for j in range(len(m.dims)):
-                lift = np.tensordot(_block_action(m, i, j), u, axes=([2], [0])).T % F.p
-                covered[j] = F.column_reduce(np.concatenate([covered[j], lift], axis=1))
-                cols[j].append(lift)
+            covered[i] = F.column_reduce(
+                np.concatenate([covered[i], _generated(m, i, i, u)], axis=1))
             picked.append(i)
+            gens.append(u)
+    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
+    for i, u in zip(picked, gens):
+        for j in range(len(m.dims)):
+            cols[j].append(_generated(m, i, j, u))
     leaves, leaf_rads = alg.projective_leaves(), alg.leaf_radicals()
     source = rep.sum_module(alg, [leaves[i] for i in picked])
     cover = ModuleMorphism(source, m,
@@ -277,7 +304,9 @@ def projective_cover(m: Representation) -> ModuleMorphism:
         if ker.shape[1] and not F.column_space_contains(
                 rep.block_diagonal([leaf_rads[i][v] for i in picked]), ker):
             raise AssertionError("projective cover kernel escapes the radical")
-    return cover
+    for t in cover.maps:
+        t.setflags(write=False)
+    return source, tuple(cover.maps)
 
 
 def syzygy(m: Representation) -> Representation:

@@ -5,9 +5,28 @@ routines are deterministic: same input, same output, no floating point.
 The modulus must be an odd prime small enough that (p-1)^2 * inner_dim
 stays below 2^63, which holds for every desk-scale input this package
 accepts (p < 2^20 enforced at construction).
+
+Each field keeps an elimination memo.  `rank`, `nullspace`, `solve_many`,
+`column_reduce` and `quotient_projection` (and so `solve`,
+`column_space_contains` and `intersect_column_spaces`, which go through
+them) look up their arguments' raw content, dtype, shape and bytes as
+passed, before any reduction mod p, so a cached answer is exactly what the
+call would compute.  On a miss they reduce their input once and eliminate
+it through `_rref`, which keeps its own entries by the reduced matrix, so
+entry points that eliminate the same matrix share one elimination; `rref`
+reduces its input and goes there directly.
+
+Only calls whose array arguments total at most MEMO_CALL_CELLS cells are
+stored, and the memo is emptied when the cells it holds (arguments and
+results) would pass MEMO_TOTAL_CELLS, or by `clear_memo`.  Cached arrays are
+read-only and shared between callers; a pivot list is returned as a new list
+each time.  The memo lives as long as the field, which a realized job shares
+between its algebra, the opposite algebra, End(M) and End(M)^op.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,6 +38,69 @@ _P_CAP = 1 << 20
 # 2-4x faster up to 6x6 and 1.8x at 8x8, the two tie near 100 cells and
 # numpy wins from 144 cells up.
 SMALL_CELLS = 64
+
+# Elimination memo caps, in matrix cells (see the module docstring).
+MEMO_CALL_CELLS = 4096
+MEMO_TOTAL_CELLS = 1 << 20
+
+
+def _read_only(value):
+    """value with its arrays made read-only in place (a tuple is walked)."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    return value
+
+
+def _cells(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, tuple):
+        return sum(_cells(v) for v in value)
+    return 1
+
+
+def _memoized(fn):
+    """Run an elimination entry point through its field's memo.
+
+    The key is the entry point's name and, per argument, the array's dtype,
+    shape and bytes as given (an int argument stands for itself).  Object
+    arrays are never stored, nor calls over MEMO_CALL_CELLS cells.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def memoized(self, *args):
+        key: list = [name]
+        cells = 0
+        for x in args:
+            if isinstance(x, int):
+                key.append(x)
+                continue
+            a = x if isinstance(x, np.ndarray) else np.asarray(x)
+            if a.dtype.hasobject:
+                return fn(self, *args)
+            cells += a.size
+            key += (a.dtype, a.shape, a.tobytes())
+        if cells > MEMO_CALL_CELLS:
+            return fn(self, *args)
+        key = tuple(key)
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = _read_only(fn(self, *args))
+        cells += _cells(value)
+        if self._memo_cells + cells > MEMO_TOTAL_CELLS:
+            self.clear_memo()
+        memo[key] = value
+        self._memo_cells += cells
+        return value
+
+    return memoized
 
 
 def _is_prime(n: int) -> bool:
@@ -43,9 +125,17 @@ class PrimeField:
         if p >= _P_CAP:
             raise ValueError(f"modulus {p} too large (cap {_P_CAP})")
         self.p = p
+        # elimination memo: key -> read-only result, and the cells it holds
+        self._memo: dict[tuple, object] = {}
+        self._memo_cells = 0
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
+
+    def clear_memo(self) -> None:
+        """Empty the elimination memo."""
+        self._memo.clear()
+        self._memo_cells = 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -78,6 +168,9 @@ class PrimeField:
         return rng.integers(0, self.p, size=(rows, cols), dtype=np.int64)
 
     # -- elimination -------------------------------------------------------
+    # The memoized entry points reduce their input once, on a miss, and hand
+    # the reduced array to `_rref`, which does not reduce it again (see the
+    # module docstring).
 
     def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form.
@@ -88,13 +181,20 @@ class PrimeField:
         eliminated on Python int lists, larger ones with numpy row
         operations; the RREF is unique, so both give the same r and pivots.
         """
-        a = self.asarray(m)
+        r, pivots = self._rref(self.asarray(m))
+        return r, list(pivots)
+
+    @_memoized
+    def _rref(self, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """rref of a reduced int64 matrix, pivots as a tuple."""
         rows, cols = a.shape
         if rows == 0 or cols == 0:
-            return a, []
+            return a, ()
         if rows * cols <= SMALL_CELLS:
-            return self._rref_lists(a)
-        return self._rref_numpy(a)
+            r, pivots = self._rref_lists(a)
+        else:
+            r, pivots = self._rref_numpy(a)
+        return r, tuple(pivots)
 
     def _rref_lists(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """rref of a reduced, non-empty matrix, on lists of Python ints."""
@@ -147,18 +247,20 @@ class PrimeField:
             r += 1
         return a, pivots
 
+    @_memoized
     def rank(self, m: np.ndarray) -> int:
         if np.size(m) == 0:
             return 0
-        return len(self.rref(m)[1])
+        return len(self._rref(self.asarray(m))[1])
 
+    @_memoized
     def nullspace(self, m: np.ndarray) -> np.ndarray:
         """Basis of {x : m @ x = 0} as columns of the returned matrix."""
         if np.size(m) == 0:
             return self.eye(np.shape(m)[1])
         a = self.asarray(m)
         rows, cols = a.shape
-        r, pivots = self.rref(a)
+        r, pivots = self._rref(a)
         free = [c for c in range(cols) if c not in pivots]
         basis = self.zeros(cols, len(free))
         for j, fc in enumerate(free):
@@ -173,13 +275,12 @@ class PrimeField:
         Returns (particular, nullspace_basis) or None when inconsistent.
         b may be a vector or an (n, 1) column.
         """
-        a = self.asarray(m)
-        rhs = self.asarray(b).reshape(-1, 1)
-        x = self.solve_many(a, rhs)
+        x = self.solve_many(m, np.reshape(b, (-1, 1)))
         if x is None:
             return None
-        return x[:, 0], self.nullspace(a)
+        return x[:, 0], self.nullspace(m)
 
+    @_memoized
     def solve_many(self, m: np.ndarray, bs: np.ndarray):
         """Solve m @ X = bs column-by-column; None if any column inconsistent."""
         a = self.asarray(m)
@@ -192,7 +293,7 @@ class PrimeField:
         if cols == 0:
             return None if bs.any() else self.zeros(0, bs.shape[1])
         aug = np.concatenate([a, bs], axis=1)
-        r, pivots = self.rref(aug)
+        r, pivots = self._rref(aug)
         for pc in pivots:
             if pc >= cols:
                 return None
@@ -209,13 +310,15 @@ class PrimeField:
             return True
         return self.solve_many(basis, vecs) is not None
 
+    @_memoized
     def column_reduce(self, m: np.ndarray) -> np.ndarray:
         """Deterministic basis (as columns) of the column space of m."""
         if np.size(m) == 0:
             return self.zeros(np.shape(m)[0], 0)
-        r, pivots = self.rref(self.asarray(m).T)
+        r, pivots = self._rref(self.asarray(m).T)
         return r[: len(pivots)].T.copy()
 
+    @_memoized
     def quotient_projection(self, sub: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates on F^n / span(columns of sub).
 
@@ -226,7 +329,7 @@ class PrimeField:
         if np.size(sub) == 0:
             return self.eye(n), self.eye(n)
         sub = self.asarray(sub).reshape(n, -1)
-        r, pivots = self.rref(sub.T)
+        r, pivots = self._rref(sub.T)
         sub_basis = r[: len(pivots)].T  # columns, echelon form
         free = [i for i in range(n) if i not in pivots]
         reps = self.zeros(n, len(free))

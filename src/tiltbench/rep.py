@@ -79,6 +79,11 @@ class Representation:
         return f"Representation(dims={self.dims.tolist()})"
 
 
+def module_key(a: Representation) -> tuple:
+    """Content key of a module: its dimension vector and arrow matrices."""
+    return (a.dims.tobytes(), *map(np.ndarray.tobytes, a.maps))
+
+
 class ModuleMorphism:
     def __init__(self, source: Representation, target: Representation, maps,
                  check: bool = False):

@@ -118,6 +118,9 @@ def run(spec: JobSpec, seed: int | None = None,
             disagreement = {"check": req.to_json(), "error": str(e),
                             "details": e.details}
             break
+    # the job's objects sit in reference cycles (x and x.op, say), which keep
+    # its elimination memo until a full collection; the report needs no more
+    job.algebra.field.clear_memo()
     return CheckReport(job=spec.raw, name=spec.name, seed=eff_seed,
                        trials=eff_trials, version=__version__,
                        verdicts=verdicts, disagreement=disagreement,

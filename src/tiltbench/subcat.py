@@ -26,7 +26,7 @@ from tiltbench import rep
 from tiltbench.algebra_ops import AbstractAlgebra
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import BoundQuiverAlgebra
-from tiltbench.rep import ModuleMorphism, Representation
+from tiltbench.rep import ModuleMorphism, Representation, module_key as _module_key
 
 
 class DKernelNotLeftExact(Exception):
@@ -127,11 +127,6 @@ class XMap:
 
     def __repr__(self) -> str:
         return f"XMap({self.src.parts} -> {self.dst.parts})"
-
-
-def _module_key(a: Representation) -> tuple:
-    """Content key of a module: its dimension vector and arrow matrices."""
-    return (a.dims.tobytes(), *map(np.ndarray.tobytes, a.maps))
 
 
 def _xmap_key(m: XMap) -> tuple:
@@ -401,6 +396,14 @@ class SubcategoryX:
         return xobj, _read_only(iso.maps)
 
     def contains(self, a: Representation) -> bool:
+        """Whether a lies in add(M).  With no embedding of a kept here, an
+        embedding of D a kept by `op` answers: D a is in add(D M) exactly
+        when a is in add(M)."""
+        key = ("embed", _module_key(a))
+        if key not in self._memo and self._op is not None:
+            hit = self._op._memo.get(("embed", _module_key(rep.dualize(a))), False)
+            if hit is not False:
+                return hit is not None
         return self.embed(a) is not None
 
     # -- hom coordinates for X-objects ------------------------------------------

@@ -373,6 +373,62 @@ def test_cover_radical_from_leaf_radicals(name):
     assert checked
 
 
+def _greedy_cover_all_vertices(m):
+    """The cover's greedy loop as it was written first: each generator u at
+    vertex i re-reduces the covered part at every vertex j.  Kept as the
+    reference for `projective_cover`, which grows only the part at i."""
+    g = m.algebra
+    F = g.field
+    covered = algebra_ops.radical_subspaces(m)
+    picked = []
+    cols = [[] for _ in m.dims]
+    for i in range(len(m.dims)):
+        for u in np.eye(int(m.dims[i]), dtype=np.int64):
+            if F.column_space_contains(covered[i], u.reshape(-1, 1)):
+                continue
+            for j in range(len(m.dims)):
+                lift = np.tensordot(algebra_ops._block_action(m, i, j), u,
+                                    axes=([2], [0])).T % F.p
+                covered[j] = F.column_reduce(np.concatenate([covered[j], lift], axis=1))
+                cols[j].append(lift)
+            picked.append(i)
+    source = rep.sum_module(g, [g.projective_leaves()[i] for i in picked])
+    maps = [np.concatenate(c, axis=1) if c else np.zeros((int(d), 0), dtype=np.int64)
+            for c, d in zip(cols, m.dims)]
+    return source, maps
+
+
+@pytest.mark.parametrize("name", ["serial_x3_generator", "nakayama_a3_rad2_bimodule",
+                                  "hereditary_a3_proj_inj"])
+def test_stored_cover_equals_the_all_vertex_loop(name, monkeypatch):
+    """Over Gamma and Gamma^op: the cover equals the reference loop's, and a
+    second call on a module equal in content builds nothing and ends at
+    the caller's module."""
+    gamma = _realize(name).endomorphism_algebra()
+    built = []
+    real = algebra_ops._projective_cover
+    monkeypatch.setattr(algebra_ops, "_projective_cover",
+                        lambda m: built.append(m) or real(m))
+    checked = 0
+    for g in (gamma, gamma.opposite):
+        for m in _gamma_test_modules(g):
+            cover = algebra_ops.projective_cover(m)
+            source, maps = _greedy_cover_all_vertices(m)
+            assert rep.module_key(cover.source) == rep.module_key(source)
+            assert len(cover.maps) == len(maps)
+            for got, want in zip(cover.maps, maps):
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert not got.flags.writeable
+            twin = rep.Representation(g, m.dims.copy(), [a.copy() for a in m.maps])
+            before = len(built)
+            again = algebra_ops.projective_cover(twin)
+            assert len(built) == before
+            assert again.target is twin and again.source is cover.source
+            assert all(a is b for a, b in zip(again.maps, cover.maps))
+            checked += 1
+    assert checked and built
+
+
 def test_is_projective_matches_the_cover():
     """is_projective, read off the dimensions of top(m), agrees with the
     certified projective cover, also where a simple top has dimension 2."""

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiltbench import linalg
 from tiltbench.linalg import PrimeField
 
 F = PrimeField(101)
@@ -183,8 +184,10 @@ def test_rref_dispatches_on_cell_count(monkeypatch):
         monkeypatch.setattr(PrimeField, name,
                             lambda self, a, name=name, real=real:
                             seen.append((name, a.shape)) or real(self, a))
-    F.rref(F.eye(8))
-    F.rref(F.zeros(8, 9))
+    # a fresh field: the module's F may hold these inputs in its memo
+    fresh = PrimeField(101)
+    fresh.rref(fresh.eye(8))
+    fresh.rref(fresh.zeros(8, 9))
     assert linalg.SMALL_CELLS == 64
     assert seen == [("_rref_lists", (8, 8)), ("_rref_numpy", (8, 9))]
 
@@ -219,3 +222,178 @@ def test_zero_size_inputs_return_at_once(rows, cols, monkeypatch):
         assert F.solve_many(m, F.asarray([[1]] * rows)) is None
     x = F.solve_many(F.eye(3), F.zeros(3, 0))
     assert x.shape == (3, 0) and x.dtype == np.int64
+
+
+# -- the elimination memo -------------------------------------------------------
+
+WARM = PrimeField(101)  # shared by every example below, so it runs warm
+
+
+def _entry_points(field, m, rhs, sub):
+    """Every memoized entry point and the routines that go through them,
+    on one input; pivots are compared as lists."""
+    r, pivots = field.rref(m)
+    n = np.shape(m)[0]
+    out = {"rref": (r, pivots), "rank": field.rank(m), "nullspace": field.nullspace(m),
+           "solve_many": field.solve_many(m, rhs), "column_reduce": field.column_reduce(m),
+           "quotient_projection": field.quotient_projection(sub, n)}
+    if n:
+        out["solve"] = field.solve(m, np.asarray(rhs)[:, :1]) if np.shape(rhs)[1] else None
+        out["contains"] = field.column_space_contains(np.asarray(m), np.asarray(rhs))
+        out["intersect"] = field.intersect_column_spaces(np.asarray(m), np.asarray(sub))
+    return out
+
+
+def _assert_same(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    else:
+        assert got == want
+
+
+def _as_kind(a: np.ndarray, kind: str):
+    if kind == "list":
+        return a.tolist()
+    if kind == "bool":
+        return a.astype(bool)
+    return a.astype(kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 3),
+       st.sampled_from(["int64", "int32", "bool", "list"]), st.integers(0, 10**6))
+def test_memo_answers_as_a_fresh_field(rows, cols, k, kind, seed):
+    """Each entry point on a warm field returns what a fresh field computes,
+    for unreduced, negative, int32, bool and list inputs, 0-sized ones, and
+    the same bytes read in another shape or dtype."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-300, 300, size=(rows, cols)) * rng.integers(0, 2, size=(rows, cols))
+    rhs = rng.integers(-300, 300, size=(rows, k))
+    sub = rng.integers(-300, 300, size=(rows, k))
+    cases = [(base, rhs, sub)]
+    if rows and cols:
+        # equal bytes, other shape
+        cases.append((base.reshape(cols, rows), rng.integers(-300, 300, size=(cols, k)),
+                      rng.integers(-300, 300, size=(cols, k))))
+    if kind == "list" and not rows:
+        kind = "int64"  # a list of no rows has no column count
+    cases = [tuple(_as_kind(a, kind) for a in case) for case in cases]
+    if kind == "int64":
+        # equal bytes and shape, other dtype: small non-negative int64
+        # entries read as float64 are denormals, which truncate to 0
+        pos = tuple(np.abs(a) for a in cases[0])
+        cases += [pos, tuple(a.view(np.float64) for a in pos)]
+    for m, b, s in cases:
+        want = _entry_points(PrimeField(101), m, b, s)
+        for _ in range(2):
+            got = _entry_points(WARM, m, b, s)
+            assert got.keys() == want.keys()
+            for name in want:
+                _assert_same(got[name], want[name])
+
+
+def _count_eliminations(monkeypatch):
+    seen = []
+    for name in ("_rref_lists", "_rref_numpy"):
+        real = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, a, real=real: seen.append(a.shape) or real(self, a))
+    return seen
+
+
+def test_repeat_calls_do_no_elimination(monkeypatch):
+    seen = _count_eliminations(monkeypatch)
+    field = PrimeField(101)
+    rng = np.random.default_rng(5)
+    small = rng.integers(-200, 200, size=(5, 6))
+    large = rng.integers(0, 101, size=(12, 14))  # the numpy kernel
+    for m in (small, large):
+        rhs = rng.integers(0, 101, size=(m.shape[0], 2))
+        calls = [lambda: field.rref(m), lambda: field.rank(m), lambda: field.nullspace(m),
+                 lambda: field.solve_many(m, rhs), lambda: field.column_reduce(m),
+                 lambda: field.quotient_projection(m, m.shape[0]),
+                 lambda: field.solve(m, rhs[:, 0]),
+                 lambda: field.column_space_contains(m, rhs),
+                 lambda: field.intersect_column_spaces(m, rhs)]
+        for call in calls:
+            call()
+        first = len(seen)
+        assert first
+        for call in calls:
+            call()
+        assert len(seen) == first
+    # rank and nullspace of one matrix share one elimination
+    m = rng.integers(0, 101, size=(4, 7))
+    before = len(seen)
+    field.rank(m)
+    field.nullspace(m)
+    field.rank(m.astype(np.int32))  # another raw key, the same reduced matrix
+    assert len(seen) == before + 1
+
+
+def test_cached_results_are_read_only():
+    field = PrimeField(101)
+    m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=np.int64)
+    r, pivots = field.rref(m)
+    for a in (r, field.nullspace(m), field.column_reduce(m),
+              field.solve_many(m, m[:, :1]),
+              *field.quotient_projection(m, 3)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    pivots.append(99)
+    pivots[0] = 7
+    assert field.rref(m)[1] == [0, 1]
+    assert field.rref(m)[1] is not field.rref(m)[1]
+    # the caller's own input is left writeable
+    assert m.flags.writeable
+
+
+def test_large_calls_are_not_stored(monkeypatch):
+    seen = _count_eliminations(monkeypatch)
+    field = PrimeField(101)
+    m = np.ones((64, 65), dtype=np.int64)  # 4,160 cells
+    assert m.size > linalg.MEMO_CALL_CELLS
+    field.rank(m)
+    field.rank(m)
+    assert len(seen) == 2 and not field._memo
+    field.rank(m[:, :64])  # 4,096 cells: stored
+    field.rank(m[:, :64])
+    assert len(seen) == 3 and field._memo
+
+
+def test_memo_empties_at_the_total_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "MEMO_TOTAL_CELLS", 200)
+    seen = _count_eliminations(monkeypatch)
+    field = PrimeField(101)
+    mats = [np.full((4, 4), v, dtype=np.int64) for v in range(1, 12)]
+    for m in mats:
+        field.nullspace(m)
+        assert 0 < field._memo_cells <= 200
+    # a call stores 61 cells (the nullspace entry and the elimination
+    # entry), so the memo was emptied on the way and keeps the last few
+    assert len(seen) == len(mats)
+    assert len(field._memo) < 2 * len(mats)
+    field.nullspace(mats[-1])
+    assert len(seen) == len(mats)
+    field.nullspace(mats[0])
+    assert len(seen) == len(mats) + 1
+    field.clear_memo()
+    assert not field._memo and field._memo_cells == 0
+
+
+def test_object_inputs_are_not_stored():
+    field = PrimeField(101)
+    m = np.array([[5, 1], [3, 4]], dtype=object)
+    assert field.rank(m) == 2
+    assert np.array_equal(field.nullspace(m), np.zeros((2, 0), dtype=np.int64))
+    # only the elimination of the reduced int64 matrix is kept
+    assert [key[0] for key in field._memo] == ["_rref"]
+    assert field.rank(m.astype(np.int64)) == 2
+    assert "rank" in [key[0] for key in field._memo]

@@ -391,3 +391,41 @@ class TestEmptyBlocks:
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.array_equal(got, want)
                 assert x.post_matrix(f, z).shape[1] == x.hom_dim(z, f.src)
+
+
+@pytest.mark.parametrize("name", ["hereditary_a3_regular_only", "nakayama_a3_rad2_bimodule",
+                                  "hereditary_a3_proj_inj"])
+def test_membership_peeks_the_other_side(name, monkeypatch):
+    """`contains` answered from the other side's embedding of the dual
+    equals `embed(...) is not None`, on both sides, for every test module
+    of the d-cluster-tilting classifier, and decomposes nothing."""
+    def realize():
+        """A fresh realization, so fresh memos, with its test modules over
+        x and their duals over x.op."""
+        x = jobspec.ingest(CORPUS_DIR / f"{name}.json").realize().x
+        mods = [a for a, _ in axioms.generate_test_modules(x, trials=10, seed=42)]
+        return x, mods, [rep.dualize(a) for a in mods]
+
+    decomposed = []
+    real = rep.decompose
+    monkeypatch.setattr(rep, "decompose", lambda *a, **k: decomposed.append(1) or real(*a, **k))
+    members = set()
+    for side in ("x", "op"):
+        x, mods, duals = realize()
+        fresh, fresh_mods, fresh_duals = realize()
+        if side == "x":
+            own, other, ins, outs = x, x.op, mods, duals
+            fresh_other, fresh_outs = fresh.op, fresh_duals
+        else:
+            own, other, ins, outs = x.op, x, duals, mods
+            fresh_other, fresh_outs = fresh, fresh_mods
+        assert ins
+        for a, da, fresh_da in zip(ins, outs, fresh_outs):
+            want = own.embed(a) is not None
+            before = len(decomposed)
+            assert other.contains(da) == want
+            assert len(decomposed) == before
+            # the other side's own embedding, with nothing to peek at
+            assert (fresh_other.embed(fresh_da) is not None) == want
+            members.add(want)
+    assert members == {True, False}
