@@ -27,7 +27,7 @@ import functools
 import numpy as np
 
 from tiltbench import fitting, rep
-from tiltbench.linalg import PrimeField
+from tiltbench.linalg import PrimeField, memo
 from tiltbench.quiver import Quiver
 from tiltbench.rep import ModuleMorphism, Representation
 
@@ -112,18 +112,21 @@ class AbstractAlgebra:
             raise ValueError("structure constants must be a cube")
         self.unit = np.asarray(unit, dtype=np.int64) % field.p
         self.idempotents = [np.asarray(e, dtype=np.int64) % field.p for e in idempotents]
-        for i, e in enumerate(self.idempotents):
-            for j, f in enumerate(self.idempotents):
-                if not np.array_equal(self.multiply(e, f), e if i == j else np.zeros_like(e)):
-                    raise ValueError("idempotents are not orthogonal")
-        if not np.array_equal(sum(self.idempotents) % field.p, self.unit):
-            raise ValueError("idempotents do not sum to the unit")
         n = len(self.idempotents)
         ids = np.stack(self.idempotents)
+        # right[i, k] = b_k * e_i and left[j, k] = e_j * b_k, as coordinates
+        right = np.einsum("ib,kbc->ikc", ids, self.table) % field.p
+        left = np.einsum("ja,akc->jkc", ids, self.table) % field.p
+        # e_i * e_j = sum_k (e_j)_k (e_i * b_k), which is e_i when i = j, else 0
+        products = np.einsum("jk,ikc->ijc", ids, left) % field.p
+        if not np.array_equal(products, np.eye(n, dtype=np.int64)[:, :, None] * ids):
+            raise ValueError("idempotents are not orthogonal")
+        if not np.array_equal(sum(self.idempotents) % field.p, self.unit):
+            raise ValueError("idempotents do not sum to the unit")
         # in_source[i, k]: b_k * e_i = b_k; in_target[j, k]: e_j * b_k = b_k
         eye = np.eye(self.dim, dtype=np.int64)
-        in_source = (np.einsum("ib,kbc->ikc", ids, self.table) % field.p == eye).all(axis=2)
-        in_target = (np.einsum("ja,akc->jkc", ids, self.table) % field.p == eye).all(axis=2)
+        in_source = (right == eye).all(axis=2)
+        in_target = (left == eye).all(axis=2)
         self.blocks: dict[tuple[int, int], list[int]] = {
             (i, j): [] for i in range(n) for j in range(n)}
         self.arrow_ends: list[tuple[int, int]] = []
@@ -141,13 +144,10 @@ class AbstractAlgebra:
         self._leaves: list[Representation] | None = None
         self._leaf_radicals: list[list[np.ndarray]] | None = None
         self._simples: list[Representation] | None = None
-        # projective covers by module content: (source, read-only maps)
-        self._covers: dict[tuple, tuple[Representation, tuple[np.ndarray, ...]]] = {}
-        # results of the dimension functions, keyed by (function, cap)
-        self._dimensions: dict[tuple[str, int], object] = {}
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.table) % self.field.p
+        # projective covers by module content, ("cover", module key) ->
+        # (source, read-only maps), and the results of the dimension
+        # functions, (function, cap) -> result; see `linalg.memo`
+        self._memo: dict[tuple, object] = {}
 
     @property
     def opposite(self) -> "AbstractAlgebra":
@@ -264,12 +264,7 @@ def projective_cover(m: Representation) -> ModuleMorphism:
     and rebuilt to end at the caller's m, so the resolutions of the
     dimension functions share the modules they have in common.
     """
-    alg = m.algebra
-    key = rep.module_key(m)
-    hit = alg._covers.get(key)
-    if hit is None:
-        hit = alg._covers[key] = _projective_cover(m)
-    source, maps = hit
+    source, maps = memo(m.algebra._memo, ("cover", rep.module_key(m)), _projective_cover, m)
     return ModuleMorphism._of_reduced(source, m, maps)
 
 
@@ -356,13 +351,10 @@ def injective_dimension(m: Representation, cap: int = 20) -> DimBound:
 
 
 def _once_per_algebra(fn):
-    """Keep fn(alg, cap) on the algebra, keyed by (function, cap)."""
+    """Keep fn(alg, cap) in the algebra's memo, keyed by (function, cap)."""
     @functools.wraps(fn)
     def cached(alg: AbstractAlgebra, cap: int = 20):
-        key = (fn.__name__, cap)
-        if key not in alg._dimensions:
-            alg._dimensions[key] = fn(alg, cap)
-        return alg._dimensions[key]
+        return memo(alg._memo, (fn.__name__, cap), fn, alg, cap)
     return cached
 
 

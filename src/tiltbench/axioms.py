@@ -30,6 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from tiltbench import algebra_ops, rep, subcat
+from tiltbench.linalg import memo
 from tiltbench.rep import ModuleMorphism, Representation
 from tiltbench.subcat import (SubcategoryX, XMap,
                               DCokernelNotRightExact, DKernelNotLeftExact,
@@ -136,8 +137,8 @@ def sample_morphisms(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
     random one- or two-part objects, up to `trials` morphisms total (never
     truncating the family).  Computed once per (x, trials, seed): every
     call gets a new list of the same maps, their components read-only."""
-    return list(x._memoized(("sample_morphisms", trials, seed),
-                            _sample_morphisms, x, trials, seed))
+    return list(memo(x._memo, ("sample_morphisms", trials, seed),
+                     _sample_morphisms, x, trials, seed))
 
 
 def _sample_morphisms(x: SubcategoryX, trials: int, seed: int) -> tuple[XMap, ...]:

@@ -8,7 +8,8 @@ Seed precedence: --seed, then the job file's options.seed, then the
 TILTBENCH_SEED environment variable, then 42.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 input error
-(including a negative integer flag), 3 a bug in the tool worth reporting:
+(including a negative integer flag or TILTBENCH_SEED, and an --out path
+that cannot be written), 3 a bug in the tool worth reporting:
 an internal route disagreement, or any other exception escaping the run,
 which prints "internal error" and its traceback on stderr.
 """
@@ -60,9 +61,12 @@ def _resolve_seed(args, spec) -> int | None:
     env = os.environ.get("TILTBENCH_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise SchemaError("TILTBENCH_SEED", f"not an integer: {env!r}")
+        if seed < 0:
+            raise SchemaError("TILTBENCH_SEED", f"negative: {env!r}")
+        return seed
     return None
 
 
@@ -89,8 +93,12 @@ def main(argv=None) -> int:
 
     text = report_mod.emit(rpt, args.report)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror}", file=sys.stderr)
+            return report_mod.EXIT_INPUT_ERROR
     else:
         sys.stdout.write(text)
     return rpt.exit_code

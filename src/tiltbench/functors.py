@@ -3,8 +3,8 @@
 A coherent functor F is stored as a presentation map f: X1 -> X0 in add(M);
 F(Z) = Hom(Z, X0) / im(f o -).  Everything downstream is linear algebra on
 hom coordinates: morphisms of functors are lifts between presentation
-targets, kernels and cokernels come from weak-kernel completions of the
-presentation square, and the star/double-star calculus is driven by weak
+targets, the cokernel of a morphism is presented by the lift beside the
+target's presentation, and the star/double-star calculus is driven by weak
 kernel chains over the two sides.
 
 The localization to modules is psi_tilde (cokernel of the presentation);
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tiltbench import rep
-from tiltbench.rep import ModuleMorphism, Representation
+from tiltbench.rep import Representation
 from tiltbench.subcat import (ResolutionCapExceeded, SubcategoryX, XMap, XObject,
-                              block_component, concat_xmaps_cols, negate_xmap)
+                              concat_xmaps_cols)
 
 
 class SequenceCheckFailed(Exception):
@@ -52,11 +52,6 @@ class CoherentFunctor:
         z = subcat.zero_obj()
         return cls(subcat, XMap(z, xobj, rep.zero_morphism(z.rep, xobj.rep)))
 
-    @classmethod
-    def zero(cls, subcat: SubcategoryX) -> "CoherentFunctor":
-        z = subcat.zero_obj()
-        return cls(subcat, XMap(z, z, rep.zero_morphism(z.rep, z.rep)))
-
     def evaluate(self, z: int) -> EvalData:
         if z not in self._evals:
             x = self.subcat
@@ -78,9 +73,6 @@ class CoherentFunctor:
     @property
     def is_zero(self) -> bool:
         return all(self.eval_dim(z) == 0 for z in range(len(self.subcat.summands)))
-
-    def total_dim(self) -> int:
-        return sum(self.eval_dim(z) for z in range(len(self.subcat.summands)))
 
     def __repr__(self) -> str:
         return f"CoherentFunctor({self.pres.src.parts} -> {self.pres.dst.parts})"
@@ -121,30 +113,6 @@ class FunctorMorphism:
         mat = x.obj_post_matrix(g, self.source.pres.dst)
         want = x.obj_coords(self.source.pres.dst, g.dst, self.lift.mor)
         return x.field.solve_many(mat, want.reshape(-1, 1)) is not None
-
-    def compose(self, other: "FunctorMorphism") -> "FunctorMorphism":
-        return FunctorMorphism(other.source, self.target,
-                               XMap(other.lift.src, self.lift.dst,
-                                    self.lift.mor.compose(other.lift.mor)),
-                               verify=False)
-
-    def add(self, other: "FunctorMorphism") -> "FunctorMorphism":
-        return FunctorMorphism(self.source, self.target,
-                               XMap(self.lift.src, self.lift.dst,
-                                    self.lift.mor.add(other.lift.mor)),
-                               verify=False)
-
-    def scale(self, c: int) -> "FunctorMorphism":
-        return FunctorMorphism(self.source, self.target,
-                               XMap(self.lift.src, self.lift.dst,
-                                    self.lift.mor.scale(c)),
-                               verify=False)
-
-
-def identity_functor_morphism(f: CoherentFunctor) -> FunctorMorphism:
-    x0 = f.pres.dst
-    return FunctorMorphism(f, f, XMap(x0, x0, rep.identity_morphism(x0.rep)),
-                           verify=False)
 
 
 def yoneda_morphism(x: SubcategoryX, m: XMap) -> FunctorMorphism:
@@ -200,38 +168,6 @@ def _check_cokernel(phi: FunctorMorphism, c: CoherentFunctor) -> None:
             raise AssertionError("cokernel functor failed evaluation check")
 
 
-def kernel_functor(phi: FunctorMorphism, minimize: bool = True
-                   ) -> tuple[CoherentFunctor, FunctorMorphism]:
-    """Weak-kernel completion of the presentation square."""
-    x = phi.source.subcat
-    f, g = phi.source.pres, phi.target.pres
-    combo1 = concat_xmaps_cols(x, [phi.lift, negate_xmap(g)], g.dst)
-    t = x.weak_kernel(combo1, minimize)
-    t0 = block_component(x, t, phi.lift.src)      # T -> X0
-    combo2 = concat_xmaps_cols(x, [t0, negate_xmap(f)], f.dst)
-    u = x.weak_kernel(combo2, minimize)
-    u0 = block_component(x, u, t0.src)            # U -> T
-    k = CoherentFunctor(x, u0)
-    incl = FunctorMorphism(k, phi.source, t0, verify=False)
-    _check_kernel(phi, k, incl)
-    return k, incl
-
-
-def _check_kernel(phi: FunctorMorphism, k: CoherentFunctor,
-                  incl: FunctorMorphism) -> None:
-    F = phi.source.subcat.field
-    for z in range(len(phi.source.subcat.summands)):
-        m = phi.eval_matrix(z)
-        null_dim = m.shape[1] - F.rank(m)
-        if k.eval_dim(z) != null_dim:
-            raise AssertionError("kernel functor failed evaluation dimension check")
-        im = incl.eval_matrix(z)
-        if ((m @ im) % F.p).any():
-            raise AssertionError("kernel inclusion does not compose to zero")
-        if F.rank(im) != null_dim:
-            raise AssertionError("kernel inclusion has wrong image")
-
-
 def is_effaceable(f: CoherentFunctor) -> tuple[bool, int | None]:
     """Vanishing in the localization: presentation map epi relative to X."""
     return f.subcat.is_epi(f.pres)
@@ -241,21 +177,6 @@ def psi_tilde(f: CoherentFunctor) -> Representation:
     """The localization functor to modules: cokernel of the presentation."""
     c, _ = rep.cokernel(f.pres.mor)
     return c
-
-
-def psi_tilde_morphism(phi: FunctorMorphism) -> ModuleMorphism:
-    """Induced map on localizations."""
-    F = phi.source.subcat.field
-    cf, projf = rep.cokernel(phi.source.pres.mor)
-    cg, projg = rep.cokernel(phi.target.pres.mor)
-    maps = []
-    for v in range(len(cf.dims)):
-        rhs = (projg.maps[v] @ phi.lift.mor.maps[v]) % F.p
-        sol = F.solve_many(projf.maps[v].T, rhs.T)
-        if sol is None:
-            raise AssertionError("induced map on cokernels does not exist")
-        maps.append(sol.T % F.p)
-    return ModuleMorphism(cf, cg, maps)
 
 
 def star(f: CoherentFunctor) -> CoherentFunctor:

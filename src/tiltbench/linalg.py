@@ -7,11 +7,10 @@ stays below 2^63, which holds for every desk-scale input this package
 accepts (p < 2^20 enforced at construction).
 
 Each field keeps an elimination memo.  `rank`, `nullspace`, `solve_many`,
-`column_reduce` and `quotient_projection` (and so `solve`,
-`column_space_contains` and `intersect_column_spaces`, which go through
-them) look up their arguments' raw content, dtype, shape and bytes as
-passed, before any reduction mod p, so a cached answer is exactly what the
-call would compute.  On a miss they reduce their input once and eliminate
+`column_reduce` and `quotient_projection` (and so `column_space_contains`,
+which goes through `solve_many`) look up their arguments' raw content,
+dtype, shape and bytes as passed, before any reduction mod p, so a cached
+answer is exactly what the call would compute.  On a miss they reduce their input once and eliminate
 it through `_rref`, which keeps its own entries by the reduced matrix, so
 entry points that eliminate the same matrix share one elimination; `rref`
 reduces its input and goes there directly.
@@ -22,6 +21,8 @@ results) would pass MEMO_TOTAL_CELLS, or by `clear_memo`.  Cached arrays are
 read-only and shared between callers; a pivot list is returned as a new list
 each time.  The memo lives as long as the field, which a realized job shares
 between its algebra, the opposite algebra, End(M) and End(M)^op.
+
+`memo` is the uncapped store every other layer fills its caches through.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ def _cells(value) -> int:
     if isinstance(value, tuple):
         return sum(_cells(v) for v in value)
     return 1
+
+
+def memo(store: dict, key, compute, *args):
+    """store[key], computed as compute(*args) on first use.
+
+    The one uncapped memo of the package: each owner of cached results
+    (a subcategory, an algebra) keeps one dict and fills it through here,
+    under keys that start with the name of what they hold.
+    """
+    try:
+        return store[key]
+    except KeyError:
+        value = store[key] = compute(*args)
+        return value
 
 
 def _memoized(fn):
@@ -164,9 +179,6 @@ class PrimeField:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.mod(a @ b, self.p)
 
-    def random_matrix(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-        return rng.integers(0, self.p, size=(rows, cols), dtype=np.int64)
-
     # -- elimination -------------------------------------------------------
     # The memoized entry points reduce their input once, on a miss, and hand
     # the reduced array to `_rref`, which does not reduce it again (see the
@@ -269,17 +281,6 @@ class PrimeField:
                 basis[pc, j] = (-r[i, fc]) % self.p
         return basis
 
-    def solve(self, m: np.ndarray, b: np.ndarray):
-        """Solve m @ x = b for a single right-hand side.
-
-        Returns (particular, nullspace_basis) or None when inconsistent.
-        b may be a vector or an (n, 1) column.
-        """
-        x = self.solve_many(m, np.reshape(b, (-1, 1)))
-        if x is None:
-            return None
-        return x[:, 0], self.nullspace(m)
-
     @_memoized
     def solve_many(self, m: np.ndarray, bs: np.ndarray):
         """Solve m @ X = bs column-by-column; None if any column inconsistent."""
@@ -348,12 +349,3 @@ class PrimeField:
             for j, fr in enumerate(free):
                 proj[j, i] = v[fr, 0]
         return proj, reps
-
-    def intersect_column_spaces(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Basis (columns) of colspace(a) & colspace(b)."""
-        a = self.asarray(a)
-        b = self.asarray(b)
-        if a.shape[1] == 0 or b.shape[1] == 0:
-            return self.zeros(a.shape[0], 0)
-        ker = self.nullspace(np.concatenate([a, (-b) % self.p], axis=1))
-        return self.column_reduce(self.matmul(a, ker[: a.shape[1]]))

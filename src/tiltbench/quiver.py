@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tiltbench.linalg import PrimeField
+from tiltbench.linalg import PrimeField, memo
 
 _PATH_CAP = 20000
 _ROW_CAP = 200000
@@ -76,13 +76,6 @@ def path_target(quiver: Quiver, path: Path) -> int:
     return quiver.vertex_index[quiver.arrows[arrows[-1]].target]
 
 
-def path_label(quiver: Quiver, path: Path) -> str:
-    src, arrows = path
-    if not arrows:
-        return f"e_{quiver.vertices[src]}"
-    return "".join(quiver.arrows[i].name for i in reversed(arrows))
-
-
 def _path_sort_key(quiver: Quiver, path: Path):
     src, arrows = path
     return (len(arrows), tuple(quiver.arrows[i].name for i in arrows), src)
@@ -113,14 +106,12 @@ class BoundQuiverAlgebra:
         self.trivial_positions = [self.path_position[(v, ())] for v in range(quiver.num_vertices)]
         self._opposite: BoundQuiverAlgebra | None = None
         self._reverse_map: np.ndarray | None = None
-        self._left_mult_cache: dict[int, np.ndarray] = {}
-        self._projectives: dict = {}  # vertex -> rep.projective, built once
+        # ("left_mult", arrow) -> arrow_left_mult, ("projective", vertex) ->
+        # rep.projective, ("resolution", module key) -> resolution data of
+        # subcat's Ext and transpose; see `linalg.memo`
+        self._memo: dict[tuple, object] = {}
 
     # -- structure ----------------------------------------------------------
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Product of two coordinate vectors."""
-        return np.einsum("i,j,ijk->k", x, y, self.table) % self.field.p
 
     def unit(self) -> np.ndarray:
         u = np.zeros(self.dim, dtype=np.int64)
@@ -130,21 +121,15 @@ class BoundQuiverAlgebra:
 
     def arrow_left_mult(self, arrow_idx: int) -> np.ndarray:
         """Matrix of left multiplication by an arrow on the path basis."""
-        cached = self._left_mult_cache.get(arrow_idx)
-        if cached is None:
-            pos = self.path_position[(self.quiver.vertex_index[self.quiver.arrows[arrow_idx].source], (arrow_idx,))]
-            cached = self.table[pos].T.copy()
-            self._left_mult_cache[arrow_idx] = cached
-        return cached
+        source = self.quiver.vertex_index[self.quiver.arrows[arrow_idx].source]
+        return memo(self._memo, ("left_mult", arrow_idx),
+                    lambda: self.table[self.path_position[source, (arrow_idx,)]].T.copy())
 
     def basis_source(self, i: int) -> int:
         return self.basis_paths[i][0]
 
     def basis_target(self, i: int) -> int:
         return path_target(self.quiver, self.basis_paths[i])
-
-    def basis_label(self, i: int) -> str:
-        return path_label(self.quiver, self.basis_paths[i])
 
     def __repr__(self) -> str:
         return (f"BoundQuiverAlgebra(dim={self.dim}, vertices={len(self.quiver.vertices)}, "

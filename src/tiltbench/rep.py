@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from tiltbench import fitting
-from tiltbench.linalg import PrimeField
+from tiltbench.linalg import PrimeField, memo
 from tiltbench.quiver import BoundQuiverAlgebra, Path
 
 
@@ -395,11 +395,12 @@ def simple(algebra: BoundQuiverAlgebra, v: int) -> Representation:
 
 def projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     """Indecomposable projective at a vertex: paths out of v, arrows acting
-    by path extension.  Built once per (algebra, vertex) and kept on the
-    algebra, its arrow matrices read-only."""
-    got = algebra._projectives.get(v)
-    if got is not None:
-        return got
+    by path extension.  Built once per (algebra, vertex) and kept in the
+    algebra's memo, its arrow matrices read-only."""
+    return memo(algebra._memo, ("projective", v), _projective, algebra, v)
+
+
+def _projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     qv = algebra.quiver
     nv = qv.num_vertices
     idx = [i for i in range(algebra.dim) if algebra.basis_source(i) == v]
@@ -421,7 +422,6 @@ def projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     for m in rep.maps:
         m.setflags(write=False)
     rep._basis_index = by_vertex  # type: ignore[attr-defined]
-    algebra._projectives[v] = rep
     return rep
 
 
@@ -444,13 +444,6 @@ def injective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     return dualize(projective(algebra.opposite, v))
 
 
-def regular_parts(algebra: BoundQuiverAlgebra) -> list[Representation]:
-    """The indecomposable projective summands of the regular module, one per
-    vertex (with multiplicity one; multiplicities in the regular module over a
-    quiver algebra are all one because the trivial paths are primitive)."""
-    return [projective(algebra, v) for v in range(algebra.quiver.num_vertices)]
-
-
 def radical_subspaces(m: Representation) -> list[np.ndarray]:
     """Per-vertex bases of rad(m) = sum of arrow images."""
     F = m.field
@@ -467,33 +460,6 @@ def radical_subspaces(m: Representation) -> list[np.ndarray]:
         else:
             out.append(np.zeros((int(m.dims[v]), 0), dtype=np.int64))
     return out
-
-
-def top(m: Representation) -> tuple[Representation, ModuleMorphism]:
-    """Largest semisimple quotient, with the projection onto it."""
-    return quotient(m, radical_subspaces(m))
-
-
-def socle(m: Representation) -> tuple[Representation, ModuleMorphism]:
-    """Largest semisimple subrepresentation, with its inclusion."""
-    F = m.field
-    qv = m.algebra.quiver
-    nv = qv.num_vertices
-    stacked: list[list[np.ndarray]] = [[] for _ in range(nv)]
-    for i, a in enumerate(qv.arrows):
-        s = qv.vertex_index[a.source]
-        stacked[s].append(m.maps[i])
-    bases = []
-    for v in range(nv):
-        if stacked[v]:
-            bases.append(F.nullspace(np.concatenate(stacked[v], axis=0) % F.p))
-        else:
-            bases.append(np.eye(int(m.dims[v]), dtype=np.int64))
-    dims = [b.shape[1] for b in bases]
-    maps = [np.zeros((dims[qv.vertex_index[a.target]], dims[qv.vertex_index[a.source]]),
-                     dtype=np.int64) for a in qv.arrows]
-    s = Representation(m.algebra, dims, maps)
-    return s, ModuleMorphism(s, m, bases)
 
 
 def projective_cover(m: Representation) -> tuple[ModuleMorphism, list[int]]:
@@ -563,12 +529,6 @@ def cosyzygy(m: Representation) -> Representation:
     env, _ = injective_envelope(m)
     c, _ = cokernel(env)
     return c
-
-
-def syzygy_power(m: Representation, k: int) -> Representation:
-    for _ in range(k):
-        m = syzygy(m)
-    return m
 
 
 # -- splitting into indecomposables ------------------------------------------

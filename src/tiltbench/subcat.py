@@ -20,11 +20,13 @@ higher Auslander-Reiten translates built from it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from tiltbench import rep
 from tiltbench.algebra_ops import AbstractAlgebra
-from tiltbench.linalg import PrimeField
+from tiltbench.linalg import PrimeField, memo
 from tiltbench.quiver import BoundQuiverAlgebra
 from tiltbench.rep import ModuleMorphism, Representation, module_key as _module_key
 
@@ -55,51 +57,34 @@ class XObject:
     def __init__(self, subcat: "SubcategoryX", parts: tuple[int, ...]):
         self.subcat = subcat
         self.parts = tuple(parts)
-        self._rep: Representation | None = None
-        self._incls: list[ModuleMorphism] | None = None
-        self._projs: list[ModuleMorphism] | None = None
-        self._offsets: list[list[int]] | None = None
 
-    @property
+    @functools.cached_property
+    def _realize(self) -> tuple[Representation, list[ModuleMorphism], list[ModuleMorphism]]:
+        """The direct sum of the parts with its inclusions and projections."""
+        return rep.direct_sum(self.subcat.algebra, [self.subcat.summands[i] for i in self.parts])
+
+    @functools.cached_property
     def rep(self) -> Representation:
-        if self._rep is None:
-            self._realize()
-        assert self._rep is not None
-        return self._rep
+        return self._realize[0]
 
-    def _realize(self) -> None:
-        mods = [self.subcat.summands[i] for i in self.parts]
-        total, incls, projs = rep.direct_sum(self.subcat.algebra, mods)
-        self._rep = total
-        self._incls = incls
-        self._projs = projs
-
-    @property
+    @functools.cached_property
     def incls(self) -> list[ModuleMorphism]:
-        if self._incls is None:
-            self._realize()
-        assert self._incls is not None
-        return self._incls
+        return self._realize[1]
 
-    @property
+    @functools.cached_property
     def projs(self) -> list[ModuleMorphism]:
-        if self._projs is None:
-            self._realize()
-        assert self._projs is not None
-        return self._projs
+        return self._realize[2]
 
-    @property
+    @functools.cached_property
     def offsets(self) -> list[list[int]]:
         """offsets[k][v]: where the k-th part starts at vertex v inside the
         realization (k = len(parts) gives the dimensions)."""
-        if self._offsets is None:
-            run = [0] * self.subcat.algebra.quiver.num_vertices
-            offs = [run]
-            for i in self.parts:
-                run = [a + int(b) for a, b in zip(run, self.subcat.summands[i].dims)]
-                offs.append(run)
-            self._offsets = offs
-        return self._offsets
+        run = [0] * self.subcat.algebra.quiver.num_vertices
+        offs = [run]
+        for i in self.parts:
+            run = [a + int(b) for a, b in zip(run, self.subcat.summands[i].dims)]
+            offs.append(run)
+        return offs
 
     @property
     def is_zero(self) -> bool:
@@ -158,16 +143,6 @@ def concat_xmaps_cols(x: "SubcategoryX", blocks: list[XMap], dst: XObject) -> XM
     return XMap(src, dst, ModuleMorphism(src.rep, dst.rep, maps))
 
 
-def block_component(x: "SubcategoryX", m: XMap, first: XObject) -> XMap:
-    """Restrict m: W -> (first (+) rest) to its first-block component W -> first."""
-    maps = [m.mor.maps[v][: int(first.rep.dims[v]), :] for v in range(len(first.rep.dims))]
-    return XMap(m.src, first, ModuleMorphism(m.src.rep, first.rep, maps))
-
-
-def negate_xmap(m: XMap) -> XMap:
-    return XMap(m.src, m.dst, m.mor.scale(-1))
-
-
 class SubcategoryX:
     """add(M) for a fixed module M, with cached hom data.
 
@@ -182,13 +157,18 @@ class SubcategoryX:
     on `op`, the subcategory add(D M) over the opposite algebra, through
     `dual_xmap`.
 
-    Weak kernels, the matrices of Hom(X_z, f), the weak-kernel and mono
-    tests, right approximations and embeddings are memoized for the life of
-    the subcategory, keyed by content, so the sampled checks of one job
-    share them; a module-keyed result is rebuilt to end at the caller's
-    module.  Empty Hom(X_z, f) blocks are not memoized: they are answered
-    from a table of hom dimensions dim Hom(X_z, X_parts), which also lets
-    the tests skip every z with Hom(X_z, source) = 0.
+    Everything it caches lives in one dict, `_memo`, filled through
+    `linalg.memo` under keys that start with the name of what they hold:
+    the X-objects, the summand hom bases with their stacks and solvers, the
+    hom bases and solvers between X-objects, the hom dimensions, End(M),
+    the morphisms of `axioms.sample_morphisms`, and, keyed by content so the sampled checks of one job share them, weak
+    kernels, the matrices of Hom(X_z, f), the weak-kernel and mono tests,
+    right approximations and embeddings; a module-keyed result is rebuilt
+    to end at the caller's module.  Empty Hom(X_z, f) blocks are not
+    memoized: they are answered from the hom dimensions
+    dim Hom(X_z, X_parts), which also let the tests skip every z with
+    Hom(X_z, source) = 0.  Entries live as long as the subcategory and
+    their arrays are read-only.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
@@ -212,28 +192,7 @@ class SubcategoryX:
         self.seed = seed
         self.summands = summands
         self._op: SubcategoryX | None = None
-        self._gamma: AbstractAlgebra | None = None
-        self._hom: dict[tuple[int, int], list[ModuleMorphism]] = {}
-        self._hom_stacks: dict[tuple[int, int], list[np.ndarray]] = {}
-        self._hom_solvers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._objs: dict[tuple[int, ...], XObject] = {}
-        self._obj_hom: dict[tuple, list[ModuleMorphism]] = {}
-        self._obj_solvers: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._memo: dict[tuple, object] = {}  # see _memoized
-        self._hom_dims: dict[tuple, int] = {}
-
-    def _memoized(self, key: tuple, compute, *args):
-        """The memo entry under key, computed as compute(*args) on first use.
-
-        Keys hold the content of the arguments (`_module_key`, `_xmap_key`),
-        so a kernel rebuilt as a new object still hits.  Entries live as long
-        as this subcategory and their arrays are read-only.
-        """
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute(*args)
-            return value
+        self._memo: dict[tuple, object] = {}
 
     # -- basic structure -------------------------------------------------------
 
@@ -253,9 +212,7 @@ class SubcategoryX:
         """The X-object of a parts tuple; one object per tuple, so each is
         realized once."""
         parts = tuple(parts)
-        if parts not in self._objs:
-            self._objs[parts] = XObject(self, parts)
-        return self._objs[parts]
+        return memo(self._memo, ("obj", parts), XObject, self, parts)
 
     def zero_obj(self) -> XObject:
         return self.obj(())
@@ -266,23 +223,22 @@ class SubcategoryX:
     def hom(self, i: int, j: int) -> list[ModuleMorphism]:
         """Cached hom basis between summands i -> j, its components
         read-only (sampled morphisms share them)."""
-        key = (i, j)
-        if key not in self._hom:
-            basis = rep.hom_space(self.summands[i], self.summands[j])
-            for h in basis:
-                _read_only(h.maps)
-            self._hom[key] = basis
-        return self._hom[key]
+        return memo(self._memo, ("hom", i, j), self._hom_basis, i, j)
+
+    def _hom_basis(self, i: int, j: int) -> list[ModuleMorphism]:
+        basis = rep.hom_space(self.summands[i], self.summands[j])
+        for h in basis:
+            _read_only(h.maps)
+        return basis
 
     def _hom_stack(self, i: int, j: int) -> list[np.ndarray]:
         """Per vertex v, the components at v of the (i, j) hom basis stacked
         into one (len(basis), dim X_j at v, dim X_i at v) array."""
-        key = (i, j)
-        if key not in self._hom_stacks:
-            basis = self.hom(i, j)
-            self._hom_stacks[key] = [np.stack([h.maps[v] for h in basis])
-                                     for v in range(len(self.summands[i].dims))]
-        return self._hom_stacks[key]
+        return memo(self._memo, ("hom_stack", i, j), self._stack, i, j)
+
+    def _stack(self, i: int, j: int) -> list[np.ndarray]:
+        basis = self.hom(i, j)
+        return [np.stack([h.maps[v] for h in basis]) for v in range(len(self.summands[i].dims))]
 
     def endomorphism_algebra(self) -> AbstractAlgebra:
         """Gamma = End(M_1 (+) ... (+) M_n) of the basic module, built once.
@@ -292,55 +248,54 @@ class SubcategoryX:
         off downstream (global, dominant, selfinjective dimensions) are
         Morita invariant, so multiplicities in M do not matter.
         """
-        if self._gamma is None:
-            F = self.field
-            n = len(self.summands)
-            offset: dict[tuple[int, int], int] = {}
-            dim = 0
-            for i in range(n):
-                for j in range(n):
-                    offset[i, j] = dim
-                    dim += len(self.hom(i, j))
-            # b_g * b_h for h: M_i -> M_j and g: M_j -> M_k lies in block (i, k)
-            table = np.zeros((dim, dim, dim), dtype=np.int64)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        _, left = self.hom_solver(i, k)
-                        out = slice(offset[i, k], offset[i, k] + left.shape[0])
-                        for a, g in enumerate(self.hom(j, k)):
-                            for b, h in enumerate(self.hom(i, j)):
-                                table[offset[j, k] + a, offset[i, j] + b, out] = (
-                                    left @ g.compose(h).flatten()) % F.p
-            idempotents = []
-            for i in range(n):
-                e = np.zeros(dim, dtype=np.int64)
-                _, left = self.hom_solver(i, i)
-                ident = rep.identity_morphism(self.summands[i]).flatten()
-                e[offset[i, i]:offset[i, i] + left.shape[0]] = (left @ ident) % F.p
-                idempotents.append(e)
-            self._gamma = AbstractAlgebra(F, table, sum(idempotents) % F.p, idempotents)
-        return self._gamma
+        return memo(self._memo, ("gamma",), self._endomorphism_algebra)
+
+    def _endomorphism_algebra(self) -> AbstractAlgebra:
+        F = self.field
+        n = len(self.summands)
+        offset: dict[tuple[int, int], int] = {}
+        dim = 0
+        for i in range(n):
+            for j in range(n):
+                offset[i, j] = dim
+                dim += len(self.hom(i, j))
+        # b_g * b_h for h: M_i -> M_j and g: M_j -> M_k lies in block (i, k)
+        table = np.zeros((dim, dim, dim), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    _, left = self.hom_solver(i, k)
+                    out = slice(offset[i, k], offset[i, k] + left.shape[0])
+                    for a, g in enumerate(self.hom(j, k)):
+                        for b, h in enumerate(self.hom(i, j)):
+                            table[offset[j, k] + a, offset[i, j] + b, out] = (
+                                left @ g.compose(h).flatten()) % F.p
+        idempotents = []
+        for i in range(n):
+            e = np.zeros(dim, dtype=np.int64)
+            _, left = self.hom_solver(i, i)
+            ident = rep.identity_morphism(self.summands[i]).flatten()
+            e[offset[i, i]:offset[i, i] + left.shape[0]] = (left @ ident) % F.p
+            idempotents.append(e)
+        return AbstractAlgebra(F, table, sum(idempotents) % F.p, idempotents)
 
     def hom_solver(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(stacked flats, left inverse) of the (i, j) hom basis; coordinates
-        of any morphism in the span are leftinv @ flatten."""
-        key = (i, j)
-        if key not in self._hom_solvers:
-            basis = self.hom(i, j)
-            if basis:
-                stacked = np.stack([b.flatten() for b in basis], axis=1) % self.field.p
-                left = self.field.solve_many(
-                    stacked.T, np.eye(stacked.shape[1], dtype=np.int64))
-                if left is None:
-                    raise AssertionError("hom basis is not independent")
-                self._hom_solvers[key] = (stacked, left.T % self.field.p)
-            else:
-                a, b = self.summands[i], self.summands[j]
-                n = int(np.sum(a.dims * b.dims))
-                self._hom_solvers[key] = (np.zeros((n, 0), dtype=np.int64),
-                                          np.zeros((0, n), dtype=np.int64))
-        return self._hom_solvers[key]
+        """`_solver` of the (i, j) hom basis."""
+        return memo(self._memo, ("hom_solver", i, j), lambda: self._solver(
+            self.hom(i, j), self.summands[i], self.summands[j]))
+
+    def _solver(self, basis: list[ModuleMorphism], a: Representation, b: Representation
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(stacked flats, left inverse) of a basis of Hom(a, b); the
+        coordinates of any morphism in its span are leftinv @ flatten."""
+        if not basis:
+            n = int(np.sum(a.dims * b.dims))
+            return np.zeros((n, 0), dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+        stacked = np.stack([h.flatten() for h in basis], axis=1) % self.field.p
+        left = self.field.solve_many(stacked.T, np.eye(stacked.shape[1], dtype=np.int64))
+        if left is None:
+            raise AssertionError("hom basis is not independent")
+        return stacked, left.T % self.field.p
 
     def dual_xmap(self, m: XMap) -> XMap:
         """The same map over the opposite side, endpoints swapped.  Built once
@@ -360,7 +315,7 @@ class SubcategoryX:
     def embed(self, a: Representation) -> tuple[XObject, ModuleMorphism] | None:
         """An X-object with an isomorphism onto a, or None when a is not in
         add(M)."""
-        hit = self._memoized(("embed", _module_key(a)), self._embed, a)
+        hit = memo(self._memo, ("embed", _module_key(a)), self._embed, a)
         if hit is None:
             return None
         xobj, maps = hit
@@ -413,18 +368,16 @@ class SubcategoryX:
         return self._dim_from(z, x.parts)
 
     def _dim_from(self, z: int, parts: tuple[int, ...]) -> int:
-        """dim Hom(X_z, X_parts), cached under (z, parts)."""
-        dim = self._hom_dims.get((z, parts))
-        if dim is None:
-            dim = self._hom_dims[z, parts] = sum(self._summand_dim(z, i) for i in parts)
-        return dim
+        """dim Hom(X_z, X_parts)."""
+        return memo(self._memo, ("dim", z, parts),
+                    lambda: sum(self._summand_dim(z, i) for i in parts))
 
     def _summand_dim(self, i: int, j: int) -> int:
         """dim Hom(X_i, X_j), read off the basis of Hom(D X_j, D X_i) when
         only `op` has built that one."""
-        basis = self._hom.get((i, j))
+        basis = self._memo.get(("hom", i, j))
         if basis is None and self._op is not None:
-            basis = self._op._hom.get((j, i))
+            basis = self._op._memo.get(("hom", j, i))
         return len(basis if basis is not None else self.hom(i, j))
 
     @staticmethod
@@ -440,7 +393,7 @@ class SubcategoryX:
         rows, cols = self._dim_from(z, m.dst.parts), self._dim_from(z, m.src.parts)
         if not rows or not cols:
             return self._empty_block(rows, cols)
-        return self._memoized(("post_matrix", z, _xmap_key(m)), self._post_matrix, m, z)
+        return memo(self._memo, ("post_matrix", z, _xmap_key(m)), self._post_matrix, m, z)
 
     def _post_matrix(self, m: XMap, z: int) -> np.ndarray:
         """Hom(X_z, m), equal to obj_post_matrix(m, obj((z,))), assembled
@@ -483,32 +436,15 @@ class SubcategoryX:
 
     def obj_hom(self, xa: XObject, xb: XObject) -> list[ModuleMorphism]:
         """Hom basis between realizations, assembled blockwise."""
-        key = (xa.parts, xb.parts)
-        if key not in self._obj_hom:
-            basis = []
-            for sp, i in enumerate(xa.parts):
-                for dp, j in enumerate(xb.parts):
-                    for h in self.hom(i, j):
-                        basis.append(xb.incls[dp].compose(h).compose(xa.projs[sp]))
-            self._obj_hom[key] = basis
-        return self._obj_hom[key]
+        return memo(self._memo, ("obj_hom", xa.parts, xb.parts), lambda: [
+            xb.incls[dp].compose(h).compose(xa.projs[sp])
+            for sp, i in enumerate(xa.parts) for dp, j in enumerate(xb.parts)
+            for h in self.hom(i, j)])
 
     def obj_hom_solver(self, xa: XObject, xb: XObject) -> tuple[np.ndarray, np.ndarray]:
-        key = (xa.parts, xb.parts)
-        if key not in self._obj_solvers:
-            basis = self.obj_hom(xa, xb)
-            if basis:
-                stacked = np.stack([b.flatten() for b in basis], axis=1) % self.field.p
-                left = self.field.solve_many(
-                    stacked.T, np.eye(stacked.shape[1], dtype=np.int64))
-                if left is None:
-                    raise AssertionError("hom basis is not independent")
-                self._obj_solvers[key] = (stacked, left.T % self.field.p)
-            else:
-                n = int(np.sum(xa.rep.dims * xb.rep.dims))
-                self._obj_solvers[key] = (np.zeros((n, 0), dtype=np.int64),
-                                          np.zeros((0, n), dtype=np.int64))
-        return self._obj_solvers[key]
+        """`_solver` of the hom basis between two X-objects."""
+        return memo(self._memo, ("obj_solver", xa.parts, xb.parts), lambda: self._solver(
+            self.obj_hom(xa, xb), xa.rep, xb.rep))
 
     def obj_coords(self, xa: XObject, xb: XObject, mor: ModuleMorphism) -> np.ndarray:
         _, left = self.obj_hom_solver(xa, xb)
@@ -548,7 +484,7 @@ class SubcategoryX:
     def is_mono(self, m: XMap) -> tuple[bool, int | None]:
         """Monomorphism test relative to X: Hom(X_z, m) injective for all z.
         Returns (ok, witnessing summand index)."""
-        return self._memoized(("is_mono", _xmap_key(m)), self._is_mono, m)
+        return memo(self._memo, ("is_mono", _xmap_key(m)), self._is_mono, m)
 
     def _is_mono(self, m: XMap) -> tuple[bool, int | None]:
         for z in range(len(self.summands)):
@@ -564,8 +500,8 @@ class SubcategoryX:
         """Evaluation map from a sum of summands hitting every morphism
         X_i -> a; with minimize, blocks factoring through the rest are
         dropped greedily."""
-        xobj, maps = self._memoized(("right_approximation", minimize, _module_key(a)),
-                                    self._right_approximation, a, minimize)
+        xobj, maps = memo(self._memo, ("right_approximation", minimize, _module_key(a)),
+                          self._right_approximation, a, minimize)
         return xobj, ModuleMorphism._of_reduced(xobj.rep, a, maps)
 
     def _right_approximation(self, a: Representation, minimize: bool):
@@ -626,8 +562,8 @@ class SubcategoryX:
     # -- weak kernels / cokernels ------------------------------------------------
 
     def weak_kernel(self, m: XMap, minimize: bool = True) -> XMap:
-        return self._memoized(("weak_kernel", minimize, _xmap_key(m)),
-                              self._weak_kernel, m, minimize)
+        return memo(self._memo, ("weak_kernel", minimize, _xmap_key(m)),
+                    self._weak_kernel, m, minimize)
 
     def _weak_kernel(self, m: XMap, minimize: bool) -> XMap:
         k, incl = rep.kernel(m.mor)
@@ -645,8 +581,8 @@ class SubcategoryX:
         """Is w: W -> src(m) a weak kernel of m? (image of Hom(X, w) equals
         kernel of Hom(X, m) at every summand).  The info dict is the
         caller's own copy."""
-        ok, info = self._memoized(("is_weak_kernel", _xmap_key(w), _xmap_key(m)),
-                                  self._is_weak_kernel, w, m)
+        ok, info = memo(self._memo, ("is_weak_kernel", _xmap_key(w), _xmap_key(m)),
+                        self._is_weak_kernel, w, m)
         return ok, None if info is None else dict(info)
 
     def _is_weak_kernel(self, w: XMap, m: XMap) -> tuple[bool, dict | None]:
@@ -743,18 +679,11 @@ class SubcategoryX:
 
 def _resolution_data(a: Representation) -> dict:
     """Resolution data of a, shared by every module equal to a in content:
-    the store, keyed by `_module_key`, lives on a's algebra."""
-    store = getattr(a.algebra, "_resolutions", None)
-    if store is None:
-        store = a.algebra._resolutions = {}  # type: ignore[attr-defined]
-    key = _module_key(a)
-    data = store.get(key)
-    if data is None:
-        # "coboundaries": (b's _module_key, k) -> (columns, rank) of
-        # Hom(d_k, b), filled by ext_dim
-        data = store[key] = {"terms": [a], "covers": [], "parts": [], "diffs": [],
-                             "coboundaries": {}}
-    return data
+    it is kept in the memo of a's algebra, keyed by `_module_key`.
+    "coboundaries": (b's _module_key, k) -> (columns, rank) of Hom(d_k, b),
+    filled by ext_dim."""
+    return memo(a.algebra._memo, ("resolution", _module_key(a)), lambda: {
+        "terms": [a], "covers": [], "parts": [], "diffs": [], "coboundaries": {}})
 
 
 def extend_resolution(a: Representation, length: int) -> dict:

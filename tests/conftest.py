@@ -21,6 +21,11 @@ def make_x(alg, parts):
     return subcat.SubcategoryX(alg, rep.direct_sum(alg, parts)[0], summands=parts)
 
 
+def projectives(alg):
+    """The indecomposable projectives, one per vertex."""
+    return [rep.projective(alg, v) for v in range(alg.quiver.num_vertices)]
+
+
 @pytest.fixture(scope="session")
 def a2(field):
     q = Quiver(["1", "2"], [("a", "1", "2")])

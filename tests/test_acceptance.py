@@ -31,6 +31,8 @@ import pytest
 from tiltbench import algebra_ops, axioms, functors as fun, jobspec
 from tiltbench import rep, report, subcat
 
+from conftest import projectives
+
 # entries whose fixed module is not a generator-cogenerator yet has an
 # endomorphism algebra of dominant dimension >= 2 (see module docstring)
 CONVERSE_GAP = {"nakayama_a3_rad2_regular_only"}
@@ -99,7 +101,7 @@ def test_2_generator_cogenerator_matches_dominant_dimension(fresh, corpus, capsy
         job = fresh(name)
         alg, x = job.algebra, job.x
         nverts = len(alg.quiver.vertices)
-        gen_cogen = (all(x.contains(p) for p in rep.regular_parts(alg))
+        gen_cogen = (all(x.contains(p) for p in projectives(alg))
                      and all(x.contains(rep.injective(alg, v))
                              for v in range(nverts)))
         domdim = algebra_ops.dominant_dimension(

@@ -138,6 +138,15 @@ class TestJsonReport:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["name"] == "cli-probe"
 
+    def test_out_path_not_writable(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "report.json"
+        rc = cli.main(["check", write_job(tmp_path), "--trials", "20", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write") and "Traceback" not in captured.err
+        assert not out.parent.exists()
+
 
 class TestSeedPrecedence:
     def run_seed(self, tmp_path, capsys, *extra, **over):
@@ -168,10 +177,11 @@ class TestSeedPrecedence:
         assert self.run_seed(tmp_path, capsys, options={"seed": 9}) == 9
 
     def test_bad_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TILTBENCH_SEED", "many")
-        rc = cli.main(["check", write_job(tmp_path)])
-        assert rc == 2
-        assert "TILTBENCH_SEED" in capsys.readouterr().err
+        for bad in ("many", "-3"):
+            monkeypatch.setenv("TILTBENCH_SEED", bad)
+            rc = cli.main(["check", write_job(tmp_path)])
+            assert rc == 2, bad
+            assert "TILTBENCH_SEED" in capsys.readouterr().err
 
 
 class TestDisagreementRendering:

@@ -16,6 +16,8 @@ import pytest
 
 from tiltbench import jobspec, rep, report
 
+from conftest import projectives
+
 EXPECTED = {
     "hereditary_a3_proj_inj": ("fail", [
         ("A0", "certified-pass", None),
@@ -260,7 +262,7 @@ class TestDeclaredListsAreComplete:
     def test_closed_under_kernels_and_cokernels(self, realized):
         job, n = realized
         decl = job.declared
-        projs = rep.regular_parts(job.algebra)
+        projs = projectives(job.algebra)
         rng = np.random.default_rng(7)
         field = job.algebra.field
         seen_nonsplit = 0
@@ -270,7 +272,7 @@ class TestDeclaredListsAreComplete:
             basis = rep.hom_space(src, tgt)
             if not basis:
                 continue
-            coeffs = field.random_matrix(rng, 1, len(basis))[0]
+            coeffs = rng.integers(0, field.p, size=(1, len(basis)), dtype=np.int64)[0]
             mats = [sum(int(c) * b.maps[v] for c, b in zip(coeffs, basis)) % field.p
                     for v in range(n)]
             f = rep.ModuleMorphism(src, tgt, mats)

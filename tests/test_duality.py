@@ -192,6 +192,9 @@ def test_hom_dimensions_are_read_from_either_side(corpus, monkeypatch):
     x = corpus.fresh_x("hereditary_a3_proj_inj").x
     n = len(x.summands)
     op_bases = {(j, i): len(x.op.hom(j, i)) for i in range(n) for j in range(n)}
+    # x has built no basis of its own; op's sit in op's one store
+    assert not any(key[0] == "hom" for key in x._memo)
+    assert all(x.op._memo[("hom", j, i)] is x.op.hom(j, i) for j, i in op_bases)
     built = []
     real = rep.hom_space
     monkeypatch.setattr(rep, "hom_space", lambda a, b: built.append(a) or real(a, b))

@@ -8,7 +8,7 @@ from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import Quiver, build_algebra
 
-from conftest import CORPUS_DIR, corpus_paths, make_x
+from conftest import CORPUS_DIR, corpus_paths, make_x, projectives
 
 
 class TestExt:
@@ -117,17 +117,17 @@ def gamma_of(alg, parts):
 
 class TestAlgebraDimensions:
     def test_semisimple(self, semisimple2):
-        g = gamma_of(semisimple2, rep.regular_parts(semisimple2))
+        g = gamma_of(semisimple2, projectives(semisimple2))
         assert algebra_ops.global_dimension(g) == 0
         assert algebra_ops.dominant_dimension(g).kind == "infinite"
 
     def test_hereditary_a2(self, a2):
-        g = gamma_of(a2, rep.regular_parts(a2))  # End(Lambda) = Lambda^op
+        g = gamma_of(a2, projectives(a2))  # End(Lambda) = Lambda^op
         assert algebra_ops.global_dimension(g) == 1
         assert algebra_ops.dominant_dimension(g) == 1
 
     def test_a3_rad2_regular(self, a3rad2):
-        g = gamma_of(a3rad2, rep.regular_parts(a3rad2))
+        g = gamma_of(a3rad2, projectives(a3rad2))
         assert algebra_ops.global_dimension(g) == 2
         assert algebra_ops.dominant_dimension(g) == 2
 
@@ -145,7 +145,7 @@ class TestAlgebraDimensions:
         assert algebra_ops.dominant_dimension(g).ge(2)
 
     def test_module_dimensions(self, a3rad2):
-        g = gamma_of(a3rad2, rep.regular_parts(a3rad2))
+        g = gamma_of(a3rad2, projectives(a3rad2))
         for s in g.simples():
             assert algebra_ops.projective_dimension(s).le(2)
 
@@ -157,7 +157,7 @@ class TestAlgebraDimensions:
         assert pd.ge(8)
 
     def test_modules_are_representations(self, a3rad2):
-        g = gamma_of(a3rad2, rep.regular_parts(a3rad2) + [rep.simple(a3rad2, 0)])
+        g = gamma_of(a3rad2, projectives(a3rad2) + [rep.simple(a3rad2, 0)])
         assert g.quiver.num_vertices == 4
         assert len(g.quiver.arrows) == g.dim
         for m in g.projective_leaves() + g.simples():
@@ -172,7 +172,7 @@ class TestAlgebraDimensions:
                 == [(a.source, a.target) for a in g.opposite.quiver.arrows])
 
     def test_dimensions_computed_once(self, a3rad2):
-        g = gamma_of(a3rad2, rep.regular_parts(a3rad2))
+        g = gamma_of(a3rad2, projectives(a3rad2))
         for fn in (algebra_ops.global_dimension, algebra_ops.dominant_dimension,
                    algebra_ops.selfinjective_dimensions):
             assert fn(g, cap=6) is fn(g, cap=6)
@@ -239,7 +239,7 @@ class TestSummandNormalization:
         assert verdicts(dup) == verdicts(plain)
 
     def test_given_indecomposables_keep_their_objects(self, a3rad2):
-        parts = rep.regular_parts(a3rad2)
+        parts = projectives(a3rad2)
         x = make_x(a3rad2, parts)
         assert all(s is p for s, p in zip(x.summands, parts))
 
@@ -268,13 +268,46 @@ def test_classifiers_share_one_gamma(a3rad2, monkeypatch):
 
     for name in ("global_dimension", "dominant_dimension", "selfinjective_dimensions"):
         monkeypatch.setattr(algebra_ops, name, recording(getattr(algebra_ops, name)))
-    x = make_x(a3rad2, rep.regular_parts(a3rad2) + [rep.simple(a3rad2, 0)])
+    x = make_x(a3rad2, projectives(a3rad2) + [rep.simple(a3rad2, 0)])
     axioms.classify_gen_cogen_ff(x, 5)
     axioms.classify_d_precluster(x, 1, 5)
     axioms.classify_d_cluster_tilting(x, 1, trials=5)
     axioms.replay_witness(x, {"kind": "gamma-dimensions"}, d=1)
     assert len(seen) >= 5
     assert all(g is x.endomorphism_algebra() for g in seen)
+
+
+def orthogonal_by_pairs(g, ids):
+    """Reference: e_i * e_j against e_i or 0, one product per pair."""
+    zero = np.zeros_like(ids[0])
+    return all(np.array_equal(np.einsum("i,j,ijk->k", e, f, g.table) % g.field.p,
+                              e if i == j else zero)
+               for i, e in enumerate(ids) for j, f in enumerate(ids))
+
+
+def test_gamma_rejects_perturbed_idempotents(corpus):
+    g = corpus.fresh_x("nakayama_a3_rad2_bimodule").x.endomorphism_algebra()
+    F, ids = g.field, g.idempotents
+    assert len(ids) >= 2
+    nudged = ids[0].copy()
+    nudged[np.flatnonzero(ids[1])[0]] = 1
+    cases = {"valid": ids,
+             # idempotent, but e_1 (e_0 + e_1) = e_1
+             "sum of two": [(ids[0] + ids[1]) % F.p] + ids[1:],
+             "not idempotent": [2 * ids[0] % F.p] + ids[1:],
+             "one entry moved": [nudged] + ids[1:],
+             # orthogonal to every e_i, but the sum misses e_0
+             "zero": [0 * ids[0]] + ids[1:]}
+    for name, perturbed in cases.items():
+        if not orthogonal_by_pairs(g, perturbed):
+            with pytest.raises(ValueError, match="idempotents are not orthogonal"):
+                algebra_ops.AbstractAlgebra(F, g.table, g.unit, perturbed)
+        elif name != "valid":
+            with pytest.raises(ValueError, match="idempotents do not sum to the unit"):
+                algebra_ops.AbstractAlgebra(F, g.table, g.unit, perturbed)
+        else:
+            algebra_ops.AbstractAlgebra(F, g.table, g.unit, perturbed)
+    assert [orthogonal_by_pairs(g, c) for c in cases.values()] == [True, False, False, False, True]
 
 
 def test_small_field_precondition():

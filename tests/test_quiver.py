@@ -1,7 +1,20 @@
 """Bound quiver algebras: path bases, relations, opposites."""
+import numpy as np
 import pytest
 
 from tiltbench.quiver import NotAdmissible, Quiver, build_algebra
+
+
+def arrow_position(alg, name):
+    """Basis index of the length-one path of an arrow."""
+    q = alg.quiver
+    a = q.arrow_index[name]
+    return alg.path_position[q.vertex_index[q.arrows[a].source], (a,)]
+
+
+def product(alg, x, y):
+    """x * y, read off the structure constants."""
+    return np.einsum("i,j,ijk->k", x, y, alg.table) % alg.field.p
 
 
 def test_quiver_validation():
@@ -67,28 +80,26 @@ def test_relations_must_be_parallel(field):
 def test_multiplication_follows_traversal_order(field):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     alg = build_algebra(q, [], field)
-    ia = next(i for i in range(alg.dim) if alg.basis_label(i) == "a")
-    ib = next(i for i in range(alg.dim) if alg.basis_label(i) == "b")
+    ia, ib = arrow_position(alg, "a"), arrow_position(alg, "b")
     ea = alg.field.zeros(alg.dim, 1)[:, 0]
     eb = ea.copy()
     ea[ia], eb[ib] = 1, 1
-    prod = alg.multiply(eb, ea)  # b after a: the length-2 path
+    prod = product(alg, eb, ea)  # b after a: the length-2 path
     assert prod.sum() == 1
     k = int(prod.argmax())
     assert alg.basis_source(k) == 0 and alg.basis_target(k) == 2
     # a after b starts where b ends and a does not: zero
-    assert not alg.multiply(ea, eb).any()
+    assert not product(alg, ea, eb).any()
 
 
 def test_relation_kills_path(field):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     alg = build_algebra(q, [[(1, ["a", "b"])]], field)
-    ia = next(i for i in range(alg.dim) if alg.basis_label(i) == "a")
-    ib = next(i for i in range(alg.dim) if alg.basis_label(i) == "b")
+    ia, ib = arrow_position(alg, "a"), arrow_position(alg, "b")
     ea = alg.field.zeros(alg.dim, 1)[:, 0]
     eb = ea.copy()
     ea[ia], eb[ib] = 1, 1
-    assert not alg.multiply(eb, ea).any()
+    assert not product(alg, eb, ea).any()
 
 
 def test_opposite_is_involution(a3rad2):
@@ -106,5 +117,5 @@ def test_unit_is_identity(a2):
     for i in range(a2.dim):
         e = a2.field.zeros(a2.dim, 1)[:, 0]
         e[i] = 1
-        assert a2.multiply(one, e).tolist() == e.tolist()
-        assert a2.multiply(e, one).tolist() == e.tolist()
+        assert product(a2, one, e).tolist() == e.tolist()
+        assert product(a2, e, one).tolist() == e.tolist()

@@ -163,7 +163,7 @@ class TestXMapPlumbing:
     def test_negate(self, a2, x_a2):
         cover = rep.projective_cover(rep.simple(a2, 0))[0]
         f = as_xmap(x_a2, cover)
-        assert f.mor.add(subcat.negate_xmap(f).mor).is_zero
+        assert f.mor.add(f.mor.scale(-1)).is_zero
 
     def test_objects_are_interned(self, x_a2):
         assert x_a2.obj((0, 2)) is x_a2.obj([0, 2])
@@ -266,7 +266,7 @@ class TestMemo:
 
     def test_weak_kernel_arrays_are_read_only(self, a2, x_a2):
         f = x_a2.identity(x_a2.obj((0,)))
-        w = x_a2.weak_kernel(subcat.negate_xmap(f))
+        w = x_a2.weak_kernel(subcat.XMap(f.src, f.dst, f.mor.scale(-1)))
         assert all(not t.flags.writeable for t in w.mor.maps)
 
     def test_embed_hit_ends_at_the_module_passed_in(self, a2, monkeypatch):
@@ -357,12 +357,9 @@ class TestEmptyBlocks:
         real = subcat.SubcategoryX.post_matrix
 
         def counted(self, m, z):
-            before = (len(keys), len(self._memo))
+            before = len(keys)
             mat = real(self, m, z)
-            if mat.size == 0:
-                empty.append((before, (len(keys), len(self._memo)), mat))
-            else:
-                full.append(mat)
+            (full if mat.size else empty).append((self, z, m, before, len(keys), mat))
             return mat
         monkeypatch.setattr(subcat.SubcategoryX, "post_matrix", counted)
 
@@ -374,9 +371,15 @@ class TestEmptyBlocks:
 
         assert eliminated and all(r * c for r, c in eliminated)
         assert empty and full
-        for before, after, mat in empty:
-            assert after == before  # no _xmap_key call, no memo entry
+        for *_, before, after, mat in empty:
+            assert after == before  # no _xmap_key call
             assert not mat.flags.writeable
+        # each side's memo holds a post_matrix key for every non-empty block
+        # asked of it and for nothing else
+        for side in (x, x.op):
+            stored = {key for key in side._memo if key[0] == "post_matrix"}
+            assert stored == {("post_matrix", z, real_key(m))
+                              for s, z, m, *_ in full if s is side}
 
     def test_empty_blocks_match_the_general_routine(self, a2):
         # over 1 -> 2: Hom(P1, P2) = 0, so the inclusion P2 -> P1 has an
