@@ -8,12 +8,13 @@ e_i = id_{M_i}, and each basis element lies in one block
 e_j Gamma e_i = Hom(M_i, M_j).  A Gamma-module N is then a representation of
 the block quiver, with the space e_i N at vertex i and one arrow i -> j per
 basis element of e_j Gamma e_i (the Peirce decomposition; Assem-Simson-
-Skowronski, Elements vol. 1, ch. I-III).  Gamma-modules are therefore plain
-`rep.Representation`s, and their kernels, cokernels, direct sums and duals
-are rep's.  What stays here is Gamma's own resolution algorithm, kept apart
-from rep's so that the two routes to a verdict stay independent: the
-projectives Gamma e_i read off the structure constants, the radical read
-block by block, and a greedy projective cover with its certificates.
+Skowronski, Elements vol. 1, ch. I-III).  Gamma is a `quiver.Algebra` like
+Lambda, with the same opposite (the transposed table), so Gamma-modules are
+plain `rep.Representation`s, and their kernels, cokernels, direct sums and
+duals, and the projectives Gamma e_i, are rep's.  What stays here is
+Gamma's own resolution algorithm, kept apart from rep's so that the two
+routes to a verdict stay independent: the radical read block by block, and
+a greedy projective cover with its certificates.
 
 Resolution-length answers come back as DimBound values: exact, "at least n"
 (a resolution passed the configured cap while still alive), or infinite (a
@@ -28,7 +29,7 @@ import numpy as np
 
 from tiltbench import fitting, rep
 from tiltbench.linalg import PrimeField, memo
-from tiltbench.quiver import Quiver
+from tiltbench.quiver import Algebra, Quiver
 from tiltbench.rep import ModuleMorphism, Representation
 
 
@@ -90,73 +91,56 @@ class DimBound:
         return {"kind": self.kind, "value": self.value}
 
 
-class AbstractAlgebra:
+class AbstractAlgebra(Algebra):
     """Basic associative unital algebra from structure constants, with its
     block quiver.
 
-    table[i, j, k] is the coefficient of basis element k in b_i * b_j.
     idempotents is a complete set of primitive orthogonal idempotents e_i
     (coordinate vectors summing to the unit) whose projectives A*e_i are
     pairwise non-isomorphic.  Every basis element must lie in a single block
     e_j A e_i (ValueError otherwise); it becomes the arrow i -> j of
-    `quiver`, and `blocks[i, j]` lists the basis elements of that block.
-    The opposite algebra shares the idempotents and reverses the quiver.
+    `quiver`, named b<k> for basis element k, and `blocks[i, j]` lists the
+    basis elements of that block.  The opposite keeps the basis and the
+    idempotents.
     """
 
     def __init__(self, field: PrimeField, table: np.ndarray, unit: np.ndarray,
                  idempotents: list[np.ndarray]):
-        self.field = field
-        self.table = np.asarray(table, dtype=np.int64) % field.p
-        self.dim = self.table.shape[0]
-        if self.table.shape != (self.dim, self.dim, self.dim):
+        table = np.asarray(table, dtype=np.int64) % field.p
+        dim = table.shape[0]
+        if table.shape != (dim, dim, dim):
             raise ValueError("structure constants must be a cube")
-        self.unit = np.asarray(unit, dtype=np.int64) % field.p
+        unit = np.asarray(unit, dtype=np.int64) % field.p
         self.idempotents = [np.asarray(e, dtype=np.int64) % field.p for e in idempotents]
         n = len(self.idempotents)
         ids = np.stack(self.idempotents)
         # right[i, k] = b_k * e_i and left[j, k] = e_j * b_k, as coordinates
-        right = np.einsum("ib,kbc->ikc", ids, self.table) % field.p
-        left = np.einsum("ja,akc->jkc", ids, self.table) % field.p
+        right = np.einsum("ib,kbc->ikc", ids, table) % field.p
+        left = np.einsum("ja,akc->jkc", ids, table) % field.p
         # e_i * e_j = sum_k (e_j)_k (e_i * b_k), which is e_i when i = j, else 0
         products = np.einsum("jk,ikc->ijc", ids, left) % field.p
         if not np.array_equal(products, np.eye(n, dtype=np.int64)[:, :, None] * ids):
             raise ValueError("idempotents are not orthogonal")
-        if not np.array_equal(sum(self.idempotents) % field.p, self.unit):
+        if not np.array_equal(sum(self.idempotents) % field.p, unit):
             raise ValueError("idempotents do not sum to the unit")
         # in_source[i, k]: b_k * e_i = b_k; in_target[j, k]: e_j * b_k = b_k
-        eye = np.eye(self.dim, dtype=np.int64)
+        eye = np.eye(dim, dtype=np.int64)
         in_source = (right == eye).all(axis=2)
         in_target = (left == eye).all(axis=2)
-        self.blocks: dict[tuple[int, int], list[int]] = {
-            (i, j): [] for i in range(n) for j in range(n)}
-        self.arrow_ends: list[tuple[int, int]] = []
-        for k in range(self.dim):
+        blocks: dict[tuple[int, int], list[int]] = {(i, j): [] for i in range(n) for j in range(n)}
+        arrows = []
+        for k in range(dim):
             src, dst = np.flatnonzero(in_source[:, k]), np.flatnonzero(in_target[:, k])
             if len(src) != 1 or len(dst) != 1:
                 raise ValueError(f"basis element {k} lies in no single block e_j A e_i")
-            self.blocks[int(src[0]), int(dst[0])].append(k)
-            self.arrow_ends.append((int(src[0]), int(dst[0])))
-        self.quiver = Quiver([str(i) for i in range(n)],
-                             [(f"b{k}", str(i), str(j))
-                              for k, (i, j) in enumerate(self.arrow_ends)])
-        self._opposite: AbstractAlgebra | None = None
-        self._radical: dict[tuple[int, int], np.ndarray] | None = None
-        self._leaves: list[Representation] | None = None
-        self._leaf_radicals: list[list[np.ndarray]] | None = None
-        self._simples: list[Representation] | None = None
-        # projective covers by module content, ("cover", module key) ->
-        # (source, read-only maps), and the results of the dimension
-        # functions, (function, cap) -> result; see `linalg.memo`
-        self._memo: dict[tuple, object] = {}
+            blocks[int(src[0]), int(dst[0])].append(k)
+            arrows.append((f"b{k}", str(src[0]), str(dst[0])))
+        super().__init__(field, Quiver([str(i) for i in range(n)], arrows), table, unit,
+                         blocks, list(range(dim)))
 
-    @property
-    def opposite(self) -> "AbstractAlgebra":
-        if self._opposite is None:
-            op = AbstractAlgebra(self.field, np.transpose(self.table, (1, 0, 2)).copy(),
-                                 self.unit.copy(), self.idempotents)
-            op._opposite = self
-            self._opposite = op
-        return self._opposite
+    def _reverse_into(self, op: "AbstractAlgebra") -> list[int]:
+        op.idempotents = self.idempotents
+        return list(range(self.dim))
 
     def radical_blocks(self) -> dict[tuple[int, int], np.ndarray]:
         """rad A block by block: for each (i, j), a column basis, in the
@@ -168,55 +152,44 @@ class AbstractAlgebra:
         ideal is certified nilpotent.  The opposite algebra has the same
         radical, with each block's ends swapped.
         """
+        return memo(self._memo, ("radical",), self._radical_blocks)
+
+    def _radical_blocks(self) -> dict[tuple[int, int], np.ndarray]:
         op = self._opposite
-        if self._radical is None and op is not None and op._radical is not None:
-            self._radical = {(j, i): r for (i, j), r in op._radical.items()}
-        if self._radical is None:
-            F = self.field
-            rad: dict[tuple[int, int], np.ndarray] = {}
-            cols = []
-            for (i, j), idx in self.blocks.items():
-                if i != j:
-                    rad[i, j] = np.eye(len(idx), dtype=np.int64)
-                else:
-                    rad[i, j] = fitting.radical_from_table(
-                        F, self.table[np.ix_(idx, idx, idx)], self.idempotents[i][idx])
-                full = np.zeros((self.dim, rad[i, j].shape[1]), dtype=np.int64)
-                full[idx] = rad[i, j]
-                cols.append(full)
-            fitting.certify_nilpotent(F, self.table, np.concatenate(cols, axis=1))
-            self._radical = rad
-        return self._radical
+        if op is not None and ("radical",) in op._memo:
+            return {(j, i): r for (i, j), r in op._memo["radical",].items()}
+        F = self.field
+        rad: dict[tuple[int, int], np.ndarray] = {}
+        cols = []
+        for (i, j), idx in self.blocks.items():
+            if i != j:
+                rad[i, j] = np.eye(len(idx), dtype=np.int64)
+            else:
+                rad[i, j] = fitting.radical_from_table(
+                    F, self.table[np.ix_(idx, idx, idx)], self.idempotents[i][idx])
+            full = np.zeros((self.dim, rad[i, j].shape[1]), dtype=np.int64)
+            full[idx] = rad[i, j]
+            cols.append(full)
+        fitting.certify_nilpotent(F, self.table, np.concatenate(cols, axis=1))
+        return rad
 
     # -- projectives and simples ---------------------------------------------
 
     def projective_leaves(self) -> list[Representation]:
-        """The indecomposable projectives A*e_i, one per idempotent: the space
-        at vertex j is the block e_j A e_i, and an arrow acts on it by left
-        multiplication."""
-        if self._leaves is None:
-            n = self.quiver.num_vertices
-            self._leaves = []
-            for i in range(n):
-                maps = [self.table[k][np.ix_(self.blocks[i, s], self.blocks[i, t])].T
-                        for k, (s, t) in enumerate(self.arrow_ends)]
-                self._leaves.append(Representation(
-                    self, [len(self.blocks[i, v]) for v in range(n)], maps))
-        return self._leaves
+        """The indecomposable projectives A*e_i, one per idempotent."""
+        return [rep.projective(self, i) for i in range(self.quiver.num_vertices)]
 
     def leaf_radicals(self) -> list[list[np.ndarray]]:
         """`radical_subspaces` of each projective leaf, in the same order."""
-        if self._leaf_radicals is None:
-            self._leaf_radicals = [radical_subspaces(leaf) for leaf in self.projective_leaves()]
-        return self._leaf_radicals
+        return memo(self._memo, ("leaf_radicals",), lambda: [
+            radical_subspaces(leaf) for leaf in self.projective_leaves()])
 
     def simples(self) -> list[Representation]:
         """The simple tops of the projective leaves, in the same order; they
         are pairwise non-isomorphic because the algebra is basic."""
-        if self._simples is None:
-            self._simples = [rep.quotient(leaf, rad)[0] for leaf, rad
-                             in zip(self.projective_leaves(), self.leaf_radicals())]
-        return self._simples
+        return memo(self._memo, ("simples",), lambda: [
+            rep.quotient(leaf, rad)[0]
+            for leaf, rad in zip(self.projective_leaves(), self.leaf_radicals())])
 
     def regular_module(self) -> Representation:
         return rep.sum_module(self, self.projective_leaves())

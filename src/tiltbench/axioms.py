@@ -25,11 +25,13 @@ never a property of the input.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from tiltbench import algebra_ops, rep, subcat
+from tiltbench.jobspec import SchemaError
 from tiltbench.linalg import memo
 from tiltbench.rep import ModuleMorphism, Representation
 from tiltbench.subcat import (SubcategoryX, XMap,
@@ -486,33 +488,25 @@ def check_A4d(x: SubcategoryX, d: int, trials: int = DEFAULT_TRIALS,
 
 
 def classify_gen_cogen_ff(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
-                          seed: int = DEFAULT_SEED, cap: int = 20,
-                          cross_check: bool = True) -> Verdict:
+                          seed: int = DEFAULT_SEED, cap: int = 20) -> Verdict:
     """Generating-cogenerating (functorial finiteness of add(M) is automatic).
 
     Certified by membership of all indecomposable projectives and injectives.
-    With cross_check, the dominant-dimension correspondence and the sampled
-    axioms A1 through A3op are recorded alongside for corpus-level
-    consistency tests; they never override the membership certificate.
+    The dominant-dimension correspondence and the sampled axioms A1 through
+    A3op are recorded alongside for corpus-level consistency tests; they
+    never override the membership certificate.
     """
     ok, wit = _gen_cogen_certificate(x)
-    details: dict = {}
-    if cross_check:
-        gamma = x.endomorphism_algebra()
-        domdim = algebra_ops.dominant_dimension(gamma, cap=cap)
-        axioms_pass = (check_A1_A1op(x, trials, seed).passed
-                       and check_A2_A2op(x, trials, seed).passed
-                       and check_A3_A3op(x, trials, seed).passed)
-        details = {"domdim": domdim.to_json(), "domdim_ge_2": domdim.ge(2),
-                   "sampled_axioms_pass": axioms_pass}
-        if ok and not domdim.ge(2):
-            details["morita_tachikawa_consistent"] = False
-        elif ok:
-            details["morita_tachikawa_consistent"] = True
-        if ok and not axioms_pass:
-            details["axioms_consistent"] = False
-        elif ok:
-            details["axioms_consistent"] = True
+    gamma = x.endomorphism_algebra()
+    domdim = algebra_ops.dominant_dimension(gamma, cap=cap)
+    axioms_pass = (check_A1_A1op(x, trials, seed).passed
+                   and check_A2_A2op(x, trials, seed).passed
+                   and check_A3_A3op(x, trials, seed).passed)
+    details = {"domdim": domdim.to_json(), "domdim_ge_2": domdim.ge(2),
+               "sampled_axioms_pass": axioms_pass}
+    if ok:
+        details["morita_tachikawa_consistent"] = domdim.ge(2)
+        details["axioms_consistent"] = axioms_pass
     if not ok:
         return Verdict("gen-cogen-ff", "fail", route="projective-injective-membership",
                        witness=wit, seed=seed, trials=trials, details=details)
@@ -775,6 +769,19 @@ def _perp_witness(x: SubcategoryX, d: int, a: Representation,
             "perp_detail": detail}
 
 
+def _check_declared_list_complete(x: SubcategoryX, d: int, trials: int, seed: int) -> None:
+    """Sweep the generated test modules where the declared list found no
+    witness against a failing certificate: a witness here means the list
+    misses an indecomposable, an input error naming the module."""
+    for a, desc in generate_test_modules(x, trials, seed):
+        if (_coresolution_witness(x, d, a, desc) or _resolution_witness(x, d, a, desc)
+                or _perp_witness(x, d, a, desc)):
+            raise SchemaError("declared_indecomposables",
+                              "not every indecomposable module is listed: the generated "
+                              f"test module {json.dumps(desc)} contradicts d = {d} while "
+                              "no listed module does")
+
+
 def classify_d_cluster_tilting(x: SubcategoryX, d: int,
                                declared_indecomposables: list[Representation] | None = None,
                                trials: int = DEFAULT_TRIALS,
@@ -827,6 +834,7 @@ def classify_d_cluster_tilting(x: SubcategoryX, d: int,
             {"routes": routes, "gamma": dims_json,
              "lemma_witness": lemma_wit, "perp_witness": perp_wit, "d": d})
     if not cert_ok and declared and lemma_wit is None and perp_wit is None:
+        _check_declared_list_complete(x, d, trials, seed)
         raise RouteDisagreement(
             "certificate fails but the full indecomposable sweep passes",
             {"routes": routes, "gamma": dims_json, "d": d})
@@ -899,17 +907,17 @@ def _directed_morphisms(x: SubcategoryX, mods) -> list[XMap]:
 
 def classify_d_abelian(x: SubcategoryX, d: int, trials: int = DEFAULT_TRIALS,
                        seed: int = DEFAULT_SEED,
-                       declared_indecomposables: list[Representation] | None = None,
-                       cross_check: bool = True) -> Verdict:
+                       declared_indecomposables: list[Representation] | None = None
+                       ) -> Verdict:
     """Intrinsic conjunction: idempotent completeness, weak (co)kernels, the
     epi/mono axioms, the pushout axioms, the rigidity ladder, and existence
     of d-kernels and d-cokernels on sampled morphisms.
 
-    With cross_check, the verdict is compared against the d-cluster-tilting
-    classifier; for generating cogenerating add(M) the two are
-    theorem-equivalent and disagreement raises.  Without that hypothesis the
-    intrinsic category may be d-abelian with a different ambient, so only
-    the intrinsic verdict is reported.
+    The verdict is compared against the d-cluster-tilting classifier; for
+    generating cogenerating add(M) the two are theorem-equivalent and
+    disagreement raises.  Without that hypothesis the intrinsic category
+    may be d-abelian with a different ambient, so only the intrinsic
+    verdict is reported.
 
     The d-kernel/d-cokernel legs use the canonical construction (iterated
     weak kernels ending in the representation-level kernel, and dually),
@@ -945,27 +953,25 @@ def classify_d_abelian(x: SubcategoryX, d: int, trials: int = DEFAULT_TRIALS,
     verdict = Verdict(f"{d}-abelian", "fail" if witness else "sampled-pass",
                       route="axiom-conjunction", witness=witness,
                       seed=seed, trials=trials, details=details)
-    if cross_check:
-        ct = classify_d_cluster_tilting(x, d, declared_indecomposables,
-                                        trials, seed)
-        details["cluster_tilting_status"] = ct.status
-        gen_cogen, _ = _gen_cogen_certificate(x)
-        details["cross_check_binding"] = gen_cogen
-        # under gen-cogen the two classes coincide, but only one direction is
-        # checkable without a sampling gap: a concrete axiom counterexample
-        # against a certified cluster-tilting pass is a tool bug, whereas a
-        # sample that finds no counterexample on a fail entry is recorded,
-        # not raised
-        if gen_cogen and ct.passed and not verdict.passed:
-            raise RouteDisagreement(
-                "d-abelian axioms and the d-cluster-tilting classifier "
-                "disagree on a generating-cogenerating subcategory",
-                {"abelian": verdict.to_json(), "cluster_tilting": ct.to_json(),
-                 "d": d})
-        if gen_cogen and not ct.passed and verdict.passed:
-            details["cross_check_note"] = ("cluster-tilting fails but no "
-                                           "abelian counterexample surfaced "
-                                           "in the sample")
+    ct = classify_d_cluster_tilting(x, d, declared_indecomposables, trials, seed)
+    details["cluster_tilting_status"] = ct.status
+    gen_cogen, _ = _gen_cogen_certificate(x)
+    details["cross_check_binding"] = gen_cogen
+    # under gen-cogen the two classes coincide, but only one direction is
+    # checkable without a sampling gap: a concrete axiom counterexample
+    # against a certified cluster-tilting pass is a tool bug, whereas a
+    # sample that finds no counterexample on a fail entry is recorded, not
+    # raised
+    if gen_cogen and ct.passed and not verdict.passed:
+        raise RouteDisagreement(
+            "d-abelian axioms and the d-cluster-tilting classifier "
+            "disagree on a generating-cogenerating subcategory",
+            {"abelian": verdict.to_json(), "cluster_tilting": ct.to_json(),
+             "d": d})
+    if gen_cogen and not ct.passed and verdict.passed:
+        details["cross_check_note"] = ("cluster-tilting fails but no "
+                                       "abelian counterexample surfaced "
+                                       "in the sample")
     return verdict
 
 

@@ -7,9 +7,13 @@
 Seed precedence: --seed, then the job file's options.seed, then the
 TILTBENCH_SEED environment variable, then 42.
 
+--max-path-len and --resolution-cap replace the job file's options from
+ingest on, before the job is first realized.
+
 Exit codes: 0 all checks passed, 1 some check failed, 2 input error
-(including a negative integer flag or TILTBENCH_SEED, and an --out path
-that cannot be written), 3 a bug in the tool worth reporting:
+(including a negative integer flag or TILTBENCH_SEED, an --out path that
+cannot be written, and a declared_indecomposables list that a generated
+test module shows to be incomplete), 3 a bug in the tool worth reporting:
 an internal route disagreement, or any other exception escaping the run,
 which prints "internal error" and its traceback on stderr.
 """
@@ -73,11 +77,9 @@ def _resolve_seed(args, spec) -> int | None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = ingest(args.job)
-        if args.max_path_len is not None:
-            spec.options["max_path_len"] = args.max_path_len
-        if args.resolution_cap is not None:
-            spec.options["resolution_cap"] = args.resolution_cap
+        overrides = {"max_path_len": args.max_path_len,
+                     "resolution_cap": args.resolution_cap}
+        spec = ingest(args.job, {k: v for k, v in overrides.items() if v is not None})
         seed = _resolve_seed(args, spec)
         rpt = report_mod.run(spec, seed=seed, trials=args.trials)
     except FileNotFoundError as e:

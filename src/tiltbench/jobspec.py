@@ -308,14 +308,16 @@ def parse(data: dict, name: str = "<job>") -> JobSpec:
                    raw=data)
 
 
-def ingest(path: str) -> JobSpec:
-    """Parse and validate a job file; summand constructions are resolved
-    eagerly so unresolvable references fail here, not mid-run."""
+def ingest(path: str, options: dict | None = None) -> JobSpec:
+    """Parse and validate a job file; options (the command line's
+    overrides) replace the file's, and then summand constructions are
+    resolved eagerly, so unresolvable references fail here, not mid-run."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"line {e.lineno}", f"invalid JSON: {e.msg}") from None
     spec = parse(data, name=str(path))
+    spec.options.update(options or {})
     spec.realize()
     return spec

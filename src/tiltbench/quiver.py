@@ -11,15 +11,21 @@ reduced with longer (then lexicographically larger) paths eliminated in
 favour of shorter ones.  The build certifies that rad^L is contained in the
 ideal for some L <= max_path_len; otherwise the ideal cannot be confirmed
 admissible at this bound and NotAdmissible is raised.
+
+`Algebra` is the structure a bound quiver algebra shares with End(M)
+(`algebra_ops.AbstractAlgebra`): structure constants, quiver, unit, Peirce
+blocks, the basis index of each arrow, one memo, and the opposite, which is
+the transposed table over the reversed quiver; no algebra is built twice.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from tiltbench.linalg import PrimeField, memo
+from tiltbench.linalg import PrimeField
 
 _PATH_CAP = 20000
 _ROW_CAP = 200000
@@ -81,106 +87,124 @@ def _path_sort_key(quiver: Quiver, path: Path):
     return (len(arrows), tuple(quiver.arrows[i].name for i in arrows), src)
 
 
-class BoundQuiverAlgebra:
-    """Finite-dimensional quotient of a path algebra, with multiplication table.
+class Algebra:
+    """A basic finite-dimensional algebra A over a prime field, with its
+    quiver: what Lambda = kQ/I (`BoundQuiverAlgebra`) and Gamma = End(M)
+    (`algebra_ops.AbstractAlgebra`) share, and what `rep` reads of both.
 
     Attributes:
+        table: structure constants, table[i, j, k] = coefficient of basis
+            element k in the product (basis i) * (basis j).
+        quiver: one vertex per primitive idempotent e_v; each arrow is a
+            basis element (Lambda: its length-one path; Gamma: every basis
+            element), and `arrow_basis[a]` is the basis index of arrow a.
+        unit: coordinates of 1 = sum of the e_v.
+        blocks: blocks[s, t] lists the basis indices of e_t A e_s, in basis
+            order, so the projective A e_s is the sum over t of these blocks
+            (`rep.projective`).
+
+    `opposite` is A^op: the same structure constants with the factors
+    swapped, over the reversed quiver (Assem-Simson-Skowronski, Elements
+    vol. 1, ch. II).  Its basis is this one, reordered as a subclass says
+    (`_reverse_into`); the two algebras link both ways.  Each algebra keeps
+    its cached results (projectives, resolutions, Gamma's covers and
+    dimensions) in one dict, `_memo`, filled through `linalg.memo`.
+    """
+
+    def __init__(self, field: PrimeField, quiver: Quiver, table: np.ndarray, unit: np.ndarray,
+                 blocks: dict[tuple[int, int], list[int]], arrow_basis: list[int]):
+        self.field = field
+        self.quiver = quiver
+        self.table = table
+        self.dim = table.shape[0]
+        self.unit = unit
+        self.blocks = blocks
+        self.arrow_basis = arrow_basis
+        self._opposite: Algebra | None = None
+        self._opposite_basis: np.ndarray | None = None  # see _link_opposite
+        self._memo: dict[tuple, object] = {}
+
+    def _reverse_into(self, op: "Algebra") -> list[int]:
+        """Give op, the opposite under construction, the attributes of this
+        kind of algebra, and return op's basis as indices of this basis."""
+        raise NotImplementedError
+
+    @property
+    def opposite(self) -> "Algebra":
+        if self._opposite is None:
+            self._link_opposite()
+        return self._opposite
+
+    def _link_opposite(self) -> None:
+        """Build the opposite and link the two; `_opposite_basis` holds, on
+        each side, the other's basis as indices of its own."""
+        op = object.__new__(type(self))
+        order = np.asarray(self._reverse_into(op), dtype=np.int64)
+        at = np.argsort(order)  # at[k]: the index in op of basis element k
+        Algebra.__init__(
+            op, self.field, self.quiver.reversed(),
+            self.table.transpose(1, 0, 2)[np.ix_(order, order, order)], self.unit[order],
+            {(t, s): sorted(int(at[k]) for k in idx) for (s, t), idx in self.blocks.items()},
+            [int(at[k]) for k in self.arrow_basis])
+        self._opposite, self._opposite_basis = op, order
+        op._opposite, op._opposite_basis = self, at
+
+    def to_opposite(self, elem: np.ndarray) -> np.ndarray:
+        """The coordinates of an element in the basis of `opposite`."""
+        if self._opposite is None:
+            self._link_opposite()
+        return elem[self._opposite_basis]
+
+
+class BoundQuiverAlgebra(Algebra):
+    """Finite-dimensional quotient kQ/I of a path algebra.
+
+    Attributes (beyond `Algebra`'s):
         basis_paths: residue paths spanning the algebra, sorted by
-            length-then-lexicographic order on arrow names.
-        table: structure constants, table[i, j, k] = coefficient of basis k
-            in the product (basis i) * (basis j).
+            `_path_sort_key` (length, then arrow names, then source).
+        relations: the generators of I, each a list of (coefficient, arrow
+            index tuple) terms.
         radical_length: certified L with rad^L contained in the ideal.
+
+    The opposite's basis is these paths read backwards, sorted by the same
+    key on the reversed quiver.  For a monomial ideal that is exactly the
+    basis `build_algebra` picks for the reversed relations; otherwise it is
+    still a basis of the opposite, though `build_algebra` may keep a
+    different path of a relation.
     """
 
     def __init__(self, quiver: Quiver, field: PrimeField, basis_paths: list[Path],
-                 table: np.ndarray, radical_length: int, relations, max_path_len: int):
-        self.quiver = quiver
-        self.field = field
+                 table: np.ndarray, radical_length: int, relations):
         self.basis_paths = basis_paths
-        self.table = table
         self.radical_length = radical_length
         self.relations = relations
-        self.max_path_len = max_path_len
-        self.dim = len(basis_paths)
-        self.path_position = {p: i for i, p in enumerate(basis_paths)}
-        self.trivial_positions = [self.path_position[(v, ())] for v in range(quiver.num_vertices)]
-        self._opposite: BoundQuiverAlgebra | None = None
-        self._reverse_map: np.ndarray | None = None
-        # ("left_mult", arrow) -> arrow_left_mult, ("projective", vertex) ->
-        # rep.projective, ("resolution", module key) -> resolution data of
-        # subcat's Ext and transpose; see `linalg.memo`
-        self._memo: dict[tuple, object] = {}
+        nv = quiver.num_vertices
+        blocks: dict[tuple[int, int], list[int]] = {(s, t): [] for s in range(nv)
+                                                    for t in range(nv)}
+        for k, path in enumerate(basis_paths):
+            blocks[path[0], path_target(quiver, path)].append(k)
+        unit = np.zeros(len(basis_paths), dtype=np.int64)
+        unit[[self.path_position[v, ()] for v in range(nv)]] = 1
+        super().__init__(field, quiver, table, unit, blocks,
+                         [self.path_position[quiver.vertex_index[a.source], (i,)]
+                          for i, a in enumerate(quiver.arrows)])
 
-    # -- structure ----------------------------------------------------------
+    @functools.cached_property
+    def path_position(self) -> dict[Path, int]:
+        return {p: i for i, p in enumerate(self.basis_paths)}
 
-    def unit(self) -> np.ndarray:
-        u = np.zeros(self.dim, dtype=np.int64)
-        for t in self.trivial_positions:
-            u[t] = 1
-        return u
-
-    def arrow_left_mult(self, arrow_idx: int) -> np.ndarray:
-        """Matrix of left multiplication by an arrow on the path basis."""
-        source = self.quiver.vertex_index[self.quiver.arrows[arrow_idx].source]
-        return memo(self._memo, ("left_mult", arrow_idx),
-                    lambda: self.table[self.path_position[source, (arrow_idx,)]].T.copy())
-
-    def basis_source(self, i: int) -> int:
-        return self.basis_paths[i][0]
-
-    def basis_target(self, i: int) -> int:
-        return path_target(self.quiver, self.basis_paths[i])
+    def _reverse_into(self, op: "BoundQuiverAlgebra") -> list[int]:
+        paths = [(path_target(self.quiver, p), p[1][::-1]) for p in self.basis_paths]
+        # the key reads arrow names, which the reversed quiver keeps
+        order = sorted(range(self.dim), key=lambda k: _path_sort_key(self.quiver, paths[k]))
+        op.basis_paths = [paths[k] for k in order]
+        op.relations = [[(c, arrows[::-1]) for c, arrows in rel] for rel in self.relations]
+        op.radical_length = self.radical_length
+        return order
 
     def __repr__(self) -> str:
         return (f"BoundQuiverAlgebra(dim={self.dim}, vertices={len(self.quiver.vertices)}, "
                 f"arrows={len(self.quiver.arrows)}, p={self.field.p})")
-
-    # -- opposite side -------------------------------------------------------
-
-    @property
-    def opposite(self) -> "BoundQuiverAlgebra":
-        if self._opposite is None:
-            rev_relations = [[(c, list(reversed(names))) for c, names in rel]
-                             for rel in self._relation_names()]
-            op = build_algebra(self.quiver.reversed(), rev_relations, self.field,
-                               self.max_path_len)
-            if op.dim != self.dim:
-                raise NotAdmissible("opposite algebra dimension mismatch; raise max_path_len")
-            op._opposite = self
-            self._opposite = op
-        return self._opposite
-
-    def _relation_names(self):
-        out = []
-        for rel in self.relations:
-            out.append([(c, [self.quiver.arrows[i].name for i in arrows]) for c, arrows in rel])
-        return out
-
-    def reverse_path_map(self) -> np.ndarray:
-        """Matrix sending basis-path coordinates to coordinates of the
-        reversed paths in the opposite algebra's basis."""
-        if self._reverse_map is None:
-            op = self.opposite
-            m = np.zeros((op.dim, self.dim), dtype=np.int64)
-            for i, (src, arrows) in enumerate(self.basis_paths):
-                tgt = path_target(self.quiver, (src, arrows))
-                rev = (tgt, tuple(reversed(arrows)))
-                m[:, i] = op.normal_form_path(rev)
-            self._reverse_map = m
-        return self._reverse_map
-
-    def normal_form_path(self, path: Path) -> np.ndarray:
-        """Coordinates of an arbitrary path (arrows composable) in the basis."""
-        src, arrows = path
-        vec = np.zeros(self.dim, dtype=np.int64)
-        if not arrows:
-            vec[self.path_position[(src, ())]] = 1
-            return vec
-        cur = np.zeros(self.dim, dtype=np.int64)
-        cur[self.path_position[(src, ())]] = 1
-        for a in arrows:
-            cur = (self.arrow_left_mult(a) @ cur) % self.field.p
-        return cur
 
 
 def build_algebra(quiver: Quiver, relations, field: PrimeField,
@@ -331,4 +355,4 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField,
                             "non-homogeneous relations need a larger max_path_len")
 
     return BoundQuiverAlgebra(quiver, field, basis, table, rad_len,
-                              [[(c, a) for c, a in terms] for terms in rels], max_path_len)
+                              [[(c, a) for c, a in terms] for terms in rels])

@@ -19,11 +19,11 @@ import numpy as np
 
 from tiltbench import fitting
 from tiltbench.linalg import PrimeField, memo
-from tiltbench.quiver import BoundQuiverAlgebra, Path
+from tiltbench.quiver import Algebra, Path
 
 
 class Representation:
-    def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, check: bool = False):
+    def __init__(self, algebra: Algebra, dims, maps, check: bool = False):
         self.algebra = algebra
         self.dims = np.asarray(dims, dtype=np.int64)
         if self.dims.shape != (algebra.quiver.num_vertices,):
@@ -341,7 +341,7 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def sum_module(algebra: BoundQuiverAlgebra, parts: list[Representation]) -> Representation:
+def sum_module(algebra: Algebra, parts: list[Representation]) -> Representation:
     """The direct sum module alone, arrow matrices block diagonal in the
     order of parts."""
     dims = np.zeros(algebra.quiver.num_vertices, dtype=np.int64)
@@ -351,7 +351,7 @@ def sum_module(algebra: BoundQuiverAlgebra, parts: list[Representation]) -> Repr
                                           for i in range(len(algebra.quiver.arrows))])
 
 
-def direct_sum(algebra: BoundQuiverAlgebra, parts: list[Representation]
+def direct_sum(algebra: Algebra, parts: list[Representation]
                ) -> tuple[Representation, list[ModuleMorphism], list[ModuleMorphism]]:
     """Direct sum with inclusions and projections."""
     nv = algebra.quiver.num_vertices
@@ -373,16 +373,12 @@ def direct_sum(algebra: BoundQuiverAlgebra, parts: list[Representation]
     return total, incls, projs
 
 
-def zero_rep(algebra: BoundQuiverAlgebra) -> Representation:
-    nv = algebra.quiver.num_vertices
-    dims = [0] * nv
-    maps = []
-    for a in algebra.quiver.arrows:
-        maps.append(np.zeros((0, 0), dtype=np.int64))
-    return Representation(algebra, dims, maps)
+def zero_rep(algebra: Algebra) -> Representation:
+    return Representation(algebra, [0] * algebra.quiver.num_vertices,
+                          [np.zeros((0, 0), dtype=np.int64)] * len(algebra.quiver.arrows))
 
 
-def simple(algebra: BoundQuiverAlgebra, v: int) -> Representation:
+def simple(algebra: Algebra, v: int) -> Representation:
     nv = algebra.quiver.num_vertices
     dims = [1 if w == v else 0 for w in range(nv)]
     maps = []
@@ -393,36 +389,25 @@ def simple(algebra: BoundQuiverAlgebra, v: int) -> Representation:
     return Representation(algebra, dims, maps)
 
 
-def projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
-    """Indecomposable projective at a vertex: paths out of v, arrows acting
-    by path extension.  Built once per (algebra, vertex) and kept in the
+def projective(algebra: Algebra, v: int) -> Representation:
+    """The indecomposable projective A e_v: the space at w is e_w A e_v, with
+    basis `algebra.blocks[v, w]`, and an arrow acts by left multiplication
+    by its basis element.  Built once per (algebra, vertex) and kept in the
     algebra's memo, its arrow matrices read-only."""
     return memo(algebra._memo, ("projective", v), _projective, algebra, v)
 
 
-def _projective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
+def _projective(algebra: Algebra, v: int) -> Representation:
     qv = algebra.quiver
-    nv = qv.num_vertices
-    idx = [i for i in range(algebra.dim) if algebra.basis_source(i) == v]
-    by_vertex: list[list[int]] = [[] for _ in range(nv)]
-    for i in idx:
-        by_vertex[algebra.basis_target(i)].append(i)
-    dims = [len(b) for b in by_vertex]
+    rows = [algebra.blocks[v, w] for w in range(qv.num_vertices)]
     maps = []
-    for ai, a in enumerate(qv.arrows):
+    for k, a in zip(algebra.arrow_basis, qv.arrows):
         s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
-        L = algebra.arrow_left_mult(ai)
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-        for cj, j in enumerate(by_vertex[s]):
-            colv = L[:, j]
-            for ri, i in enumerate(by_vertex[t]):
-                m[ri, cj] = colv[i]
-        maps.append(m)
-    rep = Representation(algebra, dims, maps)
-    for m in rep.maps:
+        maps.append(algebra.table[k][np.ix_(rows[s], rows[t])].T)
+    proj = Representation(algebra, [len(r) for r in rows], maps)
+    for m in proj.maps:
         m.setflags(write=False)
-    rep._basis_index = by_vertex  # type: ignore[attr-defined]
-    return rep
+    return proj
 
 
 def dualize(m: Representation) -> Representation:
@@ -438,7 +423,7 @@ def dualize_morphism(f: ModuleMorphism) -> ModuleMorphism:
                           [mm.T.copy() for mm in f.maps])
 
 
-def injective(algebra: BoundQuiverAlgebra, v: int) -> Representation:
+def injective(algebra: Algebra, v: int) -> Representation:
     """Indecomposable injective at a vertex, as the dual of the opposite
     projective."""
     return dualize(projective(algebra.opposite, v))
@@ -487,11 +472,9 @@ def projective_cover(m: Representation) -> tuple[ModuleMorphism, list[int]]:
     comp_maps = [np.zeros((int(m.dims[v]), int(total.dims[v])), dtype=np.int64)
                  for v in range(len(m.dims))]
     col_off = np.zeros(len(m.dims), dtype=np.int64)
-    for part_i, (v, gen) in enumerate(zip(verts, targets)):
-        p_rep = parts[part_i]
-        by_vertex = p_rep._basis_index  # type: ignore[attr-defined]
+    for v, gen, p_rep in zip(verts, targets, parts):
         for w in range(len(m.dims)):
-            for local, bpos in enumerate(by_vertex[w]):
+            for local, bpos in enumerate(m.algebra.blocks[v, w]):
                 act = m.path_action(m.algebra.basis_paths[bpos])
                 comp_maps[w][:, int(col_off[w]) + local] = (act @ gen) % F.p
         col_off += p_rep.dims

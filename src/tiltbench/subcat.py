@@ -57,6 +57,8 @@ class XObject:
     def __init__(self, subcat: "SubcategoryX", parts: tuple[int, ...]):
         self.subcat = subcat
         self.parts = tuple(parts)
+        # dim Hom(X_z, self) by z, filled by SubcategoryX.hom_dim
+        self.hom_dims: list[int | None] = [None] * len(subcat.summands)
 
     @functools.cached_property
     def _realize(self) -> tuple[Representation, list[ModuleMorphism], list[ModuleMorphism]]:
@@ -160,13 +162,14 @@ class SubcategoryX:
     Everything it caches lives in one dict, `_memo`, filled through
     `linalg.memo` under keys that start with the name of what they hold:
     the X-objects, the summand hom bases with their stacks and solvers, the
-    hom bases and solvers between X-objects, the hom dimensions, End(M),
-    the morphisms of `axioms.sample_morphisms`, and, keyed by content so the sampled checks of one job share them, weak
-    kernels, the matrices of Hom(X_z, f), the weak-kernel and mono tests,
-    right approximations and embeddings; a module-keyed result is rebuilt
-    to end at the caller's module.  Empty Hom(X_z, f) blocks are not
-    memoized: they are answered from the hom dimensions
-    dim Hom(X_z, X_parts), which also let the tests skip every z with
+    hom bases and solvers between X-objects, End(M), the morphisms of
+    `axioms.sample_morphisms`, and, keyed by content so the sampled checks
+    of one job share them, weak kernels, the matrices of Hom(X_z, f), the
+    weak-kernel and mono tests, right approximations and embeddings; a
+    module-keyed result is rebuilt to end at the caller's module.  Empty
+    Hom(X_z, f) blocks are not memoized: they are answered from the hom
+    dimensions dim Hom(X_z, X_parts), which each X-object keeps
+    (`hom_dim`), and which also let the tests skip every z with
     Hom(X_z, source) = 0.  Entries live as long as the subcategory and
     their arrays are read-only.
     """
@@ -364,13 +367,13 @@ class SubcategoryX:
     # -- hom coordinates for X-objects ------------------------------------------
 
     def hom_dim(self, z: int, x: XObject) -> int:
-        """dim Hom(X_z, x)."""
-        return self._dim_from(z, x.parts)
-
-    def _dim_from(self, z: int, parts: tuple[int, ...]) -> int:
-        """dim Hom(X_z, X_parts)."""
-        return memo(self._memo, ("dim", z, parts),
-                    lambda: sum(self._summand_dim(z, i) for i in parts))
+        """dim Hom(X_z, x), kept on x from its first use: the sampled tests
+        read it for every z, several times, so it is a list lookup there,
+        not a memo call."""
+        d = x.hom_dims[z]
+        if d is None:
+            d = x.hom_dims[z] = sum(self._summand_dim(z, i) for i in x.parts)
+        return d
 
     def _summand_dim(self, i: int, j: int) -> int:
         """dim Hom(X_i, X_j), read off the basis of Hom(D X_j, D X_i) when
@@ -390,7 +393,7 @@ class SubcategoryX:
     def post_matrix(self, m: XMap, z: int) -> np.ndarray:
         """Matrix of Hom(X_z, m): Hom(X_z, src) -> Hom(X_z, dst).  An empty
         block is answered from the hom dimensions, before the memo."""
-        rows, cols = self._dim_from(z, m.dst.parts), self._dim_from(z, m.src.parts)
+        rows, cols = self.hom_dim(z, m.dst), self.hom_dim(z, m.src)
         if not rows or not cols:
             return self._empty_block(rows, cols)
         return memo(self._memo, ("post_matrix", z, _xmap_key(m)), self._post_matrix, m, z)
@@ -403,7 +406,7 @@ class SubcategoryX:
         and dp-th target parts and m_{dp,sp} is m's component between them;
         coordinates in a basis are unique, so the blocks are exact."""
         p = self.field.p
-        mat = np.zeros((self._dim_from(z, m.dst.parts), self._dim_from(z, m.src.parts)),
+        mat = np.zeros((self.hom_dim(z, m.dst), self.hom_dim(z, m.src)),
                        dtype=np.int64)
         verts = [v for v, d in enumerate(self.summands[z].dims) if d]
         so, do = m.src.offsets, m.dst.offsets
@@ -488,7 +491,7 @@ class SubcategoryX:
 
     def _is_mono(self, m: XMap) -> tuple[bool, int | None]:
         for z in range(len(self.summands)):
-            if not self._dim_from(z, m.src.parts):
+            if not self.hom_dim(z, m.src):
                 continue  # a map out of the zero space is injective
             mat = self.post_matrix(m, z)
             if self.field.nullspace(mat).shape[1]:
@@ -589,7 +592,7 @@ class SubcategoryX:
         if not m.mor.compose(w.mor).is_zero:
             return False, {"reason": "composite-nonzero"}
         for z in range(len(self.summands)):
-            if not self._dim_from(z, m.src.parts):
+            if not self.hom_dim(z, m.src):
                 continue  # both ranks are 0: Hom(X_z, src m) = 0
             mw = self.post_matrix(w, z)
             mm = self.post_matrix(m, z)
@@ -708,26 +711,18 @@ def _gen_positions(algebra: BoundQuiverAlgebra, verts: list[int]) -> list[tuple[
     nv = algebra.quiver.num_vertices
     offs = [0] * nv
     out = []
-    proto = {}
-    for v in set(verts):
-        proto[v] = rep.projective(algebra, v)
     for v in verts:
-        p = proto[v]
-        by_vertex = p._basis_index  # type: ignore[attr-defined]
-        triv = algebra.path_position[(v, ())]
-        local = by_vertex[v].index(triv)
-        out.append((v, offs[v] + local))
+        out.append((v, offs[v] + algebra.blocks[v, v].index(algebra.path_position[v, ()])))
         for w in range(nv):
-            offs[w] += int(p.dims[w])
+            offs[w] += len(algebra.blocks[v, w])
     return out
 
 
-def _path_actions(b: Representation) -> list[np.ndarray]:
-    acts = getattr(b, "_path_actions", None)
-    if acts is None:
-        acts = [b.path_action(p) for p in b.algebra.basis_paths]
-        b._path_actions = acts  # type: ignore[attr-defined]
-    return acts
+def _path_actions(b: Representation) -> tuple[np.ndarray, ...]:
+    """The matrix of each basis path acting on b, kept in the memo of b's
+    algebra by b's content, read-only."""
+    return memo(b.algebra._memo, ("path_actions", _module_key(b)), lambda: _read_only(
+        [b.path_action(p) for p in b.algebra.basis_paths]))
 
 
 def _hom_complex_diff(diff: ModuleMorphism, parts_hi: list[int],
@@ -739,11 +734,9 @@ def _hom_complex_diff(diff: ModuleMorphism, parts_hi: list[int],
     acts = _path_actions(b)
     nv = algebra.quiver.num_vertices
     per_vertex: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    proto = {v: rep.projective(algebra, v) for v in set(parts_lo)}
     for pi, v in enumerate(parts_lo):
-        by_vertex = proto[v]._basis_index  # type: ignore[attr-defined]
         for w in range(nv):
-            for g in by_vertex[w]:
+            for g in algebra.blocks[v, w]:
                 per_vertex[w].append((pi, g))
     row_off = np.concatenate([[0], np.cumsum([int(b.dims[v]) for v in parts_hi])])
     col_off = np.concatenate([[0], np.cumsum([int(b.dims[v]) for v in parts_lo])])
@@ -801,12 +794,11 @@ def _yoneda_right_mult(algebra: BoundQuiverAlgebra, elem: np.ndarray,
     rm = np.einsum("j,ljk->kl", elem % F.p, algebra.table) % F.p
     p_src = rep.projective(algebra, src_vertex)
     p_tgt = rep.projective(algebra, tgt_vertex)
-    bs = p_src._basis_index  # type: ignore[attr-defined]
-    bt = p_tgt._basis_index  # type: ignore[attr-defined]
     maps = []
     for w in range(algebra.quiver.num_vertices):
-        maps.append(rm[np.ix_(bs[w], bt[w])] if bs[w] and bt[w]
-                    else np.zeros((len(bs[w]), len(bt[w])), dtype=np.int64))
+        bs, bt = algebra.blocks[src_vertex, w], algebra.blocks[tgt_vertex, w]
+        maps.append(rm[np.ix_(bs, bt)] if bs and bt
+                    else np.zeros((len(bs), len(bt)), dtype=np.int64))
     return ModuleMorphism(p_tgt, p_src, maps)
 
 
@@ -816,14 +808,9 @@ def transpose(a: Representation) -> Representation:
     straight into the translate."""
     algebra = a.algebra
     op = algebra.opposite
-    F = algebra.field
     diff, parts1, parts0 = _min_presentation(a)
     if not parts0:
         return rep.zero_rep(op)
-    rmap = algebra.reverse_path_map()
-    p0 = [rep.projective(algebra, v) for v in parts0]
-    # extract the algebra element of each block of the presentation
-    gens1 = _gen_positions(algebra, parts1)
 
     def offsets(mods):
         """Per-vertex offset of each module in their direct sum."""
@@ -834,20 +821,11 @@ def transpose(a: Representation) -> Representation:
             run += m.dims
         return offs
 
-    offs0 = offsets(p0)
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for j, (vj, coord) in enumerate(gens1):
-        x = diff.maps[vj][:, coord]
-        for i, vi in enumerate(parts0):
-            pi = p0[i]
-            bi = pi._basis_index  # type: ignore[attr-defined]
-            lo = int(offs0[i][vj])
-            elem = np.zeros(algebra.dim, dtype=np.int64)
-            for local, g in enumerate(bi[vj]):
-                elem[g] = x[lo + local]
-            blocks[(j, i)] = elem  # element of e_{vj} A e_{vi}
-    # assemble the dual map between opposite projectives: block (j, i)
-    # lands once, at the offsets of source part i and target part j
+    # the dual map between opposite projectives: block (j, i) is right
+    # multiplication by the element of e_{vj} A e_{vi} that the presentation
+    # sends generator j to, read in part i, written once at the offsets of
+    # source part i and target part j
+    offs0 = offsets([rep.projective(algebra, v) for v in parts0])
     src_parts = [rep.projective(op, v) for v in parts0]
     dst_parts = [rep.projective(op, v) for v in parts1]
     src_total = rep.sum_module(op, src_parts)
@@ -855,14 +833,18 @@ def transpose(a: Representation) -> Representation:
     col_offs, row_offs = offsets(src_parts), offsets(dst_parts)
     maps = [np.zeros((int(r), int(c)), dtype=np.int64)
             for r, c in zip(dst_total.dims, src_total.dims)]
-    for (j, i), elem in blocks.items():
-        if not elem.any():
-            continue
-        op_elem = (rmap @ elem) % F.p
-        block = _yoneda_right_mult(op, op_elem, parts1[j], parts0[i])
-        for w, bw in enumerate(block.maps):
-            r, c = int(row_offs[j][w]), int(col_offs[i][w])
-            maps[w][r:r + bw.shape[0], c:c + bw.shape[1]] = bw
+    for j, (vj, coord) in enumerate(_gen_positions(algebra, parts1)):
+        for i, vi in enumerate(parts0):
+            idx = algebra.blocks[vi, vj]
+            lo = int(offs0[i][vj])
+            elem = np.zeros(algebra.dim, dtype=np.int64)
+            elem[idx] = diff.maps[vj][lo:lo + len(idx), coord]
+            if not elem.any():
+                continue
+            block = _yoneda_right_mult(op, algebra.to_opposite(elem), parts1[j], parts0[i])
+            for w, bw in enumerate(block.maps):
+                r, c = int(row_offs[j][w]), int(col_offs[i][w])
+                maps[w][r:r + bw.shape[0], c:c + bw.shape[1]] = bw
     c, _ = rep.cokernel(ModuleMorphism(src_total, dst_total, maps))
     return c
 

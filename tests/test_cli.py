@@ -101,6 +101,40 @@ class TestExitCodes:
         assert "result: pass" in capsys.readouterr().out
 
 
+class TestInputErrorsFoundDuringChecks:
+    KX = {"characteristic": 101, "quiver": {"vertices": ["1"], "arrows": [["x", "1", "1"]]}}
+
+    def test_max_path_len_flag_applies_at_ingest(self, tmp_path, capsys):
+        # x^13 = 0 needs paths of length 13; the default bound is 12
+        path = write_job(tmp_path, **self.KX, relations=[[[1, ["x"] * 13]]],
+                         module=["regular"], checks=[])
+        assert cli.main(["check", path]) == report.EXIT_INPUT_ERROR
+        assert "max_path_len is too small" in capsys.readouterr().err
+        assert cli.main(["check", path, "--max-path-len", "14"]) == 0
+        assert "result: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["d-cluster-tilting", "d-abelian"])
+    def test_incomplete_declared_list(self, tmp_path, capsys, check):
+        # over k[x]/(x^3), add(Λ ⊕ S) misses k[x]/(x^2), the syzygy of S
+        parts = ["regular", {"simple": "1"}]
+        path = write_job(tmp_path, **self.KX, relations=[[[1, ["x"] * 3]]], module=parts,
+                         declared_indecomposables=parts, checks=[{"check": check, "d": 1}])
+        assert cli.main(["check", path]) == report.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: declared_indecomposables: ")
+        assert '{"kind": "syzygy-of-summand", "index": 1}' in err
+        assert "Traceback" not in err
+
+    def test_complete_declared_list_still_decides(self, tmp_path, capsys):
+        # with k[x]/(x^2) declared too, the list is mod Λ and the sweep fails d = 1
+        parts = ["regular", {"simple": "1"}]
+        path = write_job(tmp_path, **self.KX, relations=[[[1, ["x"] * 3]]], module=parts,
+                         declared_indecomposables=parts + [{"syzygy": {"simple": "1"}}],
+                         checks=[{"check": "d-cluster-tilting", "d": 1}])
+        assert cli.main(["check", path]) == 1
+        assert "result: fail" in capsys.readouterr().out
+
+
 class TestJsonReport:
     def run_json(self, tmp_path, capsys, *extra, **over):
         rc = cli.main(["check", write_job(tmp_path, **over),

@@ -6,7 +6,7 @@ from tiltbench import algebra_ops, axioms, jobspec, report, rep, subcat
 from tiltbench.algebra_ops import DimBound
 from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.linalg import PrimeField
-from tiltbench.quiver import Quiver, build_algebra
+from tiltbench.quiver import Quiver, build_algebra, path_target
 
 from conftest import CORPUS_DIR, corpus_paths, make_x, projectives
 
@@ -327,6 +327,22 @@ def _realize(name):
     return jobspec.ingest(CORPUS_DIR / f"{name}.json").realize().x
 
 
+def _reverse_path_map(algebra):
+    """Matrix sending basis-path coordinates to the coordinates, in the
+    opposite's basis, of the reversed paths, each multiplied out arrow by
+    arrow in the opposite's table.  Kept as the reference for the
+    permutation `to_opposite` applies."""
+    op = algebra.opposite
+    m = np.zeros((op.dim, algebra.dim), dtype=np.int64)
+    for i, (src, arrows) in enumerate(algebra.basis_paths):
+        cur = np.zeros(op.dim, dtype=np.int64)
+        cur[op.path_position[path_target(algebra.quiver, (src, arrows)), ()]] = 1
+        for a in reversed(arrows):
+            cur = (op.table[op.arrow_basis[a]].T @ cur) % op.field.p
+        m[:, i] = cur
+    return m
+
+
 def _transpose_by_inclusions(a):
     """The transpose assembled as a sum over the blocks of the presentation
     of inclusion o block o projection between the opposite projectives.
@@ -338,7 +354,7 @@ def _transpose_by_inclusions(a):
     diff, parts1, parts0 = subcat._min_presentation(a)
     if not parts0:
         return rep.zero_rep(op)
-    rmap = algebra.reverse_path_map()
+    rmap = _reverse_path_map(algebra)
     p0 = [rep.projective(algebra, v) for v in parts0]
     offs0, run = [], np.zeros(algebra.quiver.num_vertices, dtype=np.int64)
     for p in p0:
@@ -349,10 +365,10 @@ def _transpose_by_inclusions(a):
     g = rep.zero_morphism(src_total, dst_total)
     for j, (vj, coord) in enumerate(subcat._gen_positions(algebra, parts1)):
         x = diff.maps[vj][:, coord]
-        for i, pi in enumerate(p0):
+        for i, vi in enumerate(parts0):
             elem = np.zeros(algebra.dim, dtype=np.int64)
             lo = int(offs0[i][vj])
-            for local, gpos in enumerate(pi._basis_index[vj]):
+            for local, gpos in enumerate(algebra.blocks[vi, vj]):
                 elem[gpos] = x[lo + local]
             if not elem.any():
                 continue

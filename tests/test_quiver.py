@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
+from tiltbench import jobspec, quiver, rep
+from tiltbench.linalg import PrimeField
 from tiltbench.quiver import NotAdmissible, Quiver, build_algebra
+
+from conftest import corpus_paths
 
 
 def arrow_position(alg, name):
@@ -87,7 +91,7 @@ def test_multiplication_follows_traversal_order(field):
     prod = product(alg, eb, ea)  # b after a: the length-2 path
     assert prod.sum() == 1
     k = int(prod.argmax())
-    assert alg.basis_source(k) == 0 and alg.basis_target(k) == 2
+    assert alg.blocks[0, 2] == [k]  # the one basis element of e_2 A e_0
     # a after b starts where b ends and a does not: zero
     assert not product(alg, ea, eb).any()
 
@@ -106,16 +110,115 @@ def test_opposite_is_involution(a3rad2):
     op = a3rad2.opposite
     assert op.dim == a3rad2.dim
     assert op.opposite is a3rad2
-    # arrows reverse direction
-    for i in range(a3rad2.dim):
-        assert a3rad2.basis_source(i) == op.basis_target(i)
-        assert a3rad2.basis_target(i) == op.basis_source(i)
+    # arrows reverse direction, and so does every block e_t A e_s
+    for a, b in zip(a3rad2.quiver.arrows, op.quiver.arrows):
+        assert (a.name, a.source, a.target) == (b.name, b.target, b.source)
+    for (s, t), idx in a3rad2.blocks.items():
+        assert len(op.blocks[t, s]) == len(idx)
 
 
 def test_unit_is_identity(a2):
-    one = a2.unit()
+    one = a2.unit
     for i in range(a2.dim):
         e = a2.field.zeros(a2.dim, 1)[:, 0]
         e[i] = 1
         assert product(a2, one, e).tolist() == e.tolist()
         assert product(a2, e, one).tolist() == e.tolist()
+
+
+# -- the opposite: the transposed table against a rebuild on the reversed quiver
+
+
+def rebuilt_opposite(alg):
+    """The opposite as `build_algebra` makes it from the reversed quiver and
+    the reversed relations, at the default bound every algebra here was
+    built at: the reference for `opposite`, which reverses the basis paths
+    and transposes the table instead."""
+    q = alg.quiver
+    names = [[(c, [q.arrows[i].name for i in reversed(arrows)]) for c, arrows in rel]
+             for rel in alg.relations]
+    return build_algebra(q.reversed(), names, alg.field)
+
+
+def rad2_linear(n, field):
+    """kA_n/rad^2."""
+    q = Quiver([str(i) for i in range(1, n + 1)],
+               [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)])
+    return build_algebra(q, [[(1, [f"a{i}", f"a{i + 1}"])] for i in range(1, n - 1)], field)
+
+
+def truncated(n, field):
+    return build_algebra(Quiver(["*"], [("x", "*", "*")]), [[(1, ["x"] * n)]], field)
+
+
+def corpus_algebras():
+    for path in corpus_paths():
+        spec = jobspec.ingest(path)
+        rels = [[(c, list(names)) for c, names in rel] for rel in spec.relations]
+        yield path.stem, build_algebra(Quiver(spec.vertices, spec.arrows), rels,
+                                       PrimeField(spec.characteristic),
+                                       spec.option("max_path_len"))
+
+
+@pytest.fixture(scope="module")
+def rebuild_cases(field, a2, kx2, kx3, a3rad2, a4rad2, hereditary_a3, semisimple2):
+    algs = {"a2": a2, "kx2": kx2, "kx3": kx3, "a3rad2": a3rad2, "a4rad2": a4rad2,
+            "hereditary_a3": hereditary_a3, "semisimple2": semisimple2}
+    algs.update(corpus_algebras())
+    algs.update({f"k[x]/(x^{n})": truncated(n, field) for n in (2, 3, 4, 8)})
+    algs.update({f"kA_{n}/rad^2": rad2_linear(n, field) for n in (5, 7, 8, 9, 25)})
+    algs["branching"] = build_algebra(
+        Quiver(["1", "2", "3", "4", "5"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4"), ("e", "5", "2")]),
+        [], field)
+    algs["ab=cd square"] = build_algebra(
+        Quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]),
+        [[(1, ["a", "b"]), (-1, ["c", "d"])]], field)
+    return algs
+
+
+def test_opposite_equals_the_rebuild(rebuild_cases):
+    """Every monomial algebra here, and one square whose reversed basis is
+    the one build_algebra keeps."""
+    for name, alg in rebuild_cases.items():
+        op, ref = alg.opposite, rebuilt_opposite(alg)
+        assert op.opposite is alg, name
+        assert op.basis_paths == ref.basis_paths, name
+        assert np.array_equal(op.table, ref.table), name
+        assert op.relations == ref.relations, name
+        assert op.radical_length == ref.radical_length, name
+        assert op.blocks == ref.blocks, name
+        assert op.arrow_basis == ref.arrow_basis and np.array_equal(op.unit, ref.unit), name
+
+
+def test_non_monomial_opposite_is_an_algebra(field):
+    """On ad = bc the rebuild keeps c*b where the reversal keeps d*a; the
+    transposed table is still the opposite algebra."""
+    q = Quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("d", "2", "4"), ("b", "1", "3"), ("c", "3", "4")])
+    alg = build_algebra(q, [[(1, ["a", "d"]), (-1, ["b", "c"])]], field)
+    op = alg.opposite
+    assert op.opposite is alg
+    assert op.basis_paths != rebuilt_opposite(alg).basis_paths
+    t, p = op.table, field.p
+    assert np.array_equal(np.einsum("ijm,mkl->ijkl", t, t) % p,
+                          np.einsum("jkm,iml->ijkl", t, t) % p)
+    for v in range(op.quiver.num_vertices):
+        rep.projective(op, v).check_relations()
+    for i in range(op.dim):
+        e = np.zeros(op.dim, dtype=np.int64)
+        e[i] = 1
+        assert product(op, op.unit, e).tolist() == e.tolist() == product(op, e, op.unit).tolist()
+
+
+def test_opposite_of_a_job_builds_no_algebra(monkeypatch):
+    # realize builds Λ through jobspec's own binding; only an opposite
+    # built through quiver's would be counted
+    calls = []
+    real = quiver.build_algebra
+    monkeypatch.setattr(quiver, "build_algebra", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for path in corpus_paths():
+        x = jobspec.ingest(path).realize().x
+        x.op
+    assert calls == []
