@@ -1,6 +1,6 @@
-"""Homological invariants of Gamma = End(M), with exact certificates:
-projectives, simples, projective covers, syzygies, and the global, dominant
-and selfinjective dimensions.
+"""Homological invariants of Gamma = End(M), with exact certificates: the
+radical, and the projective, injective, global, dominant and selfinjective
+dimensions.
 
 Gamma is assembled from the hom blocks between the pairwise non-isomorphic
 indecomposable summands M_i of M, so it comes with its idempotents
@@ -10,11 +10,12 @@ the block quiver, with the space e_i N at vertex i and one arrow i -> j per
 basis element of e_j Gamma e_i (the Peirce decomposition; Assem-Simson-
 Skowronski, Elements vol. 1, ch. I-III).  Gamma is a `quiver.Algebra` like
 Lambda, with the same opposite (the transposed table), so Gamma-modules are
-plain `rep.Representation`s, and their kernels, cokernels, direct sums and
-duals, and the projectives Gamma e_i, are rep's.  What stays here is
-Gamma's own resolution algorithm, kept apart from rep's so that the two
-routes to a verdict stay independent: the radical read block by block, and
-a greedy projective cover with its certificates.
+plain `rep.Representation`s, and their projective covers, injective
+envelopes and (co)syzygies are rep's, the same code as over Lambda.  What
+stays Gamma's own is its radical: read block by block and certified
+nilpotent, independent of Lambda's, which its arrows generate.  Every cover
+is certified surjective with its kernel inside the radical, on either
+algebra.
 
 Resolution-length answers come back as DimBound values: exact, "at least n"
 (a resolution passed the configured cap while still alive), or infinite (a
@@ -30,7 +31,7 @@ import numpy as np
 from tiltbench import fitting, rep
 from tiltbench.linalg import PrimeField, memo
 from tiltbench.quiver import Algebra, Quiver
-from tiltbench.rep import ModuleMorphism, Representation
+from tiltbench.rep import Representation
 
 
 class DimBound:
@@ -142,6 +143,17 @@ class AbstractAlgebra(Algebra):
         op.idempotents = self.idempotents
         return list(range(self.dim))
 
+    @functools.cached_property
+    def basis_paths(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Basis element k as the one-arrow path b<k> from its source."""
+        return [(self.quiver.vertex_index[a.source], (k,))
+                for k, a in enumerate(self.quiver.arrows)]
+
+    def radical_generators(self) -> dict[tuple[int, int], np.ndarray]:
+        """The whole radical, `radical_blocks`: every basis element is an
+        arrow of the block quiver, radical or not."""
+        return self.radical_blocks()
+
     def radical_blocks(self) -> dict[tuple[int, int], np.ndarray]:
         """rad A block by block: for each (i, j), a column basis, in the
         coordinates of blocks[i, j], of rad A meet e_j A e_i.
@@ -173,135 +185,18 @@ class AbstractAlgebra(Algebra):
         fitting.certify_nilpotent(F, self.table, np.concatenate(cols, axis=1))
         return rad
 
-    # -- projectives and simples ---------------------------------------------
-
-    def projective_leaves(self) -> list[Representation]:
-        """The indecomposable projectives A*e_i, one per idempotent."""
-        return [rep.projective(self, i) for i in range(self.quiver.num_vertices)]
-
-    def leaf_radicals(self) -> list[list[np.ndarray]]:
-        """`radical_subspaces` of each projective leaf, in the same order."""
-        return memo(self._memo, ("leaf_radicals",), lambda: [
-            radical_subspaces(leaf) for leaf in self.projective_leaves()])
-
-    def simples(self) -> list[Representation]:
-        """The simple tops of the projective leaves, in the same order; they
-        are pairwise non-isomorphic because the algebra is basic."""
-        return memo(self._memo, ("simples",), lambda: [
-            rep.quotient(leaf, rad)[0]
-            for leaf, rad in zip(self.projective_leaves(), self.leaf_radicals())])
-
-    def regular_module(self) -> Representation:
-        return rep.sum_module(self, self.projective_leaves())
-
-
-def _block_action(m: Representation, i: int, j: int) -> np.ndarray:
-    """The basis elements of e_j A e_i acting on m, stacked into an array of
-    shape (block size, dim of m at j, dim of m at i)."""
-    idx = m.algebra.blocks[i, j]
-    return np.array([m.maps[k] for k in idx], dtype=np.int64).reshape(
-        len(idx), int(m.dims[j]), int(m.dims[i]))
-
-
-def _generated(m: Representation, i: int, j: int, u: np.ndarray) -> np.ndarray:
-    """e_j A e_i * u as columns, for u in the space of m at vertex i."""
-    return np.tensordot(_block_action(m, i, j), u, axes=([2], [0])).T % m.field.p
-
-
-def radical_subspaces(m: Representation) -> list[np.ndarray]:
-    """Per-vertex bases of rad(A) * m."""
-    F = m.field
-    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
-    for (i, j), r in m.algebra.radical_blocks().items():
-        if r.shape[1] and m.dims[i] and m.dims[j]:
-            acts = np.tensordot(r.T, _block_action(m, i, j), axes=1) % F.p
-            cols[j].append(np.concatenate(list(acts), axis=1))
-    return [F.column_reduce(np.concatenate(c, axis=1)) if c
-            else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
-
-
-def projective_cover(m: Representation) -> ModuleMorphism:
-    """Minimal projective cover, one leaf per generator.
-
-    Leaf by leaf, each basis vector u of e_i*m outside rad(m) plus the image
-    so far becomes a generator: the map A*e_i -> m, a |-> a*u, whose image
-    A*u adds one copy of the simple top of A*e_i to the covered part of
-    top(m).  Only the covered part at i grows: the rest of the lift,
-    e_j A e_i * u for j != i, lies in rad(A)*m, since a map between
-    non-isomorphic indecomposables is radical.  Certified surjective, with
-    its kernel inside the radical; the radical of the cover's source is
-    block diagonal in the radicals of its leaves, which the algebra keeps
-    (`leaf_radicals`).
-
-    Covers are kept on the algebra by the module's content (`rep.module_key`)
-    and rebuilt to end at the caller's m, so the resolutions of the
-    dimension functions share the modules they have in common.
-    """
-    source, maps = memo(m.algebra._memo, ("cover", rep.module_key(m)), _projective_cover, m)
-    return ModuleMorphism._of_reduced(source, m, maps)
-
-
-def _projective_cover(m: Representation) -> tuple[Representation, tuple[np.ndarray, ...]]:
-    alg = m.algebra
-    F = alg.field
-    covered = radical_subspaces(m)
-    picked: list[int] = []
-    gens: list[np.ndarray] = []
-    for i in range(len(m.dims)):
-        for u in np.eye(int(m.dims[i]), dtype=np.int64):
-            if F.column_space_contains(covered[i], u.reshape(-1, 1)):
-                continue
-            covered[i] = F.column_reduce(
-                np.concatenate([covered[i], _generated(m, i, i, u)], axis=1))
-            picked.append(i)
-            gens.append(u)
-    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
-    for i, u in zip(picked, gens):
-        for j in range(len(m.dims)):
-            cols[j].append(_generated(m, i, j, u))
-    leaves, leaf_rads = alg.projective_leaves(), alg.leaf_radicals()
-    source = rep.sum_module(alg, [leaves[i] for i in picked])
-    cover = ModuleMorphism(source, m,
-                           [np.concatenate(c, axis=1) if c
-                            else np.zeros((int(d), 0), dtype=np.int64)
-                            for c, d in zip(cols, m.dims)])
-    if not cover.is_surjective():
-        raise AssertionError("projective cover is not surjective")
-    for v, f in enumerate(cover.maps):
-        ker = F.nullspace(f)
-        if ker.shape[1] and not F.column_space_contains(
-                rep.block_diagonal([leaf_rads[i][v] for i in picked]), ker):
-            raise AssertionError("projective cover kernel escapes the radical")
-    for t in cover.maps:
-        t.setflags(write=False)
-    return source, tuple(cover.maps)
-
-
-def syzygy(m: Representation) -> Representation:
-    return rep.kernel(projective_cover(m))[0]
-
 
 def is_projective(m: Representation) -> bool:
     """dim m against the dimension of its projective cover, the sum over i
     of dim Gamma e_i times the multiplicity of its simple top in top(m)."""
     alg = m.algebra
-    rad = radical_subspaces(m)
+    rad = rep.radical_subspaces(m)
     cover_dim = 0
     for i, (leaf, leaf_rad) in enumerate(zip(alg.projective_leaves(), alg.leaf_radicals())):
         top_m = int(m.dims[i]) - rad[i].shape[1]
         top_leaf = int(leaf.dims[i]) - leaf_rad[i].shape[1]
         cover_dim += top_m // top_leaf * leaf.total_dim
     return cover_dim == m.total_dim
-
-
-def injective_envelope(m: Representation) -> ModuleMorphism:
-    """Envelope map, the dual of the cover of the dual module."""
-    cover = projective_cover(rep.dualize(m))
-    return ModuleMorphism(m, rep.dualize(cover.source), [f.T.copy() for f in cover.maps])
-
-
-def cosyzygy(m: Representation) -> Representation:
-    return rep.cokernel(injective_envelope(m))[0]
 
 
 def _resolution_length(m: Representation, step, cap: int) -> DimBound:
@@ -316,11 +211,11 @@ def _resolution_length(m: Representation, step, cap: int) -> DimBound:
 
 
 def projective_dimension(m: Representation, cap: int = 20) -> DimBound:
-    return _resolution_length(m, syzygy, cap)
+    return _resolution_length(m, rep.syzygy, cap)
 
 
 def injective_dimension(m: Representation, cap: int = 20) -> DimBound:
-    return _resolution_length(m, cosyzygy, cap)
+    return _resolution_length(m, rep.cosyzygy, cap)
 
 
 def _once_per_algebra(fn):
@@ -352,7 +247,7 @@ def dominant_dimension(alg: AbstractAlgebra, cap: int = 20) -> DimBound:
             return DimBound.at_least(cap + 1)
         if cur.is_zero:
             return DimBound.infinite()
-        env = injective_envelope(cur)
+        env = rep.injective_envelope(cur)[0]
         if not is_projective(env.target):
             return DimBound.exact(count)
         cur = rep.cokernel(env)[0]

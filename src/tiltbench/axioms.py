@@ -32,7 +32,7 @@ import numpy as np
 
 from tiltbench import algebra_ops, rep, subcat
 from tiltbench.jobspec import SchemaError
-from tiltbench.linalg import memo
+from tiltbench.linalg import memo, read_only
 from tiltbench.rep import ModuleMorphism, Representation
 from tiltbench.subcat import (SubcategoryX, XMap,
                               DCokernelNotRightExact, DKernelNotLeftExact,
@@ -155,7 +155,7 @@ def _sample_morphisms(x: SubcategoryX, trials: int, seed: int) -> tuple[XMap, ..
         coords = rng.integers(0, x.field.p, size=dim)
         out.append(XMap(src, dst, x.obj_from_coords(src, dst, coords)))
     for m in out:
-        subcat._read_only(m.mor.maps)
+        read_only(m.mor.maps)
     return tuple(out)
 
 

@@ -45,13 +45,14 @@ MEMO_CALL_CELLS = 4096
 MEMO_TOTAL_CELLS = 1 << 20
 
 
-def _read_only(value):
-    """value with its arrays made read-only in place (a tuple is walked)."""
+def read_only(value):
+    """value with its arrays made read-only in place, so that a memoized
+    result cannot be changed under a later caller; a list or tuple is
+    walked and comes back as a tuple."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
-    elif isinstance(value, tuple):
-        for v in value:
-            _read_only(v)
+    elif isinstance(value, (list, tuple)):
+        return tuple(read_only(v) for v in value)
     return value
 
 
@@ -107,7 +108,7 @@ def _memoized(fn):
             return memo[key]
         except KeyError:
             pass
-        value = _read_only(fn(self, *args))
+        value = read_only(fn(self, *args))
         cells += _cells(value)
         if self._memo_cells + cells > MEMO_TOTAL_CELLS:
             self.clear_memo()

@@ -14,8 +14,11 @@ admissible at this bound and NotAdmissible is raised.
 
 `Algebra` is the structure a bound quiver algebra shares with End(M)
 (`algebra_ops.AbstractAlgebra`): structure constants, quiver, unit, Peirce
-blocks, the basis index of each arrow, one memo, and the opposite, which is
-the transposed table over the reversed quiver; no algebra is built twice.
+blocks, the basis index of each arrow, each basis element as a path, what
+generates the radical, one memo, and the opposite, which is the transposed
+table over the reversed quiver; no algebra is built twice.  The projectives,
+their radicals and simple tops, and the regular module are `rep`'s, built
+once per algebra.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tiltbench.linalg import PrimeField
+from tiltbench.linalg import PrimeField, memo
 
 _PATH_CAP = 20000
 _ROW_CAP = 200000
@@ -102,13 +105,18 @@ class Algebra:
         blocks: blocks[s, t] lists the basis indices of e_t A e_s, in basis
             order, so the projective A e_s is the sum over t of these blocks
             (`rep.projective`).
+        basis_paths (from the subclass): each basis element as the path of
+            arrows whose product it is, so `rep.basis_actions` reads its
+            action on a module off the arrow matrices.
 
     `opposite` is A^op: the same structure constants with the factors
     swapped, over the reversed quiver (Assem-Simson-Skowronski, Elements
     vol. 1, ch. II).  Its basis is this one, reordered as a subclass says
     (`_reverse_into`); the two algebras link both ways.  Each algebra keeps
-    its cached results (projectives, resolutions, Gamma's covers and
-    dimensions) in one dict, `_memo`, filled through `linalg.memo`.
+    its cached results in one dict, `_memo`, filled through `linalg.memo`:
+    projectives, leaf radicals and simples, the basis actions, projective
+    covers and resolutions of modules by content, and Gamma's radical and
+    dimensions.
     """
 
     def __init__(self, field: PrimeField, quiver: Quiver, table: np.ndarray, unit: np.ndarray,
@@ -154,6 +162,45 @@ class Algebra:
         if self._opposite is None:
             self._link_opposite()
         return elem[self._opposite_basis]
+
+    def radical_generators(self) -> dict[tuple[int, int], np.ndarray]:
+        """Elements whose actions on any module m span rad(A)*m, by block:
+        for (s, t), columns in the coordinates of blocks[s, t].  Here the
+        arrows, since every path of length >= 1 ends in one; End(M), whose
+        block quiver has an arrow per basis element, gives its radical."""
+        return memo(self._memo, ("radical_generators",), self._arrow_generators)
+
+    def _arrow_generators(self) -> dict[tuple[int, int], np.ndarray]:
+        cols: dict[tuple[int, int], list[int]] = {}
+        for k, a in zip(self.arrow_basis, self.quiver.arrows):
+            st = self.quiver.vertex_index[a.source], self.quiver.vertex_index[a.target]
+            cols.setdefault(st, []).append(self.blocks[st].index(k))
+        return {st: np.eye(len(self.blocks[st]), dtype=np.int64)[:, c] for st, c in cols.items()}
+
+    # built by rep, which imports this module: each method imports rep
+
+    def projective_leaves(self) -> list:
+        """The indecomposable projectives A e_v, one per vertex."""
+        from tiltbench import rep
+        return [rep.projective(self, v) for v in range(self.quiver.num_vertices)]
+
+    def leaf_radicals(self) -> list[list[np.ndarray]]:
+        """`rep.radical_subspaces` of each projective leaf, in the same order."""
+        from tiltbench import rep
+        return memo(self._memo, ("leaf_radicals",), lambda: [
+            rep.radical_subspaces(leaf) for leaf in self.projective_leaves()])
+
+    def simples(self) -> list:
+        """The simple tops of the projective leaves, in the same order; they
+        are pairwise non-isomorphic because the algebra is basic."""
+        from tiltbench import rep
+        return memo(self._memo, ("simples",), lambda: [
+            rep.quotient(leaf, rad)[0]
+            for leaf, rad in zip(self.projective_leaves(), self.leaf_radicals())])
+
+    def regular_module(self):
+        from tiltbench import rep
+        return rep.sum_module(self, self.projective_leaves())
 
 
 class BoundQuiverAlgebra(Algebra):

@@ -1,12 +1,17 @@
-"""Finite-dimensional left modules over a bound quiver algebra.
+"""Finite-dimensional left modules over a basic algebra with a quiver.
 
 A module is stored as a representation of the quiver: one coordinate space
 per vertex and one matrix per arrow, with the matrix of an arrow a: v -> w
 mapping the space at v into the space at w.  Morphisms are per-vertex
-matrices commuting with the arrow action.  Modules over Gamma = End(M) use
-the same type, over the block quiver of `algebra_ops.AbstractAlgebra`: the
-kernels, cokernels, images, quotients, direct sums and duals here read only
-the algebra's quiver, field and opposite.
+matrices commuting with the arrow action.  Modules over Lambda = kQ/I and
+over Gamma = End(M) (the block quiver of `algebra_ops.AbstractAlgebra`) use
+the same type and the same code: kernels, cokernels, images, quotients,
+direct sums, duals, projectives, radicals, projective covers, injective
+envelopes and (co)syzygies read only what every `quiver.Algebra` gives.
+What stays independent per algebra is its radical, which the algebra
+generates (`Algebra.radical_generators`: Lambda's arrows, Gamma's certified
+radical); every cover is certified surjective with its kernel inside the
+radical of its source.
 
 Everything here is exact arithmetic over the algebra's prime field; kernels,
 cokernels and images come back together with the structure maps that witness
@@ -18,29 +23,42 @@ from __future__ import annotations
 import numpy as np
 
 from tiltbench import fitting
-from tiltbench.linalg import PrimeField, memo
-from tiltbench.quiver import Algebra, Path
+from tiltbench.linalg import PrimeField, memo, read_only
+from tiltbench.quiver import Algebra
 
 
 class Representation:
     def __init__(self, algebra: Algebra, dims, maps, check: bool = False):
-        self.algebra = algebra
-        self.dims = np.asarray(dims, dtype=np.int64)
+        self._set(algebra, np.asarray(dims, dtype=np.int64),
+                  [np.asarray(m, dtype=np.int64) % algebra.field.p for m in maps])
         if self.dims.shape != (algebra.quiver.num_vertices,):
             raise ValueError("dims must list one dimension per vertex")
-        self.maps = [np.asarray(m, dtype=np.int64) % algebra.field.p for m in maps]
         if len(self.maps) != len(algebra.quiver.arrows):
             raise ValueError("maps must list one matrix per arrow")
         for i, a in enumerate(algebra.quiver.arrows):
             s = algebra.quiver.vertex_index[a.source]
             t = algebra.quiver.vertex_index[a.target]
-            if self.maps[i].shape != (int(self.dims[t]), int(self.dims[s])):
+            want = (int(self.dims[t]), int(self.dims[s]))
+            if self.maps[i].shape != want:
                 raise ValueError(f"map for arrow {a.name!r} has shape "
-                                 f"{self.maps[i].shape}, wanted {(int(self.dims[t]), int(self.dims[s]))}")
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-        self.total_dim = int(self.offsets[-1])
+                                 f"{self.maps[i].shape}, wanted {want}")
         if check:
             self.check_relations()
+
+    @classmethod
+    def _of_reduced(cls, algebra: Algebra, dims, maps) -> "Representation":
+        """A module whose arrow matrices are int64 arrays already reduced mod
+        p and of the right shapes, taken as they are: no copy, no check."""
+        m = cls.__new__(cls)
+        m._set(algebra, np.asarray(dims, dtype=np.int64), list(maps))
+        return m
+
+    def _set(self, algebra: Algebra, dims: np.ndarray, maps: list[np.ndarray]) -> None:
+        self.algebra = algebra
+        self.dims = dims
+        self.maps = maps
+        self.offsets = np.concatenate([[0], np.cumsum(dims)])
+        self.total_dim = int(self.offsets[-1])
 
     @property
     def field(self) -> PrimeField:
@@ -64,14 +82,6 @@ class Representation:
             if acc.any():
                 raise ValueError("arrow matrices do not satisfy the algebra relations")
 
-    def path_action(self, path: Path) -> np.ndarray:
-        """Matrix of the path acting from the space at its source vertex."""
-        src, arrows = path
-        m = np.eye(int(self.dims[src]), dtype=np.int64)
-        for a in arrows:
-            m = (self.maps[a] @ m) % self.field.p
-        return m
-
     def vertex_slice(self, v: int) -> slice:
         return slice(int(self.offsets[v]), int(self.offsets[v + 1]))
 
@@ -85,8 +95,7 @@ def module_key(a: Representation) -> tuple:
 
 
 class ModuleMorphism:
-    def __init__(self, source: Representation, target: Representation, maps,
-                 check: bool = False):
+    def __init__(self, source: Representation, target: Representation, maps):
         if source.algebra is not target.algebra:
             raise ValueError("morphism endpoints live over different algebras")
         self.source = source
@@ -97,8 +106,6 @@ class ModuleMorphism:
             want = (int(target.dims[v]), int(source.dims[v]))
             if self.maps[v].shape != want:
                 raise ValueError(f"component at vertex {v} has shape {self.maps[v].shape}, wanted {want}")
-        if check:
-            self.check_commutes()
 
     @classmethod
     def _of_reduced(cls, source: Representation, target: Representation,
@@ -110,16 +117,6 @@ class ModuleMorphism:
         f.target = target
         f.maps = list(maps)
         return f
-
-    def check_commutes(self) -> None:
-        p = self.source.field.p
-        qv = self.source.algebra.quiver
-        for i, a in enumerate(qv.arrows):
-            s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
-            lhs = (self.maps[t] @ self.source.maps[i]) % p
-            rhs = (self.target.maps[i] @ self.maps[s]) % p
-            if not np.array_equal(lhs, rhs):
-                raise ValueError(f"component does not commute with arrow {a.name!r}")
 
     @property
     def is_zero(self) -> bool:
@@ -276,7 +273,7 @@ def kernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
         if sol is None:
             raise AssertionError("kernel subspace is not arrow-stable")
         maps.append(sol)
-    k = Representation(f.source.algebra, dims, maps)
+    k = Representation._of_reduced(f.source.algebra, dims, maps)
     incl = ModuleMorphism._of_reduced(k, f.source, bases)
     return k, incl
 
@@ -296,7 +293,7 @@ def image(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism, ModuleMorp
         if sol is None:
             raise AssertionError("image subspace is not arrow-stable")
         maps.append(sol)
-    img = Representation(f.target.algebra, dims, maps)
+    img = Representation._of_reduced(f.target.algebra, dims, maps)
     incl = ModuleMorphism(img, f.target, bases)
     epi_maps = []
     for v in range(len(f.maps)):
@@ -320,7 +317,7 @@ def quotient(m: Representation, subspaces: list[np.ndarray]
     for i, a in enumerate(qv.arrows):
         s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
         maps.append((projs[t] @ m.maps[i] @ reps[s]) % F.p)
-    q = Representation(m.algebra, [p.shape[0] for p in projs], maps)
+    q = Representation._of_reduced(m.algebra, [p.shape[0] for p in projs], maps)
     return q, ModuleMorphism(m, q, list(projs))
 
 
@@ -347,8 +344,8 @@ def sum_module(algebra: Algebra, parts: list[Representation]) -> Representation:
     dims = np.zeros(algebra.quiver.num_vertices, dtype=np.int64)
     for m in parts:
         dims += m.dims
-    return Representation(algebra, dims, [block_diagonal([m.maps[i] for m in parts])
-                                          for i in range(len(algebra.quiver.arrows))])
+    return Representation._of_reduced(algebra, dims, [
+        block_diagonal([m.maps[i] for m in parts]) for i in range(len(algebra.quiver.arrows))])
 
 
 def direct_sum(algebra: Algebra, parts: list[Representation]
@@ -374,8 +371,9 @@ def direct_sum(algebra: Algebra, parts: list[Representation]
 
 
 def zero_rep(algebra: Algebra) -> Representation:
-    return Representation(algebra, [0] * algebra.quiver.num_vertices,
-                          [np.zeros((0, 0), dtype=np.int64)] * len(algebra.quiver.arrows))
+    zero = np.zeros((0, 0), dtype=np.int64)
+    return Representation._of_reduced(algebra, [0] * algebra.quiver.num_vertices,
+                                      [zero] * len(algebra.quiver.arrows))
 
 
 def simple(algebra: Algebra, v: int) -> Representation:
@@ -386,7 +384,7 @@ def simple(algebra: Algebra, v: int) -> Representation:
         s = algebra.quiver.vertex_index[a.source]
         t = algebra.quiver.vertex_index[a.target]
         maps.append(np.zeros((dims[t], dims[s]), dtype=np.int64))
-    return Representation(algebra, dims, maps)
+    return Representation._of_reduced(algebra, dims, maps)
 
 
 def projective(algebra: Algebra, v: int) -> Representation:
@@ -404,17 +402,14 @@ def _projective(algebra: Algebra, v: int) -> Representation:
     for k, a in zip(algebra.arrow_basis, qv.arrows):
         s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
         maps.append(algebra.table[k][np.ix_(rows[s], rows[t])].T)
-    proj = Representation(algebra, [len(r) for r in rows], maps)
-    for m in proj.maps:
-        m.setflags(write=False)
-    return proj
+    return Representation._of_reduced(algebra, [len(r) for r in rows], read_only(maps))
 
 
 def dualize(m: Representation) -> Representation:
     """The vector-space dual as a module over the opposite algebra."""
     op = m.algebra.opposite
     maps = [m.maps[i].T.copy() for i in range(len(m.maps))]
-    return Representation(op, m.dims.copy(), maps)
+    return Representation._of_reduced(op, m.dims.copy(), maps)
 
 
 def dualize_morphism(f: ModuleMorphism) -> ModuleMorphism:
@@ -429,89 +424,116 @@ def injective(algebra: Algebra, v: int) -> Representation:
     return dualize(projective(algebra.opposite, v))
 
 
-def radical_subspaces(m: Representation) -> list[np.ndarray]:
-    """Per-vertex bases of rad(m) = sum of arrow images."""
-    F = m.field
-    qv = m.algebra.quiver
-    nv = qv.num_vertices
-    cols: list[list[np.ndarray]] = [[] for _ in range(nv)]
-    for i, a in enumerate(qv.arrows):
-        t = qv.vertex_index[a.target]
-        cols[t].append(m.maps[i])
+def basis_actions(m: Representation) -> tuple[np.ndarray, ...]:
+    """The matrix of each basis element of m's algebra acting on m, the
+    product of the arrow matrices along its path (`Algebra.basis_paths`).
+    Kept in the algebra's memo by m's content, read-only."""
+    return memo(m.algebra._memo, ("basis_actions", module_key(m)), _basis_actions, m)
+
+
+def _basis_actions(m: Representation) -> tuple[np.ndarray, ...]:
     out = []
-    for v in range(nv):
-        if cols[v]:
-            out.append(F.column_reduce(np.concatenate(cols[v], axis=1) % F.p))
-        else:
-            out.append(np.zeros((int(m.dims[v]), 0), dtype=np.int64))
-    return out
+    for src, arrows in m.algebra.basis_paths:
+        act = np.eye(int(m.dims[src]), dtype=np.int64)
+        for a in arrows:
+            act = (m.maps[a] @ act) % m.field.p
+        out.append(act)
+    return read_only(out)
+
+
+def _block_action(m: Representation, i: int, j: int) -> np.ndarray:
+    """The basis elements of e_j A e_i acting on m, stacked into an array of
+    shape (block size, dim of m at j, dim of m at i)."""
+    acts, idx = basis_actions(m), m.algebra.blocks[i, j]
+    return np.array([acts[k] for k in idx], dtype=np.int64).reshape(
+        len(idx), int(m.dims[j]), int(m.dims[i]))
+
+
+def radical_subspaces(m: Representation) -> list[np.ndarray]:
+    """Per-vertex bases of rad(A)*m, spanned by the images of the algebra's
+    `radical_generators`; column reduced, so the basis depends only on the
+    subspace."""
+    F = m.field
+    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
+    for (i, j), r in m.algebra.radical_generators().items():
+        if r.shape[1] and m.dims[i] and m.dims[j]:
+            acts = np.tensordot(r.T, _block_action(m, i, j), axes=1) % F.p
+            cols[j].append(np.concatenate(list(acts), axis=1))
+    return [F.column_reduce(np.concatenate(c, axis=1)) if c
+            else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
 
 
 def projective_cover(m: Representation) -> tuple[ModuleMorphism, list[int]]:
-    """Projective cover P -> m; returns the cover morphism and the vertex
-    list of its indecomposable projective summands.
+    """Minimal projective cover P -> m, with the vertices of the
+    indecomposable summands A e_i of P, in order.
 
-    The kernel of the returned morphism is certified to lie in rad(P), which
-    makes every syzygy taken through this function minimal.
+    Vertex by vertex, each coset representative u of top(m) at i
+    (`PrimeField.quotient_projection` of the radical) not yet covered
+    becomes a generator A e_i -> m, a |-> a*u, adding one copy of the
+    simple top at i; u can be covered already only where that simple's
+    endomorphism field is larger than F_p.  Certified surjective, with its
+    kernel inside rad P, block diagonal in `Algebra.leaf_radicals`; so
+    every syzygy taken through here is minimal.  Kept in the algebra's
+    memo by m's content and rebuilt to end at the caller's m.
     """
-    F = m.field
-    if m.is_zero:
-        z = zero_rep(m.algebra)
-        return ModuleMorphism(z, m, [np.zeros((int(m.dims[v]), 0), dtype=np.int64)
-                                     for v in range(len(m.dims))]), []
-    rads = radical_subspaces(m)
-    verts: list[int] = []
-    targets: list[np.ndarray] = []  # chosen generator in m at each cover summand
-    for v in range(len(m.dims)):
-        _, reps = F.quotient_projection(rads[v], int(m.dims[v]))
-        for j in range(reps.shape[1]):
-            verts.append(v)
-            targets.append(reps[:, j])
-    parts = [projective(m.algebra, v) for v in verts]
-    total = sum_module(m.algebra, parts)
-    comp_maps = [np.zeros((int(m.dims[v]), int(total.dims[v])), dtype=np.int64)
-                 for v in range(len(m.dims))]
-    col_off = np.zeros(len(m.dims), dtype=np.int64)
-    for v, gen, p_rep in zip(verts, targets, parts):
-        for w in range(len(m.dims)):
-            for local, bpos in enumerate(m.algebra.blocks[v, w]):
-                act = m.path_action(m.algebra.basis_paths[bpos])
-                comp_maps[w][:, int(col_off[w]) + local] = (act @ gen) % F.p
-        col_off += p_rep.dims
-    cover = ModuleMorphism(total, m, comp_maps)
+    source, maps, verts = memo(m.algebra._memo, ("cover", module_key(m)), _projective_cover, m)
+    return ModuleMorphism._of_reduced(source, m, maps), list(verts)
+
+
+def _projective_cover(m: Representation):
+    alg = m.algebra
+    F = alg.field
+    nv = len(m.dims)
+    rad = radical_subspaces(m)
+    picked: list[int] = []
+    cols: list[list[np.ndarray]] = [[] for _ in m.dims]
+    for i in range(nv):
+        reps = F.quotient_projection(rad[i], int(m.dims[i]))[1]
+        blocks = [_block_action(m, i, j) for j in range(nv)] if reps.shape[1] else []
+        covered = rad[i]
+        for n in range(reps.shape[1]):
+            u = reps[:, n]
+            if n and F.column_space_contains(covered, u.reshape(-1, 1)):
+                continue
+            lifts = [np.tensordot(b, u, axes=([2], [0])).T % F.p for b in blocks]
+            for j in range(nv):
+                cols[j].append(lifts[j])
+            picked.append(i)
+            if n + 1 < reps.shape[1]:
+                covered = F.column_reduce(np.concatenate([covered, lifts[i]], axis=1))
+    leaves, leaf_rads = alg.projective_leaves(), alg.leaf_radicals()
+    source = sum_module(alg, [leaves[i] for i in picked])
+    cover = ModuleMorphism._of_reduced(source, m, [
+        np.concatenate(c, axis=1) if c else np.zeros((int(d), 0), dtype=np.int64)
+        for c, d in zip(cols, m.dims)])
     if not cover.is_surjective():
-        raise AssertionError("projective cover construction failed to surject")
-    # Minimality: the kernel must sit inside rad(P).
-    rad_p = radical_subspaces(total)
-    for v in range(len(m.dims)):
-        ker_v = F.nullspace(cover.maps[v])
-        if ker_v.shape[1] and not F.column_space_contains(rad_p[v], ker_v):
+        raise AssertionError("projective cover is not surjective")
+    for v, f in enumerate(cover.maps):
+        ker = F.nullspace(f)
+        if ker.shape[1] and not F.column_space_contains(
+                block_diagonal([leaf_rads[i][v] for i in picked]), ker):
             raise AssertionError("projective cover kernel escapes the radical")
-    return cover, verts
+    return source, read_only(cover.maps), tuple(picked)
 
 
 def injective_envelope(m: Representation) -> tuple[ModuleMorphism, list[int]]:
-    """Injective envelope m -> I; returns the envelope morphism and the
-    vertex list of its indecomposable injective summands."""
-    cov, verts = projective_cover(dualize(m))
-    env = dualize_morphism(cov)
-    # env: D(D m) -> D(P); D(D m) equals m on the nose (transposing twice).
-    env = ModuleMorphism(m, env.target, env.maps)
-    return env, verts
+    """Injective envelope m -> I, the dual of the projective cover of the
+    dual module, with the vertex list of the indecomposable injective
+    summands of I."""
+    cover, verts = projective_cover(dualize(m))
+    # D(D m) is m on the nose: transposing twice
+    return ModuleMorphism._of_reduced(m, dualize(cover.source),
+                                      [f.T for f in cover.maps]), verts
 
 
 def syzygy(m: Representation) -> Representation:
     """Kernel of the projective cover (minimal first syzygy)."""
-    cover, _ = projective_cover(m)
-    k, _ = kernel(cover)
-    return k
+    return kernel(projective_cover(m)[0])[0]
 
 
 def cosyzygy(m: Representation) -> Representation:
     """Cokernel of the injective envelope (minimal first cosyzygy)."""
-    env, _ = injective_envelope(m)
-    c, _ = cokernel(env)
-    return c
+    return cokernel(injective_envelope(m)[0])[0]
 
 
 # -- splitting into indecomposables ------------------------------------------

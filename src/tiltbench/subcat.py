@@ -26,7 +26,7 @@ import numpy as np
 
 from tiltbench import rep
 from tiltbench.algebra_ops import AbstractAlgebra
-from tiltbench.linalg import PrimeField, memo
+from tiltbench.linalg import PrimeField, memo, read_only
 from tiltbench.quiver import BoundQuiverAlgebra
 from tiltbench.rep import ModuleMorphism, Representation, module_key as _module_key
 
@@ -120,14 +120,6 @@ def _xmap_key(m: XMap) -> tuple:
     """Content key of a morphism of X-objects: the parts of both ends and
     the entries of each component (the parts fix the shapes)."""
     return (m.src.parts, m.dst.parts, *map(np.ndarray.tobytes, m.mor.maps))
-
-
-def _read_only(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only in place, so that a memoized result cannot
-    be changed under a later caller."""
-    for t in arrays:
-        t.setflags(write=False)
-    return tuple(arrays)
 
 
 def concat_xmaps_cols(x: "SubcategoryX", blocks: list[XMap], dst: XObject) -> XMap:
@@ -231,7 +223,7 @@ class SubcategoryX:
     def _hom_basis(self, i: int, j: int) -> list[ModuleMorphism]:
         basis = rep.hom_space(self.summands[i], self.summands[j])
         for h in basis:
-            _read_only(h.maps)
+            read_only(h.maps)
         return basis
 
     def _hom_stack(self, i: int, j: int) -> list[np.ndarray]:
@@ -309,7 +301,7 @@ class SubcategoryX:
             src = o.obj(m.dst.parts)
             dst = o.obj(m.src.parts)
             mor = ModuleMorphism._of_reduced(src.rep, dst.rep,
-                                             _read_only([t.T.copy() for t in m.mor.maps]))
+                                             read_only([t.T.copy() for t in m.mor.maps]))
             m._dual = XMap(src, dst, mor)
         return m._dual
 
@@ -327,7 +319,7 @@ class SubcategoryX:
     def _embed(self, a: Representation):
         if a.total_dim == 0:
             z = self.zero_obj()
-            return z, _read_only(rep.zero_morphism(z.rep, a).maps)
+            return z, read_only(rep.zero_morphism(z.rep, a).maps)
         leaves = rep.decompose(a, self.seed)
         parts: list[int] = []
         comps: list[ModuleMorphism] = []
@@ -351,7 +343,7 @@ class SubcategoryX:
         iso = ModuleMorphism(xobj.rep, a, maps)
         if not iso.is_isomorphism():
             raise AssertionError("assembled embedding is not an isomorphism")
-        return xobj, _read_only(iso.maps)
+        return xobj, read_only(iso.maps)
 
     def contains(self, a: Representation) -> bool:
         """Whether a lies in add(M).  With no embedding of a kept here, an
@@ -522,7 +514,7 @@ class SubcategoryX:
             cols = [b.maps[v] for b in blocks]
             maps.append(np.concatenate(cols, axis=1) % self.field.p
                         if cols else np.zeros((int(a.dims[v]), 0), dtype=np.int64))
-        return xobj, _read_only(maps)
+        return xobj, read_only(maps)
 
     def _minimize_blocks(self, parts: list[int], blocks: list[ModuleMorphism]
                          ) -> tuple[list[int], list[ModuleMorphism]]:
@@ -572,7 +564,7 @@ class SubcategoryX:
         k, incl = rep.kernel(m.mor)
         xobj, ev = self.right_approximation(k, minimize)
         w = incl.compose(ev)
-        _read_only(w.maps)
+        read_only(w.maps)
         return XMap(xobj, m.src, w)
 
     def weak_cokernel(self, m: XMap, minimize: bool = True) -> XMap:
@@ -686,16 +678,15 @@ def _resolution_data(a: Representation) -> dict:
     "coboundaries": (b's _module_key, k) -> (columns, rank) of Hom(d_k, b),
     filled by ext_dim."""
     return memo(a.algebra._memo, ("resolution", _module_key(a)), lambda: {
-        "terms": [a], "covers": [], "parts": [], "diffs": [], "coboundaries": {}})
+        "terms": [a], "parts": [], "diffs": [], "coboundaries": {}})
 
 
 def extend_resolution(a: Representation, length: int) -> dict:
     """Minimal projective resolution data out to P_length."""
     data = _resolution_data(a)
-    while len(data["covers"]) <= length:
-        k = len(data["covers"])
+    while len(data["parts"]) <= length:
+        k = len(data["parts"])
         cover, verts = rep.projective_cover(data["terms"][k])
-        data["covers"].append(cover)
         data["parts"].append(verts)
         ker, incl = rep.kernel(cover)
         data["terms"].append(ker)
@@ -718,20 +709,13 @@ def _gen_positions(algebra: BoundQuiverAlgebra, verts: list[int]) -> list[tuple[
     return out
 
 
-def _path_actions(b: Representation) -> tuple[np.ndarray, ...]:
-    """The matrix of each basis path acting on b, kept in the memo of b's
-    algebra by b's content, read-only."""
-    return memo(b.algebra._memo, ("path_actions", _module_key(b)), lambda: _read_only(
-        [b.path_action(p) for p in b.algebra.basis_paths]))
-
-
 def _hom_complex_diff(diff: ModuleMorphism, parts_hi: list[int],
                       parts_lo: list[int], b: Representation) -> np.ndarray:
     """Matrix of Hom(diff, b): coordinates are values at part generators."""
     algebra = b.algebra
     F = b.field
     gens_hi = _gen_positions(algebra, parts_hi)
-    acts = _path_actions(b)
+    acts = rep.basis_actions(b)
     nv = algebra.quiver.num_vertices
     per_vertex: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for pi, v in enumerate(parts_lo):

@@ -392,8 +392,8 @@ def _gamma_test_modules(g):
     simples = g.simples()
     return (simples + g.projective_leaves() + [g.regular_module()]
             + [rep.dualize(leaf) for leaf in g.opposite.projective_leaves()]
-            + [algebra_ops.syzygy(s) for s in simples]
-            + [algebra_ops.cosyzygy(s) for s in simples])
+            + [rep.syzygy(s) for s in simples]
+            + [rep.cosyzygy(s) for s in simples])
 
 
 @pytest.mark.parametrize("name", ["serial_x3_generator", "nakayama_a3_rad2_bimodule",
@@ -406,14 +406,14 @@ def test_cover_radical_from_leaf_radicals(name):
     for g in (gamma, gamma.opposite):
         F, leaves, leaf_rads = g.field, g.projective_leaves(), g.leaf_radicals()
         for m in _gamma_test_modules(g):
-            cover = algebra_ops.projective_cover(m)
+            cover = rep.projective_cover(m)[0]
             # one leaf per copy of its simple in top(m), in leaf order
-            rad_m = algebra_ops.radical_subspaces(m)
+            rad_m = rep.radical_subspaces(m)
             picked = [i for i in range(len(leaves))
                       for _ in range(int(m.dims[i]) - rad_m[i].shape[1])]
             assert (subcat._module_key(cover.source) == subcat._module_key(
                 rep.sum_module(g, [leaves[i] for i in picked])))
-            for v, want in enumerate(algebra_ops.radical_subspaces(cover.source)):
+            for v, want in enumerate(rep.radical_subspaces(cover.source)):
                 got = rep.block_diagonal([leaf_rads[i][v] for i in picked])
                 assert got.shape[1] == want.shape[1]
                 assert F.column_space_contains(want, got)
@@ -424,19 +424,21 @@ def test_cover_radical_from_leaf_radicals(name):
 
 def _greedy_cover_all_vertices(m):
     """The cover's greedy loop as it was written first: each generator u at
-    vertex i re-reduces the covered part at every vertex j.  Kept as the
-    reference for `projective_cover`, which grows only the part at i."""
+    vertex i re-reduces the covered part at every vertex j, and every
+    representative of top(m) is tested against it.  Kept as the reference
+    for `projective_cover`, which grows only the part at i, and only while
+    representatives at i remain."""
     g = m.algebra
     F = g.field
-    covered = algebra_ops.radical_subspaces(m)
+    covered = rep.radical_subspaces(m)
     picked = []
     cols = [[] for _ in m.dims]
     for i in range(len(m.dims)):
-        for u in np.eye(int(m.dims[i]), dtype=np.int64):
+        for u in F.quotient_projection(covered[i], int(m.dims[i]))[1].T:
             if F.column_space_contains(covered[i], u.reshape(-1, 1)):
                 continue
             for j in range(len(m.dims)):
-                lift = np.tensordot(algebra_ops._block_action(m, i, j), u,
+                lift = np.tensordot(rep._block_action(m, i, j), u,
                                     axes=([2], [0])).T % F.p
                 covered[j] = F.column_reduce(np.concatenate([covered[j], lift], axis=1))
                 cols[j].append(lift)
@@ -455,13 +457,12 @@ def test_stored_cover_equals_the_all_vertex_loop(name, monkeypatch):
     the caller's module."""
     gamma = _realize(name).endomorphism_algebra()
     built = []
-    real = algebra_ops._projective_cover
-    monkeypatch.setattr(algebra_ops, "_projective_cover",
-                        lambda m: built.append(m) or real(m))
+    real = rep._projective_cover
+    monkeypatch.setattr(rep, "_projective_cover", lambda m: built.append(m) or real(m))
     checked = 0
     for g in (gamma, gamma.opposite):
         for m in _gamma_test_modules(g):
-            cover = algebra_ops.projective_cover(m)
+            cover, verts = rep.projective_cover(m)
             source, maps = _greedy_cover_all_vertices(m)
             assert rep.module_key(cover.source) == rep.module_key(source)
             assert len(cover.maps) == len(maps)
@@ -470,8 +471,8 @@ def test_stored_cover_equals_the_all_vertex_loop(name, monkeypatch):
                 assert not got.flags.writeable
             twin = rep.Representation(g, m.dims.copy(), [a.copy() for a in m.maps])
             before = len(built)
-            again = algebra_ops.projective_cover(twin)
-            assert len(built) == before
+            again, again_verts = rep.projective_cover(twin)
+            assert len(built) == before and again_verts == verts
             assert again.target is twin and again.source is cover.source
             assert all(a is b for a, b in zip(again.maps, cover.maps))
             checked += 1
@@ -480,20 +481,31 @@ def test_stored_cover_equals_the_all_vertex_loop(name, monkeypatch):
 
 def test_is_projective_matches_the_cover():
     """is_projective, read off the dimensions of top(m), agrees with the
-    certified projective cover, also where a simple top has dimension 2."""
+    certified projective cover, also where a simple top has dimension 2;
+    the cover's source has dimension sum_i (multiplicity of the top of
+    Gamma e_i in top(m)) * dim Gamma e_i."""
     non_split = job(KRONECKER, ["regular", "coregular", {"explicit": {
         "dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]}}}])
     gammas = [_realize(name).endomorphism_algebra()
               for name in ("serial_x3_generator", "nakayama_a3_rad2_bimodule")]
     gammas.append(non_split.realize().x.endomorphism_algebra())
-    seen = set()
+    seen, split_tops = set(), set()
     for gamma in gammas:
         for g in (gamma, gamma.opposite):
+            leaves, leaf_rads = g.projective_leaves(), g.leaf_radicals()
+            tops = [int(leaf.dims[i]) - rad[i].shape[1]
+                    for i, (leaf, rad) in enumerate(zip(leaves, leaf_rads))]
             for m in _gamma_test_modules(g):
-                want = algebra_ops.projective_cover(m).source.total_dim == m.total_dim
+                rad_m = rep.radical_subspaces(m)
+                source = rep.projective_cover(m)[0].source
+                assert source.total_dim == sum(
+                    (int(m.dims[i]) - rad_m[i].shape[1]) // top * leaf.total_dim
+                    for i, (top, leaf) in enumerate(zip(tops, leaves)))
+                want = source.total_dim == m.total_dim
                 assert algebra_ops.is_projective(m) == want
                 seen.add(want)
-    assert seen == {True, False}
+            split_tops.update(tops)
+    assert seen == {True, False} and split_tops == {1, 2}
 
 
 @pytest.mark.parametrize("name, d", [("serial_x4_generator", 1),
@@ -526,15 +538,15 @@ def test_precluster_rebuilds_no_module(name, d, monkeypatch):
     monkeypatch.setattr(rep, "is_isomorphic", is_isomorphic)
     monkeypatch.setattr(rep, "decompose", decompose)
     sources, radical_args = [], []
-    real_cover, real_radical = algebra_ops.projective_cover, algebra_ops.radical_subspaces
+    real_cover, real_radical = rep.projective_cover, rep.radical_subspaces
 
     def projective_cover(m):
-        cover = real_cover(m)
+        cover, verts = real_cover(m)
         sources.append(cover.source)
-        return cover
+        return cover, verts
 
-    monkeypatch.setattr(algebra_ops, "projective_cover", projective_cover)
-    monkeypatch.setattr(algebra_ops, "radical_subspaces",
+    monkeypatch.setattr(rep, "projective_cover", projective_cover)
+    monkeypatch.setattr(rep, "radical_subspaces",
                         lambda m: radical_args.append(m) or real_radical(m))
 
     assert axioms.classify_d_precluster(x, d, trials=10, seed=42).status == "certified-pass"
@@ -542,3 +554,79 @@ def test_precluster_rebuilds_no_module(name, d, monkeypatch):
     assert counts["decompose_inside"] == 0
     assert sources and radical_args
     assert not any(m is s for m in radical_args for s in sources)
+
+
+def _arrow_radical(m):
+    """rad(m) over a bound quiver algebra as the sum of the arrow images."""
+    F, qv = m.field, m.algebra.quiver
+    cols = [[] for _ in m.dims]
+    for i, a in enumerate(qv.arrows):
+        cols[qv.vertex_index[a.target]].append(m.maps[i])
+    return [F.column_reduce(np.concatenate(c, axis=1) % F.p) if c
+            else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
+
+
+def _lambda_cover(m):
+    """The projective cover over a bound quiver algebra as it was written
+    before Lambda and Gamma shared one: every representative of top(m)
+    becomes a generator, each basis path acts by its product of arrow
+    matrices, and the kernel is certified against the radical of the
+    cover's own source.  Kept as the reference for `rep.projective_cover`
+    over Lambda."""
+    alg, F = m.algebra, m.field
+    if m.is_zero:
+        return [np.zeros((int(d), 0), dtype=np.int64) for d in m.dims], []
+    rads = _arrow_radical(m)
+    verts, gens = [], []
+    for v in range(len(m.dims)):
+        reps = F.quotient_projection(rads[v], int(m.dims[v]))[1]
+        for j in range(reps.shape[1]):
+            verts.append(v)
+            gens.append(reps[:, j])
+    total = rep.sum_module(alg, [rep.projective(alg, v) for v in verts])
+    maps = [np.zeros((int(m.dims[w]), int(total.dims[w])), dtype=np.int64)
+            for w in range(len(m.dims))]
+    off = np.zeros(len(m.dims), dtype=np.int64)
+    for v, gen in zip(verts, gens):
+        for w in range(len(m.dims)):
+            for local, k in enumerate(alg.blocks[v, w]):
+                src, arrows = alg.basis_paths[k]
+                act = np.eye(int(m.dims[src]), dtype=np.int64)
+                for a in arrows:
+                    act = (m.maps[a] @ act) % F.p
+                maps[w][:, int(off[w]) + local] = (act @ gen) % F.p
+        off += rep.projective(alg, v).dims
+    cover = rep.ModuleMorphism(total, m, maps)
+    assert cover.is_surjective()
+    for v, (f, rad) in enumerate(zip(cover.maps, _arrow_radical(total))):
+        ker = F.nullspace(f)
+        assert not ker.shape[1] or F.column_space_contains(rad, ker)
+    return cover.maps, verts
+
+
+def _same_maps(got, want):
+    return len(got) == len(want) and all(
+        a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name", [p.stem for p in corpus_paths()])
+def test_lambda_cover_equals_the_arrow_radical_reference(name):
+    """Over Lambda and Lambda^op, on the test modules at 10 trials and seed
+    42 and on their syzygies and cosyzygies: the one cover gives the
+    reference's maps and vertex lists byte for byte, and each envelope is
+    the dual of the reference cover of the dual module."""
+    x = _realize(name)
+    checked = 0
+    for side in (x, x.op):
+        mods = [a for a, _ in axioms.generate_test_modules(side, trials=10, seed=42)]
+        for a in mods + [rep.syzygy(a) for a in mods] + [rep.cosyzygy(a) for a in mods]:
+            cover, verts = rep.projective_cover(a)
+            want_maps, want_verts = _lambda_cover(a)
+            assert verts == want_verts and _same_maps(cover.maps, want_maps)
+            env, env_verts = rep.injective_envelope(a)
+            want_maps, want_verts = _lambda_cover(rep.dualize(a))
+            assert env_verts == want_verts
+            assert _same_maps(env.maps, [f.T for f in want_maps])
+            checked += 1
+    assert checked

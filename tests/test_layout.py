@@ -1,5 +1,6 @@
 """Code layout: every public function and method in src/tiltbench has a
-caller in src/tiltbench, or is an entry point named below.
+caller in src/tiltbench, or is an entry point named below, and no public
+module-level function name is defined in two modules.
 
 A call is any reference to the name (as a bare name or an attribute)
 outside the function's own body, so a name shared by two definitions counts
@@ -55,9 +56,13 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def uncalled_public_functions() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     refs: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
         for name, line in _references(tree):
@@ -80,3 +85,21 @@ def test_public_functions_have_callers_in_src():
 def test_entry_points_are_still_defined_and_uncalled():
     # an entry point that gained a caller in src/ or was deleted leaves the list
     assert ENTRY_POINTS <= set(uncalled_public_functions())
+
+
+def public_functions_in_several_modules() -> dict[str, list[str]]:
+    """Public module-level function names defined in more than one module,
+    with the modules that define them."""
+    owners: dict[str, list[str]] = {}
+    for module, tree in _trees().items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")):
+                owners.setdefault(node.name, []).append(module)
+    return {name: mods for name, mods in sorted(owners.items()) if len(mods) > 1}
+
+
+def test_each_module_function_has_one_owner():
+    # one implementation of each operation: a second module defining the
+    # same public function is a second copy of it
+    assert public_functions_in_several_modules() == {}
