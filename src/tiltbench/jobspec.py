@@ -8,6 +8,10 @@ validates; `JobSpec.realize` builds the actual algebra, module, and
 subcategory.  Validation errors carry the offending field path so fixture
 authors can fix files without reading tracebacks.
 
+`ingest` realizes a job to validate it and the first `realize` hands that
+`RealizedJob` over, so a job is built once.  Its taker owns it: after
+`RealizedJob.release`, reference counting frees the whole job.
+
 Summand grammar (recursive)::
 
     {"projective": "v"} | {"injective": "v"} | {"simple": "v"}
@@ -75,6 +79,9 @@ class JobSpec:
     declared_indecomposables: list | None = None
     options: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
+    # the realization `ingest` built, until `realize` hands it over
+    _realized: "RealizedJob | None" = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def option(self, key: str, override=None):
         if override is not None:
@@ -84,6 +91,11 @@ class JobSpec:
         return _DEFAULT_OPTIONS[key]
 
     def realize(self) -> "RealizedJob":
+        """The realized job: the one `ingest` built, on the first call after
+        it, else a fresh one."""
+        job, self._realized = self._realized, None
+        if job is not None:
+            return job
         F = PrimeField(self.characteristic)
         quiver = Quiver(self.vertices, self.arrows)
         rels = [[(int(c), list(names)) for c, names in rel] for rel in self.relations]
@@ -109,10 +121,19 @@ class JobSpec:
 
 @dataclass
 class RealizedJob:
+    """Owns the field, Λ, x and, through them, Λ^op, x.op and every End(M)
+    and End(M)^op either side builds."""
     spec: JobSpec
     algebra: object
     x: subcat.SubcategoryX
     declared: list[Representation] | None
+
+    def release(self) -> None:
+        """Empty every memo the job filled and unlink its pairs (x and x.op,
+        each algebra and its opposite), so that reference counting frees the
+        job once its holders drop it; the job must not be used after."""
+        self.x.release()
+        self.algebra.field.clear_memo()
 
 
 def _lookup(data: dict, key: str, path: str, typ=None, required=True,
@@ -310,8 +331,9 @@ def parse(data: dict, name: str = "<job>") -> JobSpec:
 
 def ingest(path: str, options: dict | None = None) -> JobSpec:
     """Parse and validate a job file; options (the command line's
-    overrides) replace the file's, and then summand constructions are
-    resolved eagerly, so unresolvable references fail here, not mid-run."""
+    overrides) replace the file's, and then the job is realized, so
+    unresolvable references fail here, not mid-run; the first `realize`
+    returns that realization."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -319,5 +341,5 @@ def ingest(path: str, options: dict | None = None) -> JobSpec:
             raise SchemaError(f"line {e.lineno}", f"invalid JSON: {e.msg}") from None
     spec = parse(data, name=str(path))
     spec.options.update(options or {})
-    spec.realize()
+    spec._realized = spec.realize()
     return spec

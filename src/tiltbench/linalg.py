@@ -19,8 +19,9 @@ Only calls whose array arguments total at most MEMO_CALL_CELLS cells are
 stored, and the memo is emptied when the cells it holds (arguments and
 results) would pass MEMO_TOTAL_CELLS, or by `clear_memo`.  Cached arrays are
 read-only and shared between callers; a pivot list is returned as a new list
-each time.  The memo lives as long as the field, which a realized job shares
-between its algebra, the opposite algebra, End(M) and End(M)^op.
+each time.  A realized job shares one field between its algebra, the
+opposite algebra, End(M) and End(M)^op; the job's `release`, which
+`report.run` calls when it is done with the job, empties the memo.
 
 `memo` is the uncapped store every other layer fills its caches through.
 """

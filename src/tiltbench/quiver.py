@@ -112,11 +112,11 @@ class Algebra:
     `opposite` is A^op: the same structure constants with the factors
     swapped, over the reversed quiver (Assem-Simson-Skowronski, Elements
     vol. 1, ch. II).  Its basis is this one, reordered as a subclass says
-    (`_reverse_into`); the two algebras link both ways.  Each algebra keeps
-    its cached results in one dict, `_memo`, filled through `linalg.memo`:
-    projectives, leaf radicals and simples, the basis actions, projective
-    covers and resolutions of modules by content, and Gamma's radical and
-    dimensions.
+    (`_reverse_into`); the two algebras link both ways until `release`
+    unlinks them.  Each algebra keeps its cached results in one dict,
+    `_memo`, filled through `linalg.memo`: projectives, leaf radicals and
+    simples, the basis actions, projective covers and resolutions of
+    modules by content, and Gamma's radical and dimensions.
     """
 
     def __init__(self, field: PrimeField, quiver: Quiver, table: np.ndarray, unit: np.ndarray,
@@ -156,6 +156,13 @@ class Algebra:
             [int(at[k]) for k in self.arrow_basis])
         self._opposite, self._opposite_basis = op, order
         op._opposite, op._opposite_basis = self, at
+
+    def release(self) -> None:
+        """Empty the memos of this algebra and its opposite; unlink the two."""
+        op, self._opposite, self._opposite_basis = self._opposite, None, None
+        self._memo.clear()
+        if op is not None:
+            op.release()
 
     def to_opposite(self, elem: np.ndarray) -> np.ndarray:
         """The coordinates of an element in the basis of `opposite`."""

@@ -294,14 +294,14 @@ def image(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism, ModuleMorp
             raise AssertionError("image subspace is not arrow-stable")
         maps.append(sol)
     img = Representation._of_reduced(f.target.algebra, dims, maps)
-    incl = ModuleMorphism(img, f.target, bases)
+    incl = ModuleMorphism._of_reduced(img, f.target, bases)
     epi_maps = []
     for v in range(len(f.maps)):
         sol = F.solve_many(bases[v], f.maps[v])
         if sol is None:
             raise AssertionError("factoring through the image failed")
         epi_maps.append(sol)
-    epi = ModuleMorphism(f.source, img, epi_maps)
+    epi = ModuleMorphism._of_reduced(f.source, img, epi_maps)
     return img, incl, epi
 
 
@@ -318,7 +318,7 @@ def quotient(m: Representation, subspaces: list[np.ndarray]
         s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
         maps.append((projs[t] @ m.maps[i] @ reps[s]) % F.p)
     q = Representation._of_reduced(m.algebra, [p.shape[0] for p in projs], maps)
-    return q, ModuleMorphism(m, q, list(projs))
+    return q, ModuleMorphism._of_reduced(m, q, projs)
 
 
 def cokernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
@@ -364,8 +364,8 @@ def direct_sum(algebra: Algebra, parts: list[Representation]
             o = int(row_off[v])
             inc[v][o:o + d, :] = np.eye(d, dtype=np.int64)
             prj[v][:, o:o + d] = np.eye(d, dtype=np.int64)
-        incls.append(ModuleMorphism(m, total, inc))
-        projs.append(ModuleMorphism(total, m, prj))
+        incls.append(ModuleMorphism._of_reduced(m, total, inc))
+        projs.append(ModuleMorphism._of_reduced(total, m, prj))
         row_off += m.dims
     return total, incls, projs
 

@@ -7,6 +7,10 @@ function of (job, seed, trials), so two runs with the same inputs emit
 byte-identical JSON — wall-clock timing is carried for the text rendering
 but nulled in JSON output.
 
+`run` owns the job it realizes (on a spec's first run, the one `ingest`
+built) and releases it when it returns or raises, so reference counting
+frees the job's caches at once.
+
 A RouteDisagreement raised by any check is a bug in this package, never a
 property of the input; it surfaces as the distinguished report status
 ``route-disagreement`` with its own exit code.
@@ -111,16 +115,16 @@ def run(spec: JobSpec, seed: int | None = None,
     requests = sorted(spec.checks, key=lambda r: (_ORDER[r.check], r.d or 0))
     verdicts: list[Verdict] = []
     disagreement = None
-    for req in requests:
-        try:
-            verdicts.append(_dispatch(job, req, eff_seed, eff_trials))
-        except RouteDisagreement as e:
-            disagreement = {"check": req.to_json(), "error": str(e),
-                            "details": e.details}
-            break
-    # the job's objects sit in reference cycles (x and x.op, say), which keep
-    # its elimination memo until a full collection; the report needs no more
-    job.algebra.field.clear_memo()
+    try:
+        for req in requests:
+            try:
+                verdicts.append(_dispatch(job, req, eff_seed, eff_trials))
+            except RouteDisagreement as e:
+                disagreement = {"check": req.to_json(), "error": str(e),
+                                "details": e.details}
+                break
+    finally:
+        job.release()
     return CheckReport(job=spec.raw, name=spec.name, seed=eff_seed,
                        trials=eff_trials, version=__version__,
                        verdicts=verdicts, disagreement=disagreement,

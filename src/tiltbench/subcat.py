@@ -162,8 +162,8 @@ class SubcategoryX:
     Hom(X_z, f) blocks are not memoized: they are answered from the hom
     dimensions dim Hom(X_z, X_parts), which each X-object keeps
     (`hom_dim`), and which also let the tests skip every z with
-    Hom(X_z, source) = 0.  Entries live as long as the subcategory and
-    their arrays are read-only.
+    Hom(X_z, source) = 0.  Entries live until `release` and their arrays
+    are read-only.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
@@ -188,6 +188,18 @@ class SubcategoryX:
         self.summands = summands
         self._op: SubcategoryX | None = None
         self._memo: dict[tuple, object] = {}
+
+    def release(self) -> None:
+        """Empty the memos of this subcategory, `op` and the algebras under
+        them, End(M) included, and unlink each pair."""
+        op, self._op = self._op, None
+        gamma = self._memo.get(("gamma",))
+        self._memo.clear()
+        self.algebra.release()
+        if gamma is not None:
+            gamma.release()
+        if op is not None:
+            op.release()
 
     # -- basic structure -------------------------------------------------------
 

@@ -1,9 +1,12 @@
-"""Job-file schema validation and realization."""
+"""Job-file schema validation, realization and the realized job's lifetime."""
+import gc
 import json
+import weakref
 
 import pytest
 
-from tiltbench import jobspec, rep
+from conftest import CORPUS_DIR
+from tiltbench import axioms, jobspec, linalg, quiver, rep, report, subcat
 from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.jobspec import SchemaError
 
@@ -225,3 +228,97 @@ class TestIngest:
         for p in paths:
             spec = jobspec.ingest(p)
             assert spec.name == p.stem
+
+
+# over k[x]/(x^3), add(Λ ⊕ S) misses k[x]/(x^2): d-abelian finds the declared
+# list incomplete mid-run and raises an input error (see test_cli)
+_INCOMPLETE_DECLARED = {
+    "name": "incomplete-declared", "characteristic": 101,
+    "quiver": {"vertices": ["1"], "arrows": [["x", "1", "1"]]},
+    "relations": [[[1, ["x"] * 3]]], "module": ["regular", {"simple": "1"}],
+    "declared_indecomposables": ["regular", {"simple": "1"}],
+    "checks": [{"check": "d-abelian", "d": 1}]}
+
+
+def _instances(monkeypatch, cls, method):
+    """(class name, weak reference) of every object that runs cls.method
+    from now on."""
+    seen = []
+    original = getattr(cls, method)
+
+    def tracked(self, *args, **kwargs):
+        seen.append((type(self).__name__, weakref.ref(self)))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, method, tracked)
+    return seen
+
+
+def _counted(monkeypatch, owner, name):
+    """A list that gets one entry per call of owner.name from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestJobLifetime:
+    @pytest.mark.parametrize("job, outcome", [
+        ("linear_a2_generator", "pass"),
+        ("regular_only_a2", "fail"),
+        (None, "input-error"),
+    ], ids=["passing", "failing", "raising"])
+    def test_report_run_frees_the_whole_job(self, tmp_path, monkeypatch, job, outcome):
+        # with the collector off, only reference counting can free the job:
+        # no cycle may survive report.run, however it ends
+        if job is None:
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(_INCOMPLETE_DECLARED))
+        else:
+            path = CORPUS_DIR / f"{job}.json"
+        algebras = _instances(monkeypatch, quiver.Algebra, "__init__")
+        subcats = _instances(monkeypatch, subcat.SubcategoryX, "_setup")
+        fields = _instances(monkeypatch, linalg.PrimeField, "__init__")
+        gc.collect()
+        gc.disable()
+        try:
+            spec = jobspec.ingest(path)
+            try:
+                got = report.run(spec, trials=5).status
+            except SchemaError:
+                got = "input-error"
+            alive = [name for name, ref in algebras + subcats + fields if ref() is not None]
+        finally:
+            gc.enable()
+        assert got == outcome
+        assert alive == []
+        # what was tracked: Λ and Λ^op, x and x.op, each realized once, the
+        # field, and Γ from the End(M) checks
+        kinds = [name for name, _ in algebras + subcats + fields]
+        assert kinds.count("BoundQuiverAlgebra") == 2
+        assert kinds.count("SubcategoryX") == 2
+        assert "AbstractAlgebra" in kinds and "PrimeField" in kinds
+
+    def test_ingest_and_run_build_the_algebra_once(self, monkeypatch):
+        builds = _counted(monkeypatch, jobspec, "build_algebra")
+        spec = jobspec.ingest(CORPUS_DIR / "regular_only_a2.json")
+        first = report.emit(report.run(spec, trials=5), "json")
+        assert len(builds) == 1
+        # a second run realizes afresh, on a spec the first run left usable
+        assert report.emit(report.run(spec, trials=5), "json") == first
+        assert len(builds) == 2
+
+    def test_a_second_realize_is_a_fresh_working_job(self):
+        spec = jobspec.ingest(CORPUS_DIR / "serial_x2_generator.json")
+        handed_over, fresh = spec.realize(), spec.realize()
+        assert fresh is not handed_over
+        assert fresh.x is not handed_over.x and fresh.algebra is not handed_over.algebra
+        handed_over.release()
+        verdict = axioms.check_A1_A1op(fresh.x, 5, 42)
+        assert verdict.passed
+        assert verdict.to_json() == axioms.check_A1_A1op(spec.realize().x, 5, 42).to_json()

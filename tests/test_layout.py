@@ -1,6 +1,7 @@
 """Code layout: every public function and method in src/tiltbench has a
-caller in src/tiltbench, or is an entry point named below, and no public
-module-level function name is defined in two modules.
+caller in src/tiltbench, or is an entry point named below, no public
+module-level function name is defined in two modules, and no module drives
+the garbage collector.
 
 A call is any reference to the name (as a bare name or an attribute)
 outside the function's own body, so a name shared by two definitions counts
@@ -8,6 +9,8 @@ for both.  Code only tests call belongs in those tests.
 """
 import ast
 from pathlib import Path
+
+import pytest
 
 import tiltbench
 
@@ -103,3 +106,44 @@ def test_each_module_function_has_one_owner():
     # one implementation of each operation: a second module defining the
     # same public function is a second copy of it
     assert public_functions_in_several_modules() == {}
+
+
+# what forces a collection or changes when one runs
+_GC_CONTROLS = {"collect", "set_threshold", "disable", "enable", "freeze", "unfreeze"}
+
+
+def gc_controls(trees: dict[str, ast.Module]) -> list[str]:
+    """module:line of every use of the collector's controls, through
+    `import gc` (under any name) or `from gc import ...`."""
+    out = []
+    for module, tree in trees.items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names |= {a.asname or a.name for a in node.names if a.name == "gc"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                out += [f"{module}:{node.lineno}" for a in node.names
+                        if a.name in _GC_CONTROLS or a.name == "*"]
+        out += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in _GC_CONTROLS
+                and isinstance(node.value, ast.Name) and node.value.id in names]
+    return sorted(out)
+
+
+def test_no_module_drives_the_collector():
+    # a job's memory is freed by its owner's release and reference counting,
+    # not by forcing or tuning collections
+    assert gc_controls(_trees()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import gc\ngc.collect()",
+    "import gc as g\ng.set_threshold(700, 10, 1)",
+    "from gc import collect",
+])
+def test_gc_guard_sees_each_form(source):
+    assert gc_controls({"m": ast.parse(source)}) != []
+
+
+def test_gc_guard_allows_reading_the_collector():
+    assert gc_controls({"m": ast.parse("import gc\nstats = gc.get_stats()")}) == []
