@@ -29,7 +29,7 @@ import functools
 import numpy as np
 
 from tiltbench import fitting, rep
-from tiltbench.linalg import PrimeField, memo
+from tiltbench.linalg import PrimeField, held, memo
 from tiltbench.quiver import Algebra, Quiver
 from tiltbench.rep import Representation
 
@@ -167,7 +167,7 @@ class AbstractAlgebra(Algebra):
         return memo(self._memo, ("radical",), self._radical_blocks)
 
     def _radical_blocks(self) -> dict[tuple[int, int], np.ndarray]:
-        op = self._opposite
+        op = held(self._opposite)
         if op is not None and ("radical",) in op._memo:
             return {(j, i): r for (i, j), r in op._memo["radical",].items()}
         F = self.field

@@ -9,8 +9,10 @@ subcategory.  Validation errors carry the offending field path so fixture
 authors can fix files without reading tracebacks.
 
 `ingest` realizes a job to validate it and the first `realize` hands that
-`RealizedJob` over, so a job is built once.  Its taker owns it: after
-`RealizedJob.release`, reference counting frees the whole job.
+`RealizedJob` over, so a job is built once.  Its taker owns it.  Nothing in
+a job points back at what holds it (a pair such as x and x.op links back
+weakly), so reference counting frees the whole job, every memo included, as
+soon as its last holder drops it.
 
 Summand grammar (recursive)::
 
@@ -116,24 +118,16 @@ class JobSpec:
                                                f"declared_indecomposables[{i}]"))
         x = subcat.SubcategoryX(algebra, module, summands=parts,
                                 seed=self.option("seed"))
-        return RealizedJob(self, algebra, x, declared)
+        return RealizedJob(algebra, x, declared)
 
 
 @dataclass
 class RealizedJob:
     """Owns the field, Λ, x and, through them, Λ^op, x.op and every End(M)
-    and End(M)^op either side builds."""
-    spec: JobSpec
+    and End(M)^op either side builds; its spec holds it, not the reverse."""
     algebra: object
     x: subcat.SubcategoryX
     declared: list[Representation] | None
-
-    def release(self) -> None:
-        """Empty every memo the job filled and unlink its pairs (x and x.op,
-        each algebra and its opposite), so that reference counting frees the
-        job once its holders drop it; the job must not be used after."""
-        self.x.release()
-        self.algebra.field.clear_memo()
 
 
 def _lookup(data: dict, key: str, path: str, typ=None, required=True,

@@ -20,15 +20,17 @@ stored, and the memo is emptied when the cells it holds (arguments and
 results) would pass MEMO_TOTAL_CELLS, or by `clear_memo`.  Cached arrays are
 read-only and shared between callers; a pivot list is returned as a new list
 each time.  A realized job shares one field between its algebra, the
-opposite algebra, End(M) and End(M)^op; the job's `release`, which
-`report.run` calls when it is done with the job, empties the memo.
+opposite algebra, End(M) and End(M)^op, and nothing the field holds points
+back at them, so the memo goes with the job when its last holder drops it.
 
-`memo` is the uncapped store every other layer fills its caches through.
+`memo` is the uncapped store every other layer fills its caches through,
+and `held` reads the links of the pairs that build each other.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -77,6 +79,14 @@ def memo(store: dict, key, compute, *args):
     except KeyError:
         value = store[key] = compute(*args)
         return value
+
+
+def held(link):
+    """The peer a pair link names.  Of a pair that builds its other half
+    (x and x.op, an algebra and its opposite), the builder holds the built
+    side, which links back weakly: None once that peer is gone, and the
+    caller builds a new one."""
+    return link() if isinstance(link, weakref.ref) else link
 
 
 def _memoized(fn):

@@ -24,11 +24,12 @@ once per algebra.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from tiltbench.linalg import PrimeField, memo
+from tiltbench.linalg import PrimeField, held, memo, read_only
 
 _PATH_CAP = 20000
 _ROW_CAP = 200000
@@ -112,11 +113,13 @@ class Algebra:
     `opposite` is A^op: the same structure constants with the factors
     swapped, over the reversed quiver (Assem-Simson-Skowronski, Elements
     vol. 1, ch. II).  Its basis is this one, reordered as a subclass says
-    (`_reverse_into`); the two algebras link both ways until `release`
-    unlinks them.  Each algebra keeps its cached results in one dict,
-    `_memo`, filled through `linalg.memo`: projectives, leaf radicals and
-    simples, the basis actions, projective covers and resolutions of
-    modules by content, and Gamma's radical and dimensions.
+    (`_reverse_into`); the algebra that built it holds it, and it links
+    back weakly (`linalg.held`).  Each algebra keeps its cached results in
+    one dict, `_memo`, filled through `linalg.memo`: projectives, leaf
+    radicals and simples, the basis actions, projective covers and
+    resolutions of modules by content, and Gamma's radical and dimensions.
+    A module there is kept as `rep.stored` arrays, not as a module, which
+    would point back at the algebra: no algebra is in a reference cycle.
     """
 
     def __init__(self, field: PrimeField, quiver: Quiver, table: np.ndarray, unit: np.ndarray,
@@ -128,7 +131,7 @@ class Algebra:
         self.unit = unit
         self.blocks = blocks
         self.arrow_basis = arrow_basis
-        self._opposite: Algebra | None = None
+        self._opposite = None  # the opposite, or a weak reference to it
         self._opposite_basis: np.ndarray | None = None  # see _link_opposite
         self._memo: dict[tuple, object] = {}
 
@@ -139,13 +142,13 @@ class Algebra:
 
     @property
     def opposite(self) -> "Algebra":
-        if self._opposite is None:
-            self._link_opposite()
-        return self._opposite
+        op = held(self._opposite)
+        return self._link_opposite() if op is None else op
 
-    def _link_opposite(self) -> None:
-        """Build the opposite and link the two; `_opposite_basis` holds, on
-        each side, the other's basis as indices of its own."""
+    def _link_opposite(self) -> "Algebra":
+        """Build the opposite, hold it and link it back weakly;
+        `_opposite_basis` holds, on each side, the other's basis as indices
+        of its own."""
         op = object.__new__(type(self))
         order = np.asarray(self._reverse_into(op), dtype=np.int64)
         at = np.argsort(order)  # at[k]: the index in op of basis element k
@@ -155,18 +158,12 @@ class Algebra:
             {(t, s): sorted(int(at[k]) for k in idx) for (s, t), idx in self.blocks.items()},
             [int(at[k]) for k in self.arrow_basis])
         self._opposite, self._opposite_basis = op, order
-        op._opposite, op._opposite_basis = self, at
-
-    def release(self) -> None:
-        """Empty the memos of this algebra and its opposite; unlink the two."""
-        op, self._opposite, self._opposite_basis = self._opposite, None, None
-        self._memo.clear()
-        if op is not None:
-            op.release()
+        op._opposite, op._opposite_basis = weakref.ref(self), at
+        return op
 
     def to_opposite(self, elem: np.ndarray) -> np.ndarray:
         """The coordinates of an element in the basis of `opposite`."""
-        if self._opposite is None:
+        if held(self._opposite) is None:
             self._link_opposite()
         return elem[self._opposite_basis]
 
@@ -191,19 +188,20 @@ class Algebra:
         from tiltbench import rep
         return [rep.projective(self, v) for v in range(self.quiver.num_vertices)]
 
-    def leaf_radicals(self) -> list[list[np.ndarray]]:
+    def leaf_radicals(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """`rep.radical_subspaces` of each projective leaf, in the same order."""
         from tiltbench import rep
-        return memo(self._memo, ("leaf_radicals",), lambda: [
-            rep.radical_subspaces(leaf) for leaf in self.projective_leaves()])
+        return memo(self._memo, ("leaf_radicals",), lambda: read_only([
+            rep.radical_subspaces(leaf) for leaf in self.projective_leaves()]))
 
     def simples(self) -> list:
         """The simple tops of the projective leaves, in the same order; they
         are pairwise non-isomorphic because the algebra is basic."""
         from tiltbench import rep
-        return memo(self._memo, ("simples",), lambda: [
-            rep.quotient(leaf, rad)[0]
-            for leaf, rad in zip(self.projective_leaves(), self.leaf_radicals())])
+        kept = memo(self._memo, ("simples",), lambda: tuple(
+            rep.stored(rep.quotient(leaf, rad)[0])
+            for leaf, rad in zip(self.projective_leaves(), self.leaf_radicals())))
+        return [rep.Representation._of_reduced(self, *s) for s in kept]
 
     def regular_module(self):
         from tiltbench import rep

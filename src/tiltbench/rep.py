@@ -20,6 +20,8 @@ them.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from tiltbench import fitting
@@ -57,8 +59,8 @@ class Representation:
         self.algebra = algebra
         self.dims = dims
         self.maps = maps
-        self.offsets = np.concatenate([[0], np.cumsum(dims)])
-        self.total_dim = int(self.offsets[-1])
+        self.offsets = [0, *itertools.accumulate(dims.tolist())]
+        self.total_dim = self.offsets[-1]
 
     @property
     def field(self) -> PrimeField:
@@ -83,10 +85,18 @@ class Representation:
                 raise ValueError("arrow matrices do not satisfy the algebra relations")
 
     def vertex_slice(self, v: int) -> slice:
-        return slice(int(self.offsets[v]), int(self.offsets[v + 1]))
+        return slice(self.offsets[v], self.offsets[v + 1])
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dims.tolist()})"
+
+
+def stored(m: Representation) -> tuple:
+    """The dimensions and arrow matrices of m, made read-only: how an
+    algebra's memo keeps a module, which itself would point back at the
+    algebra.  `Representation._of_reduced(algebra, *stored(m))` wraps them
+    again without a copy."""
+    return read_only((m.dims, m.maps))
 
 
 def module_key(a: Representation) -> tuple:
@@ -392,17 +402,18 @@ def projective(algebra: Algebra, v: int) -> Representation:
     basis `algebra.blocks[v, w]`, and an arrow acts by left multiplication
     by its basis element.  Built once per (algebra, vertex) and kept in the
     algebra's memo, its arrow matrices read-only."""
-    return memo(algebra._memo, ("projective", v), _projective, algebra, v)
+    return Representation._of_reduced(
+        algebra, *memo(algebra._memo, ("projective", v), _projective, algebra, v))
 
 
-def _projective(algebra: Algebra, v: int) -> Representation:
+def _projective(algebra: Algebra, v: int) -> tuple:
     qv = algebra.quiver
     rows = [algebra.blocks[v, w] for w in range(qv.num_vertices)]
     maps = []
     for k, a in zip(algebra.arrow_basis, qv.arrows):
         s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
         maps.append(algebra.table[k][np.ix_(rows[s], rows[t])].T)
-    return Representation._of_reduced(algebra, [len(r) for r in rows], read_only(maps))
+    return read_only((np.array([len(r) for r in rows], dtype=np.int64), maps))
 
 
 def dualize(m: Representation) -> Representation:
@@ -476,7 +487,9 @@ def projective_cover(m: Representation) -> tuple[ModuleMorphism, list[int]]:
     every syzygy taken through here is minimal.  Kept in the algebra's
     memo by m's content and rebuilt to end at the caller's m.
     """
-    source, maps, verts = memo(m.algebra._memo, ("cover", module_key(m)), _projective_cover, m)
+    dims, source_maps, maps, verts = memo(m.algebra._memo, ("cover", module_key(m)),
+                                          _projective_cover, m)
+    source = Representation._of_reduced(m.algebra, dims, source_maps)
     return ModuleMorphism._of_reduced(source, m, maps), list(verts)
 
 
@@ -513,7 +526,7 @@ def _projective_cover(m: Representation):
         if ker.shape[1] and not F.column_space_contains(
                 block_diagonal([leaf_rads[i][v] for i in picked]), ker):
             raise AssertionError("projective cover kernel escapes the radical")
-    return source, read_only(cover.maps), tuple(picked)
+    return read_only((source.dims, source.maps, cover.maps, picked))
 
 
 def injective_envelope(m: Representation) -> tuple[ModuleMorphism, list[int]]:

@@ -8,8 +8,8 @@ byte-identical JSON — wall-clock timing is carried for the text rendering
 but nulled in JSON output.
 
 `run` owns the job it realizes (on a spec's first run, the one `ingest`
-built) and releases it when it returns or raises, so reference counting
-frees the job's caches at once.
+built) and drops it when it returns or raises; the job holds no reference
+cycle, so reference counting frees its caches at once.
 
 A RouteDisagreement raised by any check is a bug in this package, never a
 property of the input; it surfaces as the distinguished report status
@@ -72,10 +72,10 @@ class CheckReport:
                 "timing_s": None}
 
 
-def _dispatch(job: RealizedJob, req: CheckRequest, seed: int,
+def _dispatch(spec: JobSpec, job: RealizedJob, req: CheckRequest, seed: int,
               trials: int) -> Verdict:
     x, d = job.x, req.d
-    cap = job.spec.option("resolution_cap")
+    cap = spec.option("resolution_cap")
     t = req.trials if req.trials is not None else trials
     if req.check == "A0":
         return axioms.check_A0(x, trials=t, seed=seed)
@@ -115,16 +115,13 @@ def run(spec: JobSpec, seed: int | None = None,
     requests = sorted(spec.checks, key=lambda r: (_ORDER[r.check], r.d or 0))
     verdicts: list[Verdict] = []
     disagreement = None
-    try:
-        for req in requests:
-            try:
-                verdicts.append(_dispatch(job, req, eff_seed, eff_trials))
-            except RouteDisagreement as e:
-                disagreement = {"check": req.to_json(), "error": str(e),
-                                "details": e.details}
-                break
-    finally:
-        job.release()
+    for req in requests:
+        try:
+            verdicts.append(_dispatch(spec, job, req, eff_seed, eff_trials))
+        except RouteDisagreement as e:
+            disagreement = {"check": req.to_json(), "error": str(e),
+                            "details": e.details}
+            break
     return CheckReport(job=spec.raw, name=spec.name, seed=eff_seed,
                        trials=eff_trials, version=__version__,
                        verdicts=verdicts, disagreement=disagreement,

@@ -21,12 +21,13 @@ higher Auslander-Reiten translates built from it.
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 
 from tiltbench import rep
 from tiltbench.algebra_ops import AbstractAlgebra
-from tiltbench.linalg import PrimeField, memo, read_only
+from tiltbench.linalg import PrimeField, held, memo, read_only
 from tiltbench.quiver import BoundQuiverAlgebra
 from tiltbench.rep import ModuleMorphism, Representation, module_key as _module_key
 
@@ -52,18 +53,21 @@ class ResolutionCapExceeded(Exception):
 
 
 class XObject:
-    """A formal direct sum of subcategory summands."""
+    """A formal direct sum of subcategory summands.  It keeps the algebra
+    and the summands, not the subcategory, whose memo keeps it."""
 
-    def __init__(self, subcat: "SubcategoryX", parts: tuple[int, ...]):
-        self.subcat = subcat
+    def __init__(self, algebra: BoundQuiverAlgebra, summands: list[Representation],
+                 parts: tuple[int, ...]):
+        self.algebra = algebra
+        self.summands = summands
         self.parts = tuple(parts)
         # dim Hom(X_z, self) by z, filled by SubcategoryX.hom_dim
-        self.hom_dims: list[int | None] = [None] * len(subcat.summands)
+        self.hom_dims: list[int | None] = [None] * len(summands)
 
     @functools.cached_property
     def _realize(self) -> tuple[Representation, list[ModuleMorphism], list[ModuleMorphism]]:
         """The direct sum of the parts with its inclusions and projections."""
-        return rep.direct_sum(self.subcat.algebra, [self.subcat.summands[i] for i in self.parts])
+        return rep.direct_sum(self.algebra, [self.summands[i] for i in self.parts])
 
     @functools.cached_property
     def rep(self) -> Representation:
@@ -81,10 +85,10 @@ class XObject:
     def offsets(self) -> list[list[int]]:
         """offsets[k][v]: where the k-th part starts at vertex v inside the
         realization (k = len(parts) gives the dimensions)."""
-        run = [0] * self.subcat.algebra.quiver.num_vertices
+        run = [0] * self.algebra.quiver.num_vertices
         offs = [run]
         for i in self.parts:
-            run = [a + int(b) for a, b in zip(run, self.subcat.summands[i].dims)]
+            run = [a + int(b) for a, b in zip(run, self.summands[i].dims)]
             offs.append(run)
         return offs
 
@@ -124,17 +128,16 @@ def _xmap_key(m: XMap) -> tuple:
 
 def concat_xmaps_cols(x: "SubcategoryX", blocks: list[XMap], dst: XObject) -> XMap:
     """[b_1 b_2 ...]: sum of sources -> common target."""
-    parts: tuple[int, ...] = ()
-    for b in blocks:
-        parts = parts + b.src.parts
-    src = x.obj(parts)
-    maps = []
-    nv = len(dst.rep.dims)
-    for v in range(nv):
-        cols = [b.mor.maps[v] for b in blocks]
-        maps.append(np.concatenate(cols, axis=1) % x.field.p if cols
-                    else np.zeros((int(dst.rep.dims[v]), 0), dtype=np.int64))
-    return XMap(src, dst, ModuleMorphism(src.rep, dst.rep, maps))
+    src = x.obj(i for b in blocks for i in b.src.parts)
+    return XMap(src, dst, ModuleMorphism._of_reduced(
+        src.rep, dst.rep, _side_by_side([b.mor for b in blocks], dst.rep.dims)))
+
+
+def _side_by_side(mors: list[ModuleMorphism], dims) -> list[np.ndarray]:
+    """The components of mors side by side at each vertex, into a common
+    target of dimensions dims; reduced mod p as they are, not again."""
+    return [np.concatenate([f.maps[v] for f in mors], axis=1) if mors
+            else np.zeros((int(d), 0), dtype=np.int64) for v, d in enumerate(dims)]
 
 
 class SubcategoryX:
@@ -149,7 +152,9 @@ class SubcategoryX:
     Every operation on the cokernel side (left approximations, weak
     cokernels, epimorphisms, higher cokernels) is its kernel-side twin run
     on `op`, the subcategory add(D M) over the opposite algebra, through
-    `dual_xmap`.
+    `dual_xmap`.  The side that built the other holds it; the built side
+    holds a weak reference back (`linalg.held`) and builds a new `op` if
+    that one is gone.
 
     Everything it caches lives in one dict, `_memo`, filled through
     `linalg.memo` under keys that start with the name of what they hold:
@@ -162,8 +167,8 @@ class SubcategoryX:
     Hom(X_z, f) blocks are not memoized: they are answered from the hom
     dimensions dim Hom(X_z, X_parts), which each X-object keeps
     (`hom_dim`), and which also let the tests skip every z with
-    Hom(X_z, source) = 0.  Entries live until `release` and their arrays
-    are read-only.
+    Hom(X_z, source) = 0.  Entries are read-only and point at no
+    subcategory, so reference counting frees the memo with its owner.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, module: Representation,
@@ -186,40 +191,28 @@ class SubcategoryX:
         self.module = module
         self.seed = seed
         self.summands = summands
-        self._op: SubcategoryX | None = None
+        self._op = None  # op, or a weak reference to it
         self._memo: dict[tuple, object] = {}
-
-    def release(self) -> None:
-        """Empty the memos of this subcategory, `op` and the algebras under
-        them, End(M) included, and unlink each pair."""
-        op, self._op = self._op, None
-        gamma = self._memo.get(("gamma",))
-        self._memo.clear()
-        self.algebra.release()
-        if gamma is not None:
-            gamma.release()
-        if op is not None:
-            op.release()
 
     # -- basic structure -------------------------------------------------------
 
     @property
     def op(self) -> "SubcategoryX":
-        if self._op is None:
+        o = held(self._op)
+        if o is None:
             # the duals of split, pairwise non-isomorphic summands are split
             # and pairwise non-isomorphic
             o = SubcategoryX.__new__(SubcategoryX)
             o._setup(self.algebra.opposite, rep.dualize(self.module),
                      [rep.dualize(s) for s in self.summands], self.seed)
-            o._op = self
-            self._op = o
-        return self._op
+            o._op, self._op = weakref.ref(self), o
+        return o
 
     def obj(self, parts) -> XObject:
         """The X-object of a parts tuple; one object per tuple, so each is
         realized once."""
         parts = tuple(parts)
-        return memo(self._memo, ("obj", parts), XObject, self, parts)
+        return memo(self._memo, ("obj", parts), XObject, self.algebra, self.summands, parts)
 
     def zero_obj(self) -> XObject:
         return self.obj(())
@@ -347,12 +340,7 @@ class SubcategoryX:
             parts.append(hit[0])
             comps.append(leaf.incl.compose(hit[1]))
         xobj = self.obj(parts)
-        maps = []
-        for v in range(len(a.dims)):
-            cols = [c.maps[v] for c in comps]
-            maps.append(np.concatenate(cols, axis=1) % self.field.p
-                        if cols else np.zeros((int(a.dims[v]), 0), dtype=np.int64))
-        iso = ModuleMorphism(xobj.rep, a, maps)
+        iso = ModuleMorphism._of_reduced(xobj.rep, a, _side_by_side(comps, a.dims))
         if not iso.is_isomorphism():
             raise AssertionError("assembled embedding is not an isomorphism")
         return xobj, read_only(iso.maps)
@@ -361,9 +349,9 @@ class SubcategoryX:
         """Whether a lies in add(M).  With no embedding of a kept here, an
         embedding of D a kept by `op` answers: D a is in add(D M) exactly
         when a is in add(M)."""
-        key = ("embed", _module_key(a))
-        if key not in self._memo and self._op is not None:
-            hit = self._op._memo.get(("embed", _module_key(rep.dualize(a))), False)
+        key, o = ("embed", _module_key(a)), held(self._op)
+        if key not in self._memo and o is not None:
+            hit = o._memo.get(("embed", _module_key(rep.dualize(a))), False)
             if hit is not False:
                 return hit is not None
         return self.embed(a) is not None
@@ -382,9 +370,9 @@ class SubcategoryX:
     def _summand_dim(self, i: int, j: int) -> int:
         """dim Hom(X_i, X_j), read off the basis of Hom(D X_j, D X_i) when
         only `op` has built that one."""
-        basis = self._memo.get(("hom", i, j))
-        if basis is None and self._op is not None:
-            basis = self._op._memo.get(("hom", j, i))
+        basis, o = self._memo.get(("hom", i, j)), held(self._op)
+        if basis is None and o is not None:
+            basis = o._memo.get(("hom", j, i))
         return len(basis if basis is not None else self.hom(i, j))
 
     @staticmethod
@@ -520,13 +508,7 @@ class SubcategoryX:
                 blocks.append(h)
         if minimize:
             parts, blocks = self._minimize_blocks(parts, blocks)
-        xobj = self.obj(parts)
-        maps = []
-        for v in range(len(a.dims)):
-            cols = [b.maps[v] for b in blocks]
-            maps.append(np.concatenate(cols, axis=1) % self.field.p
-                        if cols else np.zeros((int(a.dims[v]), 0), dtype=np.int64))
-        return xobj, read_only(maps)
+        return self.obj(parts), read_only(_side_by_side(blocks, a.dims))
 
     def _minimize_blocks(self, parts: list[int], blocks: list[ModuleMorphism]
                          ) -> tuple[list[int], list[ModuleMorphism]]:
@@ -687,24 +669,27 @@ class SubcategoryX:
 def _resolution_data(a: Representation) -> dict:
     """Resolution data of a, shared by every module equal to a in content:
     it is kept in the memo of a's algebra, keyed by `_module_key`.
-    "coboundaries": (b's _module_key, k) -> (columns, rank) of Hom(d_k, b),
-    filled by ext_dim."""
+    "parts" and "diffs": the vertices of each P_k and the read-only
+    components of each P_{k+1} -> P_k; "syzygy" (`rep.stored`) and "incl":
+    the last syzygy and its inclusion's components; "coboundaries": (b's
+    _module_key, k) -> (columns, rank) of Hom(d_k, b), filled by ext_dim."""
     return memo(a.algebra._memo, ("resolution", _module_key(a)), lambda: {
-        "terms": [a], "parts": [], "diffs": [], "coboundaries": {}})
+        "parts": [], "diffs": [], "coboundaries": {}})
 
 
 def extend_resolution(a: Representation, length: int) -> dict:
     """Minimal projective resolution data out to P_length."""
     data = _resolution_data(a)
+    p = a.field.p
     while len(data["parts"]) <= length:
         k = len(data["parts"])
-        cover, verts = rep.projective_cover(data["terms"][k])
+        term = Representation._of_reduced(a.algebra, *data["syzygy"]) if k else a
+        cover, verts = rep.projective_cover(term)
         data["parts"].append(verts)
         ker, incl = rep.kernel(cover)
-        data["terms"].append(ker)
         if k > 0:
-            data["diffs"].append(data["_incl_prev"].compose(cover))  # type: ignore[index]
-        data["_incl_prev"] = incl
+            data["diffs"].append(read_only([(i @ c) % p for i, c in zip(data["incl"], cover.maps)]))
+        data["syzygy"], data["incl"] = rep.stored(ker), read_only(incl.maps)
     return data
 
 
@@ -721,9 +706,10 @@ def _gen_positions(algebra: BoundQuiverAlgebra, verts: list[int]) -> list[tuple[
     return out
 
 
-def _hom_complex_diff(diff: ModuleMorphism, parts_hi: list[int],
+def _hom_complex_diff(diff: tuple[np.ndarray, ...], parts_hi: list[int],
                       parts_lo: list[int], b: Representation) -> np.ndarray:
-    """Matrix of Hom(diff, b): coordinates are values at part generators."""
+    """Matrix of Hom(diff, b), diff given by its components: coordinates are
+    values at part generators."""
     algebra = b.algebra
     F = b.field
     gens_hi = _gen_positions(algebra, parts_hi)
@@ -738,7 +724,7 @@ def _hom_complex_diff(diff: ModuleMorphism, parts_hi: list[int],
     col_off = np.concatenate([[0], np.cumsum([int(b.dims[v]) for v in parts_lo])])
     out = np.zeros((int(row_off[-1]), int(col_off[-1])), dtype=np.int64)
     for j, (vj, coord) in enumerate(gens_hi):
-        x = diff.maps[vj][:, coord]
+        x = diff[vj][:, coord]
         for local, (pi, g) in enumerate(per_vertex[vj]):
             val = int(x[local])
             if not val:
@@ -834,7 +820,7 @@ def transpose(a: Representation) -> Representation:
             idx = algebra.blocks[vi, vj]
             lo = int(offs0[i][vj])
             elem = np.zeros(algebra.dim, dtype=np.int64)
-            elem[idx] = diff.maps[vj][lo:lo + len(idx), coord]
+            elem[idx] = diff[vj][lo:lo + len(idx), coord]
             if not elem.any():
                 continue
             block = _yoneda_right_mult(op, algebra.to_opposite(elem), parts1[j], parts0[i])

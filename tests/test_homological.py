@@ -364,7 +364,7 @@ def _transpose_by_inclusions(a):
     dst_total, dst_incls, _ = rep.direct_sum(op, [rep.projective(op, v) for v in parts1])
     g = rep.zero_morphism(src_total, dst_total)
     for j, (vj, coord) in enumerate(subcat._gen_positions(algebra, parts1)):
-        x = diff.maps[vj][:, coord]
+        x = diff[vj][:, coord]
         for i, vi in enumerate(parts0):
             elem = np.zeros(algebra.dim, dtype=np.int64)
             lo = int(offs0[i][vj])
@@ -473,7 +473,8 @@ def test_stored_cover_equals_the_all_vertex_loop(name, monkeypatch):
             before = len(built)
             again, again_verts = rep.projective_cover(twin)
             assert len(built) == before and again_verts == verts
-            assert again.target is twin and again.source is cover.source
+            assert again.target is twin and again.source.dims is cover.source.dims
+            assert all(a is b for a, b in zip(again.source.maps, cover.source.maps))
             assert all(a is b for a, b in zip(again.maps, cover.maps))
             checked += 1
     assert checked and built

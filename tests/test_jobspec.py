@@ -1,4 +1,5 @@
 """Job-file schema validation, realization and the realized job's lifetime."""
+import contextlib
 import gc
 import json
 import weakref
@@ -6,7 +7,7 @@ import weakref
 import pytest
 
 from conftest import CORPUS_DIR
-from tiltbench import axioms, jobspec, linalg, quiver, rep, report, subcat
+from tiltbench import algebra_ops, axioms, functors, jobspec, linalg, quiver, rep, report, subcat
 from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.jobspec import SchemaError
 
@@ -318,7 +319,86 @@ class TestJobLifetime:
         handed_over, fresh = spec.realize(), spec.realize()
         assert fresh is not handed_over
         assert fresh.x is not handed_over.x and fresh.algebra is not handed_over.algebra
-        handed_over.release()
+        del handed_over
         verdict = axioms.check_A1_A1op(fresh.x, 5, 42)
         assert verdict.passed
         assert verdict.to_json() == axioms.check_A1_A1op(spec.realize().x, 5, 42).to_json()
+
+    @pytest.mark.parametrize("name, with_gamma", [
+        ("linear_a2_generator", False),
+        ("serial_x3_generator", True),
+    ])
+    def test_dropping_x_frees_the_localization_path(self, monkeypatch, name, with_gamma):
+        # the benchmark's functor jobs keep spec.realize().x and nothing else:
+        # with the collector off, dropping x must free the whole job
+        algebras = _instances(monkeypatch, quiver.Algebra, "__init__")
+        subcats = _instances(monkeypatch, subcat.SubcategoryX, "_setup")
+        fields = _instances(monkeypatch, linalg.PrimeField, "__init__")
+        gc.collect()
+        gc.disable()
+        try:
+            x = jobspec.ingest(CORPUS_DIR / f"{name}.json").realize().x
+            for m in axioms.sample_morphisms(x, 6, 42):
+                fc = functors.cokernel_functor(functors.yoneda_morphism(x, m))[0]
+                with contextlib.suppress(functors.SequenceCheckFailed):
+                    functors.verify_star_adjunction_sequences(fc)
+            if with_gamma:
+                # End(M) and, through the injective envelopes, its opposite
+                algebra_ops.dominant_dimension(x.endomorphism_algebra())
+            del x, m, fc
+            alive = [kind for kind, ref in algebras + subcats + fields if ref() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
+        kinds = [kind for kind, _ in algebras + subcats + fields]
+        assert kinds.count("BoundQuiverAlgebra") == 2 and kinds.count("SubcategoryX") == 2
+        assert kinds.count("AbstractAlgebra") == (2 if with_gamma else 0)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS_DIR.glob("*.json")))
+    def test_no_job_leaves_a_reference_cycle(self, name):
+        # every object the collector would have to find is kept in
+        # gc.garbage: none may be of a type defined in tiltbench
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            spec = jobspec.ingest(CORPUS_DIR / f"{name}.json")
+            report.run(spec)
+            del spec
+            jobspec.ingest(CORPUS_DIR / f"{name}.json")  # dropped before a realize
+            gc.collect()
+            cyclic = sorted({type(o).__qualname__ for o in gc.garbage
+                             if type(o).__module__.startswith("tiltbench")})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []
+
+
+class TestBackLinks:
+    def test_each_pair_links_back_while_its_owner_lives(self):
+        job = jobspec.ingest(CORPUS_DIR / "serial_x3_generator.json").realize()
+        x, lam = job.x, job.algebra
+        gamma = x.endomorphism_algebra()
+        assert x.op.op is x and x.op.algebra is lam.opposite
+        assert lam.opposite.opposite is lam
+        assert gamma.opposite.opposite is gamma
+        assert x.op.op.op is x.op
+
+    def test_a_kept_op_rebuilds_its_subcategory(self):
+        spec = jobspec.ingest(CORPUS_DIR / "serial_x2_generator.json")
+        x = spec.realize().x
+        dims = [s.dims.tolist() for s in x.summands]
+        o, gone = x.op, weakref.ref(x)
+        gc.disable()
+        try:
+            del x
+            assert gone() is None  # freed by reference counting, o kept
+        finally:
+            gc.enable()
+        again = o.op
+        assert again.op is o and again.algebra.opposite is o.algebra
+        assert [s.dims.tolist() for s in again.summands] == dims
+        want = axioms.check_A1_A1op(spec.realize().x, 5, 42).to_json()
+        assert axioms.check_A1_A1op(again, 5, 42).to_json() == want

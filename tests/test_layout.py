@@ -131,8 +131,8 @@ def gc_controls(trees: dict[str, ast.Module]) -> list[str]:
 
 
 def test_no_module_drives_the_collector():
-    # a job's memory is freed by its owner's release and reference counting,
-    # not by forcing or tuning collections
+    # a job holds no reference cycle, so reference counting frees it when it
+    # is dropped, not forcing or tuning collections
     assert gc_controls(_trees()) == []
 
 

@@ -47,9 +47,11 @@ class TestStandardModules:
         p.check_relations()  # must not raise
 
     def test_projectives_are_built_once_per_algebra(self, a3rad2):
-        p = rep.projective(a3rad2, 1)
-        assert rep.projective(a3rad2, 1) is p
-        assert rep.projective(a3rad2.opposite, 1) is not p
+        # each call wraps the arrays the algebra's memo keeps, without a copy
+        p, again = rep.projective(a3rad2, 1), rep.projective(a3rad2, 1)
+        assert again.dims is p.dims and all(a is b for a, b in zip(again.maps, p.maps))
+        op = rep.projective(a3rad2.opposite, 1)
+        assert not any(a is b for a, b in zip(op.maps, p.maps))
         assert not any(m.flags.writeable for m in p.maps)
 
 
