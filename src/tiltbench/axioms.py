@@ -32,7 +32,7 @@ import numpy as np
 
 from tiltbench import algebra_ops, rep, subcat
 from tiltbench.jobspec import SchemaError
-from tiltbench.linalg import memo, read_only
+from tiltbench.linalg import Rng, memo, read_only
 from tiltbench.rep import ModuleMorphism, Representation
 from tiltbench.subcat import (SubcategoryX, XMap,
                               DCokernelNotRightExact, DKernelNotLeftExact,
@@ -145,11 +145,11 @@ def sample_morphisms(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
 
 def _sample_morphisms(x: SubcategoryX, trials: int, seed: int) -> tuple[XMap, ...]:
     out = spanning_family(x)
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     n = len(x.summands)
     while n and len(out) < trials:
-        sp = tuple(int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 3))))
-        dp = tuple(int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 3))))
+        sp = tuple(int(v) for v in rng.integers(0, n, size=rng.integers(1, 3)))
+        dp = tuple(int(v) for v in rng.integers(0, n, size=rng.integers(1, 3)))
         src, dst = x.obj(sp), x.obj(dp)
         dim = len(x.obj_hom(src, dst))
         coords = rng.integers(0, x.field.p, size=dim)
@@ -205,11 +205,11 @@ def check_A0(x: SubcategoryX, trials: int = 20, seed: int = DEFAULT_SEED) -> Ver
     self-test, sampled idempotents (coordinate projections conjugated by
     sampled automorphisms) are split and both halves re-embedded.
     """
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     n = len(x.summands)
     tested = 0
     for _ in range(trials):
-        parts = tuple(int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 4))))
+        parts = tuple(int(v) for v in rng.integers(0, n, size=rng.integers(1, 4)))
         xo = x.obj(parts)
         basis = x.obj_hom(xo, xo)
         g = x.obj_from_coords(xo, xo, rng.integers(0, x.field.p, size=len(basis)))
@@ -217,7 +217,7 @@ def check_A0(x: SubcategoryX, trials: int = 20, seed: int = DEFAULT_SEED) -> Ver
             continue
         e = rep.zero_morphism(xo.rep, xo.rep)
         for pos in range(len(parts)):
-            if int(rng.integers(0, 2)):
+            if rng.integers(0, 2):
                 e = e.add(xo.incls[pos].compose(xo.projs[pos]))
         e = g.compose(e).compose(rep.invert_morphism(g))
         if not e.compose(e).sub(e).is_zero:

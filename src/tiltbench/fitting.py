@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tiltbench.linalg import PrimeField
+from tiltbench.linalg import PrimeField, Rng
 
 _CANDIDATE_ATTEMPTS = 200
 _LIFT_ITERATIONS = 64
@@ -159,8 +159,7 @@ def _ppow_mod(F: PrimeField, base: np.ndarray, e: int, mod: np.ndarray) -> np.nd
     return result
 
 
-def factor_squarefree(F: PrimeField, f: np.ndarray, rng: np.random.Generator
-                      ) -> list[np.ndarray]:
+def factor_squarefree(F: PrimeField, f: np.ndarray, rng: Rng) -> list[np.ndarray]:
     """Irreducible factors of a squarefree monic polynomial."""
     f = _pmonic(F, f)
     out: list[np.ndarray] = []
@@ -188,13 +187,13 @@ def factor_squarefree(F: PrimeField, f: np.ndarray, rng: np.random.Generator
 
 
 def _equal_degree(F: PrimeField, f: np.ndarray, d: int,
-                  rng: np.random.Generator) -> list[np.ndarray]:
+                  rng: Rng) -> list[np.ndarray]:
     n = _pdeg(f)
     if n == d:
         return [f]
     exponent = (F.p ** d - 1) // 2
     for _ in range(200):
-        r = rng.integers(0, F.p, size=n, dtype=np.int64)
+        r = rng.integers(0, F.p, size=n)
         r = _ptrim(r)
         if _pdeg(r) < 1:
             continue
@@ -351,7 +350,7 @@ def certify_nilpotent(F: PrimeField, table: np.ndarray, basis: np.ndarray) -> No
 
 
 def find_splitting_idempotent(F: PrimeField, mats: list[np.ndarray],
-                              rng: np.random.Generator) -> np.ndarray | None:
+                              rng: Rng) -> np.ndarray | None:
     """A nontrivial idempotent matrix in the span, or None when the ring is
     certified local (so the module is indecomposable)."""
     ring = _RingData(F, mats)
@@ -382,13 +381,13 @@ def find_splitting_idempotent(F: PrimeField, mats: list[np.ndarray],
         "no splitting idempotent found and no local certificate reached")
 
 
-def _candidate_elements(bar: _QuotientRing, rng: np.random.Generator):
+def _candidate_elements(bar: _QuotientRing, rng: Rng):
     for i in range(bar.k):
         e = np.zeros(bar.k, dtype=np.int64)
         e[i] = 1
         yield e
     for _ in range(_CANDIDATE_ATTEMPTS):
-        yield rng.integers(0, bar.F.p, size=bar.k, dtype=np.int64)
+        yield rng.integers(0, bar.F.p, size=bar.k)
 
 
 def _crt_idempotent(bar: _QuotientRing, mp: np.ndarray, fac: np.ndarray,

@@ -361,3 +361,109 @@ class PrimeField:
             for j, fr in enumerate(free):
                 proj[j, i] = v[fr, 0]
         return proj, reps
+
+
+# -- the seeded stream --------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx); `const` is its running
+# hash constant, carried from call to call in a one-item list.
+def _hashmix(value: int, const: list[int]) -> int:
+    value ^= const[0]
+    const[0] = (const[0] * 0x931E8875) & _M32
+    value = (value * const[0]) & _M32
+    return value ^ (value >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The four 64-bit words numpy's `SeedSequence(seed).generate_state(4,
+    np.uint64)` gives: the seed's 32-bit words (least significant first)
+    hash-mixed into a pool of four, then drawn out of it."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    entropy = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = [0x43B0D7E5]
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, const) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const))
+    const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = (const * 0x58F38DED) & _M32
+        value = (value * const) & _M32
+        out.append(value ^ (value >> 16))
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Rng:
+    """The stream of numpy's `default_rng(seed).integers(low, high, size)`,
+    bit for bit, without importing numpy's random package (about 6 MiB
+    resident and 10 ms per process).
+
+    That generator is PCG64 (O'Neill, "PCG: A Family of Simple
+    Fast Space-Efficient Statistically Good Algorithms for Random Number
+    Generation", 2014): a 128-bit LCG whose output is the XSL-RR of the
+    stepped state, seeded through `SeedSequence`.  A draw from fewer than
+    2^32 values takes 32-bit halves of the 64-bit outputs (the high half kept
+    for the next draw, also across calls) through Lemire's rejection ("Fast
+    random integer generation in an interval", ACM TOMS 2019), and a draw
+    from one value takes nothing.  Wider ranges are refused: no caller draws
+    past the field cap p < 2^20.
+    """
+
+    def __init__(self, seed: int):
+        w = _seed_words(int(seed))
+        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        # from state 0: step, add the seed word, step
+        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _M128
+        self._half: int | None = None
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            out, self._half = self._half, None
+            return out
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = ((s >> 64) ^ s) & _M64
+        rot = s >> 122
+        x = ((x >> rot) | (x << (-rot & 63))) & _M64
+        self._half = x >> 32
+        return x & _M32
+
+    def _bounded(self, rng: int) -> int:
+        """A draw in [0, rng], for rng < 2^32 - 1."""
+        if rng == 0:
+            return 0
+        span = rng + 1
+        m = self._next32() * span
+        if m & _M32 < span:
+            threshold = (_M32 - rng) % span
+            while m & _M32 < threshold:
+                m = self._next32() * span
+        return m >> 32
+
+    def integers(self, low: int, high: int, size: int | None = None):
+        """An int in [low, high), or an int64 array of `size` of them."""
+        rng = high - 1 - low
+        if rng < 0:
+            raise ValueError("low >= high")
+        if rng >= _M32:
+            raise ValueError("ranges of 2^32 or more values are not supported")
+        if size is None:
+            return low + self._bounded(rng)
+        return np.array([low + self._bounded(rng) for _ in range(size)], dtype=np.int64)

@@ -400,11 +400,53 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField,
             v[col[full]] = 1
             table[i, j] = nf(v)
 
-    assoc_l = np.einsum("ijm,mkl->ijkl", table, table) % field.p
-    assoc_r = np.einsum("jkm,iml->ijkl", table, table) % field.p
-    if not np.array_equal(assoc_l, assoc_r):
+    algebra = BoundQuiverAlgebra(quiver, field, basis, table, rad_len,
+                                 [[(c, a) for c, a in terms] for terms in rels])
+    if not _associative(algebra):
         raise NotAdmissible("multiplication table failed associativity; "
                             "non-homogeneous relations need a larger max_path_len")
+    return algebra
 
-    return BoundQuiverAlgebra(quiver, field, basis, table, rad_len,
-                              [[(c, a) for c, a in terms] for terms in rels])
+
+def _associative(algebra: BoundQuiverAlgebra) -> bool:
+    """Is the product given by `algebra.table` associative?  True is a proof.
+
+    Let G be the trivial paths and the arrows, all of them basis elements
+    (relation terms have length >= 2).  The check:
+
+    1. certify that each basis path (a_1, ..., a_r) is the nested product
+       a_r (... (a_2 a_1)) under the table;
+    2. check (g b_j) b_k = g (b_j b_k) for each g in G and all basis b_j,
+       b_k: dim^3 cells per g, against dim^4 for all triples at once.
+
+    Why that suffices: the x with (x y) z = x (y z) for all y, z form a
+    subspace S, which holds G by step 2.  If g is in G and x in S, then
+    ((g x) y) z = (g (x y)) z = g ((x y) z) = g (x (y z)) = (g x)(y z), so
+    g x is in S.  Hence S holds every nested product g_1 (g_2 (... g_r)),
+    so by step 1 every basis element: S is the algebra.  Without step 1
+    nothing is proved, and the answer is False.
+    """
+    p, table, dim = algebra.field.p, algebra.table, algebra.dim
+    nv = algebra.quiver.num_vertices
+    arrow = algebra.arrow_basis
+    gens = [algebra.path_position[v, ()] for v in range(nv)] + list(arrow)
+    for k, (_, arrows) in enumerate(algebra.basis_paths):
+        if len(arrows) < 2:
+            continue
+        y = np.zeros(dim, dtype=np.int64)
+        y[arrow[arrows[0]]] = 1
+        for a in arrows[1:]:
+            y = y @ table[arrow[a]] % p
+        if y[k] != 1 or np.count_nonzero(y) != 1:
+            return False
+    by_left = table.reshape(dim, dim * dim)
+    by_right = table.reshape(dim * dim, dim)
+    for g in gens:
+        mult = table[g]  # mult[j, m]: coefficient of b_m in g b_j
+        rows = np.flatnonzero(mult.any(axis=1))
+        left = np.zeros((dim, dim * dim), dtype=np.int64)
+        left[rows] = mult[rows] @ by_left % p
+        right = by_right[:, rows] @ mult[rows] % p
+        if not np.array_equal(left, right.reshape(dim, dim * dim)):
+            return False
+    return True

@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 
 from tiltbench import fitting
-from tiltbench.linalg import PrimeField, memo, read_only
+from tiltbench.linalg import PrimeField, Rng, memo, read_only
 from tiltbench.quiver import Algebra
 
 
@@ -595,7 +595,7 @@ def decompose(m: Representation, seed: int = 0) -> list[Leaf]:
         ident = identity_morphism(m)
         return [Leaf(m, ident, ident)]
     mats = [f.total_matrix() for f in ends]
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     e_flat = fitting.find_splitting_idempotent(m.field, mats, rng)
     if e_flat is None:
         ident = identity_morphism(m)

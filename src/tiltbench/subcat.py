@@ -769,19 +769,18 @@ def _min_presentation(a: Representation):
 
 
 def _yoneda_right_mult(algebra: BoundQuiverAlgebra, elem: np.ndarray,
-                       src_vertex: int, tgt_vertex: int) -> ModuleMorphism:
-    """Right multiplication by an element of e_t * A * e_s as a morphism
-    P(tgt_vertex) -> P(src_vertex)."""
+                       src_vertex: int, tgt_vertex: int) -> list[np.ndarray]:
+    """Right multiplication by an element of e_t * A * e_s as the reduced
+    components, vertex by vertex, of a morphism P(tgt_vertex) ->
+    P(src_vertex)."""
     F = algebra.field
     rm = np.einsum("j,ljk->kl", elem % F.p, algebra.table) % F.p
-    p_src = rep.projective(algebra, src_vertex)
-    p_tgt = rep.projective(algebra, tgt_vertex)
     maps = []
     for w in range(algebra.quiver.num_vertices):
         bs, bt = algebra.blocks[src_vertex, w], algebra.blocks[tgt_vertex, w]
         maps.append(rm[np.ix_(bs, bt)] if bs and bt
                     else np.zeros((len(bs), len(bt)), dtype=np.int64))
-    return ModuleMorphism(p_tgt, p_src, maps)
+    return maps
 
 
 def transpose(a: Representation) -> Representation:
@@ -793,26 +792,25 @@ def transpose(a: Representation) -> Representation:
     diff, parts1, parts0 = _min_presentation(a)
     if not parts0:
         return rep.zero_rep(op)
+    nv = algebra.quiver.num_vertices
 
-    def offsets(mods):
-        """Per-vertex offset of each module in their direct sum."""
+    def offsets(alg, verts):
+        """Per-vertex offset of each projective alg e_v in their direct sum."""
         offs = []
-        run = np.zeros(algebra.quiver.num_vertices, dtype=np.int64)
-        for m in mods:
+        run = np.zeros(nv, dtype=np.int64)
+        for v in verts:
             offs.append(run.copy())
-            run += m.dims
+            run += [len(alg.blocks[v, w]) for w in range(nv)]
         return offs
 
     # the dual map between opposite projectives: block (j, i) is right
     # multiplication by the element of e_{vj} A e_{vi} that the presentation
     # sends generator j to, read in part i, written once at the offsets of
     # source part i and target part j
-    offs0 = offsets([rep.projective(algebra, v) for v in parts0])
-    src_parts = [rep.projective(op, v) for v in parts0]
-    dst_parts = [rep.projective(op, v) for v in parts1]
-    src_total = rep.sum_module(op, src_parts)
-    dst_total = rep.sum_module(op, dst_parts)
-    col_offs, row_offs = offsets(src_parts), offsets(dst_parts)
+    offs0 = offsets(algebra, parts0)
+    src_total = rep.sum_module(op, [rep.projective(op, v) for v in parts0])
+    dst_total = rep.sum_module(op, [rep.projective(op, v) for v in parts1])
+    col_offs, row_offs = offsets(op, parts0), offsets(op, parts1)
     maps = [np.zeros((int(r), int(c)), dtype=np.int64)
             for r, c in zip(dst_total.dims, src_total.dims)]
     for j, (vj, coord) in enumerate(_gen_positions(algebra, parts1)):
@@ -824,10 +822,10 @@ def transpose(a: Representation) -> Representation:
             if not elem.any():
                 continue
             block = _yoneda_right_mult(op, algebra.to_opposite(elem), parts1[j], parts0[i])
-            for w, bw in enumerate(block.maps):
+            for w, bw in enumerate(block):
                 r, c = int(row_offs[j][w]), int(col_offs[i][w])
                 maps[w][r:r + bw.shape[0], c:c + bw.shape[1]] = bw
-    c, _ = rep.cokernel(ModuleMorphism(src_total, dst_total, maps))
+    c, _ = rep.cokernel(ModuleMorphism._of_reduced(src_total, dst_total, maps))
     return c
 
 

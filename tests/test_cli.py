@@ -1,10 +1,17 @@
 """End-to-end command-line behavior: exit codes, emission formats, seeding."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tiltbench
 from tiltbench import axioms, cli, report
 from tiltbench.axioms import Verdict
+
+from conftest import CORPUS_DIR
 
 A2_JOB = {
     "name": "cli-probe",
@@ -246,3 +253,22 @@ class TestDisagreementRendering:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             report.emit(self.fake_report(), "yaml")
+
+
+def test_a_check_never_imports_numpy_random(tmp_path):
+    """A whole `tiltbench check` in a fresh process, sampled routes and
+    decompositions included, leaves numpy's random package unimported: the
+    seeded draws come from `linalg.Rng`."""
+    job = CORPUS_DIR / "nakayama_a3_rad2_bimodule.json"
+    argv = ["check", str(job), "--report", "json", "--seed", "42",
+            "--out", str(tmp_path / "report.json")]
+    code = ("import sys\nfrom tiltbench import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(rc, 'numpy.random' in sys.modules)")
+    src = str(Path(tiltbench.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300, check=True)
+    assert run.stdout.split() == ["1", "False"]
+    assert json.loads((tmp_path / "report.json").read_text())["status"] == "fail"

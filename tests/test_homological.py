@@ -372,7 +372,9 @@ def _transpose_by_inclusions(a):
                 elem[gpos] = x[lo + local]
             if not elem.any():
                 continue
-            block = subcat._yoneda_right_mult(op, (rmap @ elem) % F.p, parts1[j], parts0[i])
+            block = rep.ModuleMorphism(
+                rep.projective(op, parts0[i]), rep.projective(op, parts1[j]),
+                subcat._yoneda_right_mult(op, (rmap @ elem) % F.p, parts1[j], parts0[i]))
             g = g.add(dst_incls[j].compose(block).compose(src_projs[i]))
     return rep.cokernel(g)[0]
 

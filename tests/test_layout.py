@@ -1,7 +1,7 @@
 """Code layout: every public function and method in src/tiltbench has a
 caller in src/tiltbench, or is an entry point named below, no public
-module-level function name is defined in two modules, and no module drives
-the garbage collector.
+module-level function name is defined in two modules, no module drives
+the garbage collector, and none reaches numpy's random package.
 
 A call is any reference to the name (as a bare name or an attribute)
 outside the function's own body, so a name shared by two definitions counts
@@ -147,3 +147,55 @@ def test_gc_guard_sees_each_form(source):
 
 def test_gc_guard_allows_reading_the_collector():
     assert gc_controls({"m": ast.parse("import gc\nstats = gc.get_stats()")}) == []
+
+
+def numpy_random_uses(trees: dict[str, ast.Module]) -> list[str]:
+    """module:line of every reach into numpy's random package: importing it
+    or from it, reading `.random` off a name bound to numpy, or naming it
+    in a string (as `importlib.import_module` would)."""
+    out = []
+    for module, tree in trees.items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "numpy.random" or a.name.startswith("numpy.random."):
+                        out.append(f"{module}:{node.lineno}")
+                    elif a.name == "numpy" or a.name.startswith("numpy."):
+                        names.add(a.asname or "numpy")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module == "numpy.random" or node.module.startswith("numpy.random."):
+                    out.append(f"{module}:{node.lineno}")
+                elif node.module == "numpy" and any(a.name in ("random", "*")
+                                                    for a in node.names):
+                    out.append(f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Constant) and node.value == "numpy.random":
+                out.append(f"{module}:{node.lineno}")
+        out += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in names]
+    return sorted(out)
+
+
+def test_no_module_reaches_numpy_random():
+    # the seeded samplers draw from `linalg.Rng`, which gives numpy's stream
+    # without the package's import time and resident memory
+    assert numpy_random_uses(_trees()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nrng = np.random.default_rng(0)",
+    "import numpy\nnumpy.random.default_rng(0)",
+    "import numpy.random",
+    "import numpy.random as npr",
+    "from numpy.random import default_rng",
+    "from numpy import random",
+    "import importlib\nimportlib.import_module('numpy.random')",
+])
+def test_numpy_random_guard_sees_each_form(source):
+    assert numpy_random_uses({"m": ast.parse(source)}) != []
+
+
+def test_numpy_random_guard_allows_other_numpy_and_random():
+    source = "import numpy as np\nimport random\nx = np.zeros(3)\nrandom.random()"
+    assert numpy_random_uses({"m": ast.parse(source)}) == []

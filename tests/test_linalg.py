@@ -414,3 +414,52 @@ def test_object_inputs_are_not_stored():
     assert [key[0] for key in field._memo] == ["_rref"]
     assert field.rank(m.astype(np.int64)) == 2
     assert "rank" in [key[0] for key in field._memo]
+
+
+# -- the seeded stream: numpy's default_rng, bit for bit ----------------------
+
+_SEEDS = [0, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
+_HIGHS = [2, 3, 101, 2**20 - 3]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("high", _HIGHS)
+@pytest.mark.parametrize("size", [None, 0, 1, 7])
+def test_rng_matches_default_rng(seed, high, size):
+    ours, ref = linalg.Rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        got, want = ours.integers(0, high, size), ref.integers(0, high, size)
+        if size is None:
+            assert type(got) is int and got == int(want)
+        else:
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_rng_interleaved_draws_keep_the_stream(seed):
+    """Scalar and array draws of every range on one stream, with draws of a
+    single value (which take nothing) and empty arrays in between, so the
+    kept 32-bit half crosses calls of every kind."""
+    ours, ref = linalg.Rng(seed), np.random.default_rng(seed)
+    calls = [(0, 2, None), (0, 101, 3), (5, 6, None), (0, 3, 0), (0, 2**20 - 3, None),
+             (7, 8, 4), (0, 101, None), (1, 4, 5), (0, 2, 1), (3, 101, None)]
+    for low, high, size in calls * 4:
+        got, want = ours.integers(low, high, size), ref.integers(low, high, size)
+        assert np.asarray(got).tolist() == np.asarray(want).tolist(), (low, high, size)
+
+
+def test_rng_rejection_path_matches_default_rng():
+    # a range just above 2^31 rejects about half of its 32-bit draws
+    ours, ref = linalg.Rng(42), np.random.default_rng(42)
+    assert ours.integers(0, 2**31 + 1, 200).tolist() == ref.integers(0, 2**31 + 1, 200).tolist()
+    assert ours.integers(0, 101, 50).tolist() == ref.integers(0, 101, 50).tolist()
+
+
+def test_rng_refuses_wide_and_empty_ranges():
+    rng = linalg.Rng(0)
+    with pytest.raises(ValueError):
+        rng.integers(0, 2**32)
+    with pytest.raises(ValueError):
+        rng.integers(3, 3)
+    with pytest.raises(ValueError):
+        linalg.Rng(-1)

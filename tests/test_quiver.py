@@ -1,4 +1,6 @@
 """Bound quiver algebras: path bases, relations, opposites."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,59 @@ def test_non_monomial_opposite_is_an_algebra(field):
         e = np.zeros(op.dim, dtype=np.int64)
         e[i] = 1
         assert product(op, op.unit, e).tolist() == e.tolist() == product(op, e, op.unit).tolist()
+
+
+def test_associativity_failure_is_not_admissible(field):
+    """ab = abab and bab = 0 on 1 <-> 2 (paths in traversal order), so ab =
+    abab = 0.  At bound 4 the multiple (ab - abab)a is out of reach and aba
+    survives: (ab)a = 0 but a(ba) = aba.  At 5 aba dies, leaving dimension 5."""
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    rels = [[(1, ["a", "b"]), (-1, ["a", "b", "a", "b"])], [(1, ["b", "a", "b"])]]
+    with pytest.raises(NotAdmissible, match="failed associativity"):
+        build_algebra(q, rels, field, max_path_len=4)
+    assert build_algebra(q, rels, field, max_path_len=5).dim == 5
+
+
+def dense_associative(alg) -> bool:
+    """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples at once: the
+    dim^4 reference."""
+    t, p = alg.table, alg.field.p
+    return np.array_equal(np.einsum("ijm,mkl->ijkl", t, t) % p,
+                          np.einsum("jkm,iml->ijkl", t, t) % p)
+
+
+def test_generator_associativity_agrees_with_the_dense_check():
+    """On Λ and Λ^op of every corpus job both checks pass.  On tables with
+    one product changed, a pass of the generator check is a pass of the
+    dense one, and some of the changes fail both."""
+    caught = 0
+    for _, alg in corpus_algebras():
+        for a in (alg, alg.opposite):
+            assert dense_associative(a) and quiver._associative(a)
+            p = a.field.p
+            for i, j in zip(*np.nonzero(a.table.any(axis=2))):
+                bent = copy.copy(a)
+                bent.table = a.table.copy()
+                k = int(np.argmax(a.table[i, j]))
+                bent.table[i, j, k] = (bent.table[i, j, k] + 1) % p
+                ours, ref = quiver._associative(bent), dense_associative(bent)
+                assert ref or not ours, (a, i, j)
+                caught += not ours and not ref
+    assert caught > 0
+
+
+def test_associativity_needs_the_path_certificate(field):
+    """k[x]/(x^3) with basis 1, x, y (y the path xx) and the products
+    changed to xx = 0, xy = 0, yx = x, yy = x: the trivial path and the arrow
+    pass step 2, but (yy)y = 0 and y(yy) = x.  Only the certificate, y = xx,
+    sees it."""
+    bent = copy.copy(truncated(3, field))
+    bent.table = np.zeros((3, 3, 3), dtype=np.int64)
+    for k in range(3):
+        bent.table[0, k, k] = bent.table[k, 0, k] = 1
+    bent.table[2, 1, 1] = bent.table[2, 2, 1] = 1
+    assert not dense_associative(bent)
+    assert not quiver._associative(bent)
 
 
 def test_opposite_of_a_job_builds_no_algebra(monkeypatch):
