@@ -5,17 +5,20 @@ dimensions.
 Gamma is assembled from the hom blocks between the pairwise non-isomorphic
 indecomposable summands M_i of M, so it comes with its idempotents
 e_i = id_{M_i}, and each basis element lies in one block
-e_j Gamma e_i = Hom(M_i, M_j).  A Gamma-module N is then a representation of
-the block quiver, with the space e_i N at vertex i and one arrow i -> j per
-basis element of e_j Gamma e_i (the Peirce decomposition; Assem-Simson-
-Skowronski, Elements vol. 1, ch. I-III).  Gamma is a `quiver.Algebra` like
-Lambda, with the same opposite (the transposed table), so Gamma-modules are
-plain `rep.Representation`s, and their projective covers, injective
-envelopes and (co)syzygies are rep's, the same code as over Lambda.  What
-stays Gamma's own is its radical: read block by block and certified
-nilpotent, independent of Lambda's, which its arrows generate.  Every cover
-is certified surjective with its kernel inside the radical, on either
-algebra.
+e_j Gamma e_i = Hom(M_i, M_j) (the Peirce decomposition; Assem-Simson-
+Skowronski, Elements vol. 1, ch. I-III).  Where every End(M_i)/rad is F_p,
+Gamma is then presented on its Gabriel quiver: the arrows i -> j are a basis
+of rad/rad^2 in e_j Gamma e_i, and the basis is paths in them, chosen
+length by length; the presentation certifies that the arrows generate a
+nilpotent ideal of codimension n, which is the radical (Gabriel's theorem,
+ibid. ch. II).  Otherwise Gamma keeps its block quiver, one arrow
+i -> j per basis element of e_j Gamma e_i, and its radical, read block by
+block and certified nilpotent.  Either way Gamma is a `quiver.Algebra`
+like Lambda, with the same opposite (the transposed table), so
+Gamma-modules are plain `rep.Representation`s, and their radicals,
+projective covers, injective envelopes and (co)syzygies are rep's, the same
+code as over Lambda.  Every cover is certified surjective with its kernel
+inside the radical, on either algebra.
 
 Resolution-length answers come back as DimBound values: exact, "at least n"
 (a resolution passed the configured cap while still alive), or infinite (a
@@ -29,8 +32,8 @@ import functools
 import numpy as np
 
 from tiltbench import fitting, rep
-from tiltbench.linalg import PrimeField, held, memo
-from tiltbench.quiver import Algebra, Quiver
+from tiltbench.linalg import PrimeField, memo
+from tiltbench.quiver import Algebra, Quiver, path_target
 from tiltbench.rep import Representation
 
 
@@ -93,16 +96,25 @@ class DimBound:
 
 
 class AbstractAlgebra(Algebra):
-    """Basic associative unital algebra from structure constants, with its
-    block quiver.
+    """Basic associative unital algebra from structure constants, presented
+    on its Gabriel quiver where its simples split.
 
     idempotents is a complete set of primitive orthogonal idempotents e_i
     (coordinate vectors summing to the unit) whose projectives A*e_i are
     pairwise non-isomorphic.  Every basis element must lie in a single block
-    e_j A e_i (ValueError otherwise); it becomes the arrow i -> j of
-    `quiver`, named b<k> for basis element k, and `blocks[i, j]` lists the
-    basis elements of that block.  The opposite keeps the basis and the
-    idempotents.
+    e_j A e_i (ValueError otherwise), and `blocks[i, j]` keeps the indices of
+    the given basis of that block.
+
+    Where every e_i A e_i / rad is F_p, the basis of each block is replaced
+    by paths in the Gabriel arrows (`_present`): `quiver` has the arrows
+    i -> j, a basis of rad/rad^2 in e_j A e_i, the basis elements are
+    `basis_paths`, `table` and `idempotents` are in that basis, and the
+    arrows generate the radical, as for Lambda.  Otherwise (some
+    End(M_i)/rad larger than F_p) the algebra keeps the given basis on its
+    block quiver, one arrow i -> j, named b<k>, per basis element k of
+    e_j A e_i, and keeps its radical block by block in `block_radical`,
+    certified nilpotent on the whole table.  The opposite keeps the basis
+    and the idempotents.
     """
 
     def __init__(self, field: PrimeField, table: np.ndarray, unit: np.ndarray,
@@ -115,11 +127,16 @@ class AbstractAlgebra(Algebra):
         self.idempotents = [np.asarray(e, dtype=np.int64) % field.p for e in idempotents]
         n = len(self.idempotents)
         ids = np.stack(self.idempotents)
-        # right[i, k] = b_k * e_i and left[j, k] = e_j * b_k, as coordinates
-        right = np.einsum("ib,kbc->ikc", ids, table) % field.p
-        left = np.einsum("ja,akc->jkc", ids, table) % field.p
+        # right[i, k] = b_k * e_i and left[j, k] = e_j * b_k, as coordinates,
+        # summed over the support of each e_i
+        support = [np.flatnonzero(e) for e in self.idempotents]
+        right = np.stack([np.tensordot(e[s], table[:, s], axes=([0], [1]))
+                          for e, s in zip(self.idempotents, support)]) % field.p
+        left = np.stack([np.tensordot(e[s], table[s], axes=1)
+                         for e, s in zip(self.idempotents, support)]) % field.p
         # e_i * e_j = sum_k (e_j)_k (e_i * b_k), which is e_i when i = j, else 0
-        products = np.einsum("jk,ikc->ijc", ids, left) % field.p
+        products = np.stack([np.tensordot(e[s], left[:, s], axes=([0], [1]))
+                             for e, s in zip(self.idempotents, support)], axis=1) % field.p
         if not np.array_equal(products, np.eye(n, dtype=np.int64)[:, :, None] * ids):
             raise ValueError("idempotents are not orthogonal")
         if not np.array_equal(sum(self.idempotents) % field.p, unit):
@@ -129,61 +146,161 @@ class AbstractAlgebra(Algebra):
         in_source = (right == eye).all(axis=2)
         in_target = (left == eye).all(axis=2)
         blocks: dict[tuple[int, int], list[int]] = {(i, j): [] for i in range(n) for j in range(n)}
-        arrows = []
+        block_arrows = []
         for k in range(dim):
             src, dst = np.flatnonzero(in_source[:, k]), np.flatnonzero(in_target[:, k])
             if len(src) != 1 or len(dst) != 1:
                 raise ValueError(f"basis element {k} lies in no single block e_j A e_i")
             blocks[int(src[0]), int(dst[0])].append(k)
-            arrows.append((f"b{k}", str(src[0]), str(dst[0])))
-        super().__init__(field, Quiver([str(i) for i in range(n)], arrows), table, unit,
-                         blocks, list(range(dim)))
+            block_arrows.append((f"b{k}", str(src[0]), str(dst[0])))
+        # a map between non-isomorphic indecomposables is radical, so every
+        # off-diagonal block lies in rad A; a diagonal block contributes
+        # rad End(M_i), from the trace form of that block alone
+        rad = {(i, j): np.eye(len(idx), dtype=np.int64) if i != j
+               else fitting.radical_from_table(field, table[np.ix_(idx, idx, idx)],
+                                               self.idempotents[i][idx])
+               for (i, j), idx in blocks.items()}
+        if all(len(blocks[i, i]) - rad[i, i].shape[1] == 1 for i in range(n)):
+            quiver, table, unit, blocks = self._present(field, table, blocks, rad)
+        else:
+            quiver = Quiver([str(i) for i in range(n)], block_arrows)
+            self.basis_paths = [(int(a.source), (k,)) for k, a in enumerate(quiver.arrows)]
+            cols = []
+            for (i, j), idx in blocks.items():
+                full = np.zeros((dim, rad[i, j].shape[1]), dtype=np.int64)
+                full[idx] = rad[i, j]
+                cols.append(full)
+            fitting.certify_nilpotent(field, table, np.concatenate(cols, axis=1))
+            self.block_radical = rad
+        position = {path: k for k, path in enumerate(self.basis_paths)}
+        super().__init__(field, quiver, table, unit, blocks,
+                         [position[int(a.source), (m,)] for m, a in enumerate(quiver.arrows)])
+
+    def _present(self, F: PrimeField, table: np.ndarray, blocks: dict[tuple[int, int], list[int]],
+                 rad: dict[tuple[int, int], np.ndarray]):
+        """The Gabriel quiver, and the table, unit and blocks in a basis of
+        paths in its arrows, block by block; sets `basis_paths` and
+        `idempotents` in that basis.
+
+        rad holds, per block, a basis of rad A meet e_j A e_i in the given
+        coordinates.  The arrows i -> j extend a basis of (rad^2)_(i, j),
+        the products of rad blocks through every j, to one of rad_(i, j).
+        The paths are chosen length by length: the paths of length l + 1
+        that are searched are the arrows after a basis, kept as B_l, of the
+        span P_l of all paths of length l, so B_(l+1) is again a basis of
+        P_(l+1) = sum over arrows a of a P_l, and the search stays within
+        dim A per length.  Each block keeps the paths of B_l that extend its
+        basis so far.  The presentation certifies itself:
+
+        1. the chosen paths fill every block, so they span A;
+        2. every path of B_l, l >= 1, in a diagonal block lies in that
+           block's radical;
+        3. P_L = 0 for the last length L searched.
+
+        By 1 the arrows generate the ideal I = P_1 + P_2 + ..., and by 3
+        I^L lies in P_L + P_(L+1) + ... = 0, so I is nilpotent and lies in
+        rad A.  A = span(e_i) + I by 1, and the e_i stay independent modulo
+        rad A, so I = rad A, of codimension n; by 2 its diagonal blocks are
+        the trace-form radicals the arrows were chosen from.  So the arrows
+        are the Gabriel quiver's (Assem-Simson-Skowronski, Elements vol. 1,
+        ch. II), and the structure constants are rebased one block triple
+        at a time.  A failed certificate raises AssertionError.
+        """
+        p, n, dim = F.p, len(self.idempotents), table.shape[0]
+        # the basis in block order, so that each block is one slice
+        order = [k for idx in blocks.values() for k in idx]
+        if order != list(range(dim)):
+            table = table[np.ix_(order, order, order)]
+        at, sl = 0, {}
+        for st, idx in blocks.items():
+            sl[st] = slice(at, at + len(idx))
+            at += len(idx)
+
+        def products(i: int, j: int, k: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            """The products x * y of the columns x of left, in e_k A e_j,
+            and y of right, in e_j A e_i, as columns in the coordinates of
+            e_k A e_i, x-major."""
+            slab = table[sl[j, k], sl[i, j], sl[i, k]]
+            rows, inner, out = slab.shape
+            half = (left.T @ slab.reshape(rows, inner * out) % p).reshape(-1, inner, out)
+            return (half.transpose(2, 0, 1) @ right % p).reshape(out, -1)
+
+        def extend(base: np.ndarray, new: np.ndarray) -> list[int]:
+            """The columns of new that extend the column span of base,
+            leftmost first."""
+            pivots = F.rref(np.concatenate([base, new], axis=1))[1]
+            return [c - base.shape[1] for c in pivots if c >= base.shape[1]]
+
+        pairs = [st for st, idx in blocks.items() if idx]
+        # arrows[j, k]: the arrow indices j -> k and their elements as columns
+        arrows: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
+        names = []
+        for i, k in pairs:
+            square = [products(i, j, k, rad[j, k], rad[i, j]) for j in range(n)
+                      if blocks[i, j] and blocks[j, k]]
+            base = (np.concatenate(square, axis=1) if square
+                    else np.zeros((len(blocks[i, k]), 0), dtype=np.int64))
+            picked = extend(base, rad[i, k])
+            if picked:
+                arrows[i, k] = (list(range(len(names), len(names) + len(picked))),
+                                rad[i, k][:, picked])
+                names += [(f"a{len(names) + m}", str(i), str(k)) for m in range(len(picked))]
+        chosen = {st: ([], np.zeros((len(blocks[st]), 0), dtype=np.int64)) for st in pairs}
+        level = {(i, i): ([(i, ())], self.idempotents[i][blocks[i, i]].reshape(-1, 1))
+                 for i in range(n)}
+        # P_l lies in rad^l, and rad^dim = 0
+        for length in range(dim + 1):
+            if not level:
+                break
+            nxt: dict[tuple[int, int], list] = {}
+            for (i, j), (paths, elems) in level.items():
+                if length and i == j and not F.column_space_contains(rad[i, i], elems):
+                    raise AssertionError(f"a path of length {length} at vertex {i} "
+                                         "lies outside the radical")
+                have, span = chosen[i, j]
+                keep = extend(span, elems)
+                chosen[i, j] = (have + [paths[c] for c in keep],
+                                np.concatenate([span, elems[:, keep]], axis=1))
+                for k in range(n):
+                    if (j, k) not in arrows or not blocks[i, k]:
+                        continue
+                    idx, elem = arrows[j, k]
+                    got = nxt.setdefault((i, k), [[], []])
+                    got[0] += [(i, path + (a,)) for a in idx for _, path in paths]
+                    got[1].append(products(i, j, k, elem, elems))
+            level = {}
+            for st, (paths, parts) in nxt.items():
+                elems = np.concatenate(parts, axis=1)
+                keep = extend(np.zeros((elems.shape[0], 0), dtype=np.int64), elems)
+                if keep:
+                    level[st] = ([paths[c] for c in keep], elems[:, keep])
+        if level:
+            raise AssertionError("the Gabriel arrows do not generate a nilpotent ideal")
+        for st in pairs:
+            if len(chosen[st][0]) != len(blocks[st]):
+                raise AssertionError(f"the paths do not span the block {st}")
+        inverse = {st: F.solve_many(span, np.eye(span.shape[0], dtype=np.int64))
+                   for st, (_, span) in chosen.items()}
+        rebased = np.zeros_like(table)
+        for i, j in pairs:
+            for k in range(n):
+                if blocks[j, k] and blocks[i, k]:
+                    prod = products(i, j, k, chosen[j, k][1], chosen[i, j][1])
+                    rebased[sl[j, k], sl[i, j], sl[i, k]] = (inverse[i, k] @ prod % p).reshape(
+                        -1, len(blocks[j, k]), len(blocks[i, j])).transpose(1, 2, 0)
+        self.basis_paths = [path for st in pairs for path in chosen[st][0]]
+        eye = np.eye(dim, dtype=np.int64)
+        self.idempotents = [eye[sl[i, i].start] for i in range(n)]
+        return (Quiver([str(i) for i in range(n)], names), rebased, sum(self.idempotents),
+                {st: list(range(s.start, s.stop)) for st, s in sl.items()})
 
     def _reverse_into(self, op: "AbstractAlgebra") -> list[int]:
         op.idempotents = self.idempotents
+        op.basis_paths = [(path_target(self.quiver, path), path[1][::-1])
+                          for path in self.basis_paths]
+        if self.block_radical is not None:
+            op.block_radical = {(j, i): r for (i, j), r in self.block_radical.items()}
         return list(range(self.dim))
-
-    @functools.cached_property
-    def basis_paths(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Basis element k as the one-arrow path b<k> from its source."""
-        return [(self.quiver.vertex_index[a.source], (k,))
-                for k, a in enumerate(self.quiver.arrows)]
-
-    def radical_generators(self) -> dict[tuple[int, int], np.ndarray]:
-        """The whole radical, `radical_blocks`: every basis element is an
-        arrow of the block quiver, radical or not."""
-        return self.radical_blocks()
-
-    def radical_blocks(self) -> dict[tuple[int, int], np.ndarray]:
-        """rad A block by block: for each (i, j), a column basis, in the
-        coordinates of blocks[i, j], of rad A meet e_j A e_i.
-
-        A map between non-isomorphic indecomposables is radical, so every
-        off-diagonal block lies in rad A; a diagonal block contributes
-        rad End(M_i), from the trace form of that block alone.  The assembled
-        ideal is certified nilpotent.  The opposite algebra has the same
-        radical, with each block's ends swapped.
-        """
-        return memo(self._memo, ("radical",), self._radical_blocks)
-
-    def _radical_blocks(self) -> dict[tuple[int, int], np.ndarray]:
-        op = held(self._opposite)
-        if op is not None and ("radical",) in op._memo:
-            return {(j, i): r for (i, j), r in op._memo["radical",].items()}
-        F = self.field
-        rad: dict[tuple[int, int], np.ndarray] = {}
-        cols = []
-        for (i, j), idx in self.blocks.items():
-            if i != j:
-                rad[i, j] = np.eye(len(idx), dtype=np.int64)
-            else:
-                rad[i, j] = fitting.radical_from_table(
-                    F, self.table[np.ix_(idx, idx, idx)], self.idempotents[i][idx])
-            full = np.zeros((self.dim, rad[i, j].shape[1]), dtype=np.int64)
-            full[idx] = rad[i, j]
-            cols.append(full)
-        fitting.certify_nilpotent(F, self.table, np.concatenate(cols, axis=1))
-        return rad
 
 
 def is_projective(m: Representation) -> bool:

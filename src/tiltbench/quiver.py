@@ -14,11 +14,11 @@ admissible at this bound and NotAdmissible is raised.
 
 `Algebra` is the structure a bound quiver algebra shares with End(M)
 (`algebra_ops.AbstractAlgebra`): structure constants, quiver, unit, Peirce
-blocks, the basis index of each arrow, each basis element as a path, what
-generates the radical, one memo, and the opposite, which is the transposed
-table over the reversed quiver; no algebra is built twice.  The projectives,
-their radicals and simple tops, and the regular module are `rep`'s, built
-once per algebra.
+blocks, the basis index of each arrow, each basis element as a path, the
+radical where the arrows do not generate it, one memo, and the opposite,
+which is the transposed table over the reversed quiver; no algebra is built
+twice.  The projectives, their radicals and simple tops, and the regular
+module are `rep`'s, built once per algebra.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ class Algebra:
         table: structure constants, table[i, j, k] = coefficient of basis
             element k in the product (basis i) * (basis j).
         quiver: one vertex per primitive idempotent e_v; each arrow is a
-            basis element (Lambda: its length-one path; Gamma: every basis
-            element), and `arrow_basis[a]` is the basis index of arrow a.
+            basis element, its length-one path (for Gamma, the Gabriel
+            arrows where its simples split, else every basis element), and
+            `arrow_basis[a]` is the basis index of arrow a.
         unit: coordinates of 1 = sum of the e_v.
         blocks: blocks[s, t] lists the basis indices of e_t A e_s, in basis
             order, so the projective A e_s is the sum over t of these blocks
@@ -109,6 +110,10 @@ class Algebra:
         basis_paths (from the subclass): each basis element as the path of
             arrows whose product it is, so `rep.basis_actions` reads its
             action on a module off the arrow matrices.
+        block_radical: None where the arrows generate the radical (Lambda,
+            and Gamma on its Gabriel quiver), so rad(A)*m is the span of the
+            arrow images; otherwise rad A block by block, for (s, t) columns
+            in the coordinates of blocks[s, t] (`rep.radical_subspaces`).
 
     `opposite` is A^op: the same structure constants with the factors
     swapped, over the reversed quiver (Assem-Simson-Skowronski, Elements
@@ -117,10 +122,12 @@ class Algebra:
     back weakly (`linalg.held`).  Each algebra keeps its cached results in
     one dict, `_memo`, filled through `linalg.memo`: projectives, leaf
     radicals and simples, the basis actions, projective covers and
-    resolutions of modules by content, and Gamma's radical and dimensions.
+    resolutions of modules by content, and Gamma's dimensions.
     A module there is kept as `rep.stored` arrays, not as a module, which
     would point back at the algebra: no algebra is in a reference cycle.
     """
+
+    block_radical: dict[tuple[int, int], np.ndarray] | None = None
 
     def __init__(self, field: PrimeField, quiver: Quiver, table: np.ndarray, unit: np.ndarray,
                  blocks: dict[tuple[int, int], list[int]], arrow_basis: list[int]):
@@ -166,20 +173,6 @@ class Algebra:
         if held(self._opposite) is None:
             self._link_opposite()
         return elem[self._opposite_basis]
-
-    def radical_generators(self) -> dict[tuple[int, int], np.ndarray]:
-        """Elements whose actions on any module m span rad(A)*m, by block:
-        for (s, t), columns in the coordinates of blocks[s, t].  Here the
-        arrows, since every path of length >= 1 ends in one; End(M), whose
-        block quiver has an arrow per basis element, gives its radical."""
-        return memo(self._memo, ("radical_generators",), self._arrow_generators)
-
-    def _arrow_generators(self) -> dict[tuple[int, int], np.ndarray]:
-        cols: dict[tuple[int, int], list[int]] = {}
-        for k, a in zip(self.arrow_basis, self.quiver.arrows):
-            st = self.quiver.vertex_index[a.source], self.quiver.vertex_index[a.target]
-            cols.setdefault(st, []).append(self.blocks[st].index(k))
-        return {st: np.eye(len(self.blocks[st]), dtype=np.int64)[:, c] for st, c in cols.items()}
 
     # built by rep, which imports this module: each method imports rep
 

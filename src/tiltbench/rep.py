@@ -4,14 +4,14 @@ A module is stored as a representation of the quiver: one coordinate space
 per vertex and one matrix per arrow, with the matrix of an arrow a: v -> w
 mapping the space at v into the space at w.  Morphisms are per-vertex
 matrices commuting with the arrow action.  Modules over Lambda = kQ/I and
-over Gamma = End(M) (the block quiver of `algebra_ops.AbstractAlgebra`) use
+over Gamma = End(M) (on the quiver of `algebra_ops.AbstractAlgebra`) use
 the same type and the same code: kernels, cokernels, images, quotients,
 direct sums, duals, projectives, radicals, projective covers, injective
 envelopes and (co)syzygies read only what every `quiver.Algebra` gives.
-What stays independent per algebra is its radical, which the algebra
-generates (`Algebra.radical_generators`: Lambda's arrows, Gamma's certified
-radical); every cover is certified surjective with its kernel inside the
-radical of its source.
+The radical of a module is the span of its arrow images wherever the arrows
+generate the algebra's radical (Lambda, and Gamma on its Gabriel quiver),
+and otherwise the images of `Algebra.block_radical`; every cover is
+certified surjective with its kernel inside the radical of its source.
 
 Everything here is exact arithmetic over the algebra's prime field; kernels,
 cokernels and images come back together with the structure maps that witness
@@ -461,15 +461,24 @@ def _block_action(m: Representation, i: int, j: int) -> np.ndarray:
 
 
 def radical_subspaces(m: Representation) -> list[np.ndarray]:
-    """Per-vertex bases of rad(A)*m, spanned by the images of the algebra's
-    `radical_generators`; column reduced, so the basis depends only on the
-    subspace."""
+    """Per-vertex bases of rad(A)*m, column reduced, so the basis depends
+    only on the subspace.  Where the arrows generate rad A (Lambda, and
+    Gamma on its Gabriel quiver) it is the span of the arrow images;
+    otherwise that of the images of `Algebra.block_radical`, block by
+    block."""
     F = m.field
+    alg = m.algebra
     cols: list[list[np.ndarray]] = [[] for _ in m.dims]
-    for (i, j), r in m.algebra.radical_generators().items():
-        if r.shape[1] and m.dims[i] and m.dims[j]:
-            acts = np.tensordot(r.T, _block_action(m, i, j), axes=1) % F.p
-            cols[j].append(np.concatenate(list(acts), axis=1))
+    if alg.block_radical is None:
+        qv = alg.quiver
+        for a, mat in zip(qv.arrows, m.maps):
+            if mat.size:
+                cols[qv.vertex_index[a.target]].append(mat)
+    else:
+        for (i, j), r in alg.block_radical.items():
+            if r.shape[1] and m.dims[i] and m.dims[j]:
+                acts = np.tensordot(r.T, _block_action(m, i, j), axes=1) % F.p
+                cols[j].append(np.concatenate(list(acts), axis=1))
     return [F.column_reduce(np.concatenate(c, axis=1)) if c
             else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
 
@@ -658,12 +667,23 @@ def is_isomorphic(a: Representation, b: Representation, seed: int = 0,
                   with_map: bool = False):
     """Module isomorphism test (and witness).
 
-    A hom-basis element a -> b that is bijective settles it at once; when
-    no basis element is, the answer comes from matching indecomposable
-    summands (`_is_isomorphic_by_matching`), which is complete.
+    A bijective morphism a -> b settles it at once: first each hom-basis
+    element is tried, then one combination of the basis with coefficients
+    drawn from `linalg.Rng(seed)`, which catches sums whose basis holds no
+    bijection (a basis of idempotents and nilpotents).  When neither is
+    bijective, the answer comes from matching indecomposable summands
+    (`_is_isomorphic_by_matching`), which is complete.
     """
     if a.dims.tolist() == b.dims.tolist():
-        for f in hom_space(a, b):
+        basis = hom_space(a, b)
+        for f in basis:
+            if f.is_isomorphism():
+                return (True, f) if with_map else True
+        if len(basis) > 1:
+            coeffs = Rng(seed).integers(0, a.field.p, size=len(basis)).tolist()
+            f = ModuleMorphism._of_reduced(a, b, [
+                sum(c * g.maps[v] for c, g in zip(coeffs, basis)) % a.field.p
+                for v in range(len(a.dims))])
             if f.is_isomorphism():
                 return (True, f) if with_map else True
     return _is_isomorphic_by_matching(a, b, seed, with_map)

@@ -10,8 +10,9 @@ A SubcategoryX fixes the indecomposable summands of a module M and provides:
   higher kernel/cokernel sequences whose exactness the axiom checkers test,
   the cokernel side run as the kernel side of the opposite subcategory;
 * membership ("is this module in add(M)?") with an explicit isomorphism;
-* End(M) of the basic module as an abstract algebra, built once from the
-  cached block homs together with its summand idempotents.
+* End(M) of the basic module, built once from the cached block homs
+  together with its summand idempotents, and presented on its Gabriel
+  quiver where its simples split.
 
 Module-level functions cover the algebra-side homology that does not depend
 on X: minimal projective resolutions, Ext groups, the transpose, and the
@@ -241,18 +242,27 @@ class SubcategoryX:
         return [np.stack([h.maps[v] for h in basis]) for v in range(len(self.summands[i].dims))]
 
     def endomorphism_algebra(self) -> AbstractAlgebra:
-        """Gamma = End(M_1 (+) ... (+) M_n) of the basic module, built once.
-
-        The basis is the cached hom bases Hom(M_i, M_j), block by block, and
-        e_i = id_{M_i} are its primitive idempotents.  The invariants read
-        off downstream (global, dominant, selfinjective dimensions) are
-        Morita invariant, so multiplicities in M do not matter.
+        """Gamma = End(M_1 (+) ... (+) M_n) of the basic module, built once
+        from `_block_table` and presented on its Gabriel quiver where it
+        can be (`algebra_ops.AbstractAlgebra`).  The invariants read off
+        downstream (global, dominant, selfinjective dimensions) are Morita
+        invariant, so multiplicities in M do not matter.
         """
         return memo(self._memo, ("gamma",), self._endomorphism_algebra)
 
     def _endomorphism_algebra(self) -> AbstractAlgebra:
+        table, idempotents = self._block_table()
+        return AbstractAlgebra(self.field, table, sum(idempotents) % self.field.p, idempotents)
+
+    def _block_table(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Gamma's structure constants in the basis of the cached hom bases
+        Hom(M_i, M_j), block by block, with e_i = id_{M_i}, its primitive
+        idempotents.  The products of Hom(M_j, M_k) x Hom(M_i, M_j) are one
+        slab: one product of the stacked components per vertex, and one
+        product with the left inverse of the (i, k) basis."""
         F = self.field
         n = len(self.summands)
+        nv = self.algebra.quiver.num_vertices
         offset: dict[tuple[int, int], int] = {}
         dim = 0
         for i in range(n):
@@ -264,12 +274,17 @@ class SubcategoryX:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
+                    inner, outer = len(self.hom(i, j)), len(self.hom(j, k))
                     _, left = self.hom_solver(i, k)
-                    out = slice(offset[i, k], offset[i, k] + left.shape[0])
-                    for a, g in enumerate(self.hom(j, k)):
-                        for b, h in enumerate(self.hom(i, j)):
-                            table[offset[j, k] + a, offset[i, j] + b, out] = (
-                                left @ g.compose(h).flatten()) % F.p
+                    if not (inner and outer and left.shape[0]):
+                        continue
+                    g, h = self._hom_stack(j, k), self._hom_stack(i, j)
+                    # row (a, b): the flattened components of g_a o h_b
+                    flats = np.concatenate([np.einsum("axy,byz->abxz", g[v], h[v]).reshape(
+                        outer * inner, -1) for v in range(nv)], axis=1) % F.p
+                    table[offset[j, k]:offset[j, k] + outer, offset[i, j]:offset[i, j] + inner,
+                          offset[i, k]:offset[i, k] + left.shape[0]] = (
+                              flats @ left.T % F.p).reshape(outer, inner, -1)
         idempotents = []
         for i in range(n):
             e = np.zeros(dim, dtype=np.int64)
@@ -277,7 +292,7 @@ class SubcategoryX:
             ident = rep.identity_morphism(self.summands[i]).flatten()
             e[offset[i, i]:offset[i, i] + left.shape[0]] = (left @ ident) % F.p
             idempotents.append(e)
-        return AbstractAlgebra(F, table, sum(idempotents) % F.p, idempotents)
+        return table, idempotents
 
     def hom_solver(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """`_solver` of the (i, j) hom basis."""
