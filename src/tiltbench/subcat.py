@@ -263,34 +263,31 @@ class SubcategoryX:
         F = self.field
         n = len(self.summands)
         nv = self.algebra.quiver.num_vertices
-        offset: dict[tuple[int, int], int] = {}
+        size = {(i, j): len(self.hom(i, j)) for i in range(n) for j in range(n)}
+        span: dict[tuple[int, int], slice] = {}
         dim = 0
-        for i in range(n):
-            for j in range(n):
-                offset[i, j] = dim
-                dim += len(self.hom(i, j))
+        for st, m in size.items():
+            span[st] = slice(dim, dim + m)
+            dim += m
         # b_g * b_h for h: M_i -> M_j and g: M_j -> M_k lies in block (i, k)
         table = np.zeros((dim, dim, dim), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    inner, outer = len(self.hom(i, j)), len(self.hom(j, k))
-                    _, left = self.hom_solver(i, k)
-                    if not (inner and outer and left.shape[0]):
-                        continue
-                    g, h = self._hom_stack(j, k), self._hom_stack(i, j)
-                    # row (a, b): the flattened components of g_a o h_b
-                    flats = np.concatenate([np.einsum("axy,byz->abxz", g[v], h[v]).reshape(
-                        outer * inner, -1) for v in range(nv)], axis=1) % F.p
-                    table[offset[j, k]:offset[j, k] + outer, offset[i, j]:offset[i, j] + inner,
-                          offset[i, k]:offset[i, k] + left.shape[0]] = (
-                              flats @ left.T % F.p).reshape(outer, inner, -1)
+        for (i, j), inner in size.items():
+            for k in range(n):
+                outer = size[j, k]
+                if not (inner and outer and size[i, k]):
+                    continue
+                g, h = self._hom_stack(j, k), self._hom_stack(i, j)
+                # row (a, b): the flattened components of g_a o h_b
+                flats = np.concatenate([np.einsum("axy,byz->abxz", g[v], h[v]).reshape(
+                    outer * inner, -1) for v in range(nv)], axis=1) % F.p
+                table[span[j, k], span[i, j], span[i, k]] = (
+                    flats @ self.hom_solver(i, k)[1].T % F.p).reshape(outer, inner, -1)
         idempotents = []
         for i in range(n):
             e = np.zeros(dim, dtype=np.int64)
             _, left = self.hom_solver(i, i)
             ident = rep.identity_morphism(self.summands[i]).flatten()
-            e[offset[i, i]:offset[i, i] + left.shape[0]] = (left @ ident) % F.p
+            e[span[i, i]] = (left @ ident) % F.p
             idempotents.append(e)
         return table, idempotents
 
