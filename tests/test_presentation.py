@@ -233,7 +233,7 @@ def test_isomorphic_pairs_never_reach_the_matching_route(name, d, unmatched, mon
     assert seen.count(True) == 0 and seen.count(False) == unmatched
 
 
-def test_the_seeded_probe_finds_an_isomorphism_no_basis_element_is(field, a3rad2, monkeypatch):
+def test_the_seeded_probe_finds_an_isomorphism_no_basis_element_is(a3rad2, monkeypatch):
     # End(S (+) S) has the matrix units as its hom basis: none is bijective
     s = rep.simple(a3rad2, 0)
     twice = rep.sum_module(a3rad2, [s, s])
