@@ -492,9 +492,15 @@ def classify_gen_cogen_ff(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
     """Generating-cogenerating (functorial finiteness of add(M) is automatic).
 
     Certified by membership of all indecomposable projectives and injectives.
-    The dominant-dimension correspondence and the sampled axioms A1 through
-    A3op are recorded alongside for corpus-level consistency tests; they
-    never override the membership certificate.
+    The dominant dimension of End(M) and the sampled axioms A1 through A3op
+    are recorded alongside.  Under a passing certificate both are theorems,
+    so a contradiction is a `RouteDisagreement`:
+    - the paper's characterization: a generating-cogenerating, functorially
+      finite add(M) satisfies A1, A2 and A3 and their duals, so no sampled
+      check among them can fail;
+    - Morita-Tachikawa: End(M) of a generator-cogenerator M has dominant
+      dimension at least 2, so an exact domdim below 2 contradicts it.  A
+      lower bound below 2 (the cap hid the rest) is inconclusive.
     """
     ok, wit = _gen_cogen_certificate(x)
     gamma = x.endomorphism_algebra()
@@ -507,6 +513,14 @@ def classify_gen_cogen_ff(x: SubcategoryX, trials: int = DEFAULT_TRIALS,
     if ok:
         details["morita_tachikawa_consistent"] = domdim.ge(2)
         details["axioms_consistent"] = axioms_pass
+        if not axioms_pass:
+            raise RouteDisagreement(
+                "membership certifies gen-cogen but a sampled axiom among "
+                "A1-A3op fails", details)
+        if domdim.kind == "exact" and domdim.value < 2:
+            raise RouteDisagreement(
+                "membership certifies gen-cogen but End(M) has dominant "
+                "dimension below 2", details)
     if not ok:
         return Verdict("gen-cogen-ff", "fail", route="projective-injective-membership",
                        witness=wit, seed=seed, trials=trials, details=details)

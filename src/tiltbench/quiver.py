@@ -65,6 +65,9 @@ class Quiver:
             seen.add(name)
             self.arrows.append(Arrow(name, src, dst))
         self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
+        # (source, target) vertex indices of each arrow, in arrow order
+        self.arrow_ends = [(self.vertex_index[a.source], self.vertex_index[a.target])
+                           for a in self.arrows]
 
     @property
     def num_vertices(self) -> int:

@@ -37,13 +37,11 @@ class Representation:
             raise ValueError("dims must list one dimension per vertex")
         if len(self.maps) != len(algebra.quiver.arrows):
             raise ValueError("maps must list one matrix per arrow")
-        for i, a in enumerate(algebra.quiver.arrows):
-            s = algebra.quiver.vertex_index[a.source]
-            t = algebra.quiver.vertex_index[a.target]
-            want = (int(self.dims[t]), int(self.dims[s]))
-            if self.maps[i].shape != want:
+        d = self.dim_list
+        for a, (s, t), m in zip(algebra.quiver.arrows, algebra.quiver.arrow_ends, self.maps):
+            if m.shape != (d[t], d[s]):
                 raise ValueError(f"map for arrow {a.name!r} has shape "
-                                 f"{self.maps[i].shape}, wanted {want}")
+                                 f"{m.shape}, wanted {(d[t], d[s])}")
         if check:
             self.check_relations()
 
@@ -59,7 +57,8 @@ class Representation:
         self.algebra = algebra
         self.dims = dims
         self.maps = maps
-        self.offsets = [0, *itertools.accumulate(dims.tolist())]
+        self.dim_list = dims.tolist()
+        self.offsets = [0, *itertools.accumulate(self.dim_list)]
         self.total_dim = self.offsets[-1]
 
     @property
@@ -112,8 +111,7 @@ class ModuleMorphism:
         self.target = target
         p = source.field.p
         self.maps = [np.asarray(m, dtype=np.int64) % p for m in maps]
-        for v in range(source.algebra.quiver.num_vertices):
-            want = (int(target.dims[v]), int(source.dims[v]))
+        for v, want in enumerate(zip(target.dim_list, source.dim_list)):
             if self.maps[v].shape != want:
                 raise ValueError(f"component at vertex {v} has shape {self.maps[v].shape}, wanted {want}")
 
@@ -132,21 +130,27 @@ class ModuleMorphism:
     def is_zero(self) -> bool:
         return not any(m.any() for m in self.maps)
 
-    # compose, scale and add hand __init__ unreduced components: it reduces
-    # them mod p once
+    # compose, scale and add reduce each non-empty component once; an empty
+    # one is built as it is
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self after other."""
-        if other.target is not self.source and other.target.dims.tolist() != self.source.dims.tolist():
+        if other.target is not self.source and other.target.dim_list != self.source.dim_list:
             raise ValueError("non-composable morphisms")
-        return ModuleMorphism(other.source, self.target,
-                              [a @ b for a, b in zip(self.maps, other.maps)])
+        p = self.source.field.p
+        return ModuleMorphism._of_reduced(other.source, self.target, [
+            (a @ b) % p if r and m and c else np.zeros((r, c), dtype=np.int64)
+            for a, b, r, m, c in zip(self.maps, other.maps, self.target.dim_list,
+                                     self.source.dim_list, other.source.dim_list)])
 
     def scale(self, c: int) -> "ModuleMorphism":
-        return ModuleMorphism(self.source, self.target, [c * m for m in self.maps])
+        p = self.source.field.p
+        return ModuleMorphism._of_reduced(self.source, self.target,
+                                          [(c * m) % p if m.size else m.copy() for m in self.maps])
 
     def add(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        return ModuleMorphism(self.source, self.target,
-                              [a + b for a, b in zip(self.maps, other.maps)])
+        p = self.source.field.p
+        return ModuleMorphism._of_reduced(self.source, self.target, [
+            (a + b) % p if a.size else a.copy() for a, b in zip(self.maps, other.maps)])
 
     def sub(self, other: "ModuleMorphism") -> "ModuleMorphism":
         return self.add(other.scale(-1))
@@ -160,11 +164,12 @@ class ModuleMorphism:
 
     def flatten(self) -> np.ndarray:
         """All components in one coordinate vector (for hom-space arithmetic)."""
-        return np.concatenate([m.reshape(-1) for m in self.maps]) if self.maps else np.zeros(0, dtype=np.int64)
+        parts = [m.reshape(-1) for m in self.maps if m.size]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def rank(self) -> int:
         F = self.source.field
-        return sum(F.rank(m) for m in self.maps)
+        return sum(F.rank(m) for m in self.maps if m.size)
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.total_dim
@@ -181,12 +186,12 @@ class ModuleMorphism:
 
 def zero_morphism(source: Representation, target: Representation) -> ModuleMorphism:
     return ModuleMorphism._of_reduced(
-        source, target, [np.zeros((int(target.dims[v]), int(source.dims[v])), dtype=np.int64)
-                         for v in range(len(source.dims))])
+        source, target, [np.zeros(rc, dtype=np.int64)
+                         for rc in zip(target.dim_list, source.dim_list)])
 
 
 def identity_morphism(m: Representation) -> ModuleMorphism:
-    return ModuleMorphism._of_reduced(m, m, [np.eye(int(d), dtype=np.int64) for d in m.dims])
+    return ModuleMorphism._of_reduced(m, m, [np.eye(d, dtype=np.int64) for d in m.dim_list])
 
 
 def invert_morphism(f: ModuleMorphism) -> ModuleMorphism:
@@ -211,10 +216,12 @@ def morphism_from_flat(source: Representation, target: Representation,
     hom basis does not hold the whole basis."""
     maps = []
     at = 0
-    for v in range(len(source.dims)):
-        r, c = int(target.dims[v]), int(source.dims[v])
-        maps.append(flat[at:at + r * c].reshape(r, c).copy())
-        at += r * c
+    for r, c in zip(target.dim_list, source.dim_list):
+        if r and c:
+            maps.append(flat[at:at + r * c].reshape(r, c).copy())
+            at += r * c
+        else:
+            maps.append(np.zeros((r, c), dtype=np.int64))
     return ModuleMorphism._of_reduced(source, target, maps)
 
 
@@ -237,30 +244,34 @@ def _kron_eye(b: np.ndarray, n: int) -> np.ndarray:
 
 
 def hom_space(a: Representation, b: Representation) -> list[ModuleMorphism]:
-    """Basis of the space of module morphisms a -> b."""
+    """Basis of the space of module morphisms a -> b.  The unknowns are the
+    entries of the components at the vertices where a and b are both
+    non-zero; an arrow gives equations only where b at its target and a at
+    its source are non-zero, and fills only its non-empty Kronecker
+    slices."""
     F = a.field
-    qv = a.algebra.quiver
-    sizes = [int(b.dims[v]) * int(a.dims[v]) for v in range(qv.num_vertices)]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    unknowns = int(starts[-1])
+    ad, bd = a.dim_list, b.dim_list
+    sizes = [x * y for x, y in zip(bd, ad)]
+    unknowns = sum(sizes)
     if unknowns == 0:
         return []
+    starts = [0, *itertools.accumulate(sizes)]
     rows = []
-    for i, ar in enumerate(qv.arrows):
-        s, t = qv.vertex_index[ar.source], qv.vertex_index[ar.target]
-        n_eq = int(b.dims[t]) * int(a.dims[s])
+    for i, (s, t) in enumerate(a.algebra.quiver.arrow_ends):
+        n_eq = bd[t] * ad[s]
         if n_eq == 0:
             continue
         block = np.zeros((n_eq, unknowns), dtype=np.int64)
         # F_t @ a_maps[i] contributes (I (x) a_maps[i]^T) acting on vec(F_t)
-        block[:, starts[t]:starts[t + 1]] = _eye_kron(int(b.dims[t]), a.maps[i].T)
+        if sizes[t]:
+            block[:, starts[t]:starts[t + 1]] = _eye_kron(bd[t], a.maps[i].T)
         # b_maps[i] @ F_s contributes (b_maps[i] (x) I) acting on vec(F_s)
-        block[:, starts[s]:starts[s + 1]] = (block[:, starts[s]:starts[s + 1]]
-                                             - _kron_eye(b.maps[i], int(a.dims[s]))) % F.p
+        if sizes[s]:
+            block[:, starts[s]:starts[s + 1]] = (block[:, starts[s]:starts[s + 1]]
+                                                 - _kron_eye(b.maps[i], ad[s])) % F.p
         rows.append(block)
     if rows:
-        system = np.concatenate(rows) % F.p
-        basis = F.nullspace(system)
+        basis = F.nullspace(np.concatenate(rows) if len(rows) > 1 else rows[0])
     else:
         basis = np.eye(unknowns, dtype=np.int64)
     out = []
@@ -270,16 +281,23 @@ def hom_space(a: Representation, b: Representation) -> list[ModuleMorphism]:
 
 
 def kernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
-    """Kernel subrepresentation with its inclusion."""
+    """Kernel subrepresentation with its inclusion.  Eliminates only where
+    the source and target of f are both non-zero, and solves only on arrows
+    between non-zero kernel spaces; an arrow from a non-zero kernel space
+    into a zero one is checked to send it to zero."""
     F = f.source.field
-    bases = [F.nullspace(f.maps[v]) for v in range(len(f.maps))]
+    src = f.source.dim_list
+    bases = [F.nullspace(m) if r and c else np.eye(c, dtype=np.int64)
+             for m, r, c in zip(f.maps, f.target.dim_list, src)]
     dims = [b.shape[1] for b in bases]
     maps = []
-    qv = f.source.algebra.quiver
-    for i, a in enumerate(qv.arrows):
-        s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
-        rhs = (f.source.maps[i] @ bases[s]) % F.p
-        sol = F.solve_many(bases[t], rhs)
+    for i, (s, t) in enumerate(f.source.algebra.quiver.arrow_ends):
+        if dims[s] and dims[t]:
+            sol = F.solve_many(bases[t], (f.source.maps[i] @ bases[s]) % F.p)
+        elif dims[s] and src[t] and ((f.source.maps[i] @ bases[s]) % F.p).any():
+            sol = None
+        else:
+            sol = np.zeros((dims[t], dims[s]), dtype=np.int64)
         if sol is None:
             raise AssertionError("kernel subspace is not arrow-stable")
         maps.append(sol)
@@ -292,22 +310,27 @@ def image(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism, ModuleMorp
     """Image subrepresentation, its inclusion into the target, and the
     epimorphism from the source onto it (inclusion o epi == f)."""
     F = f.source.field
-    bases = [F.column_reduce(f.maps[v]) for v in range(len(f.maps))]
+    tgt = f.target.dim_list
+    bases = [F.column_reduce(m) if r and c else np.zeros((r, 0), dtype=np.int64)
+             for m, r, c in zip(f.maps, tgt, f.source.dim_list)]
     dims = [b.shape[1] for b in bases]
     maps = []
-    qv = f.source.algebra.quiver
-    for i, a in enumerate(qv.arrows):
-        s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
-        rhs = (f.target.maps[i] @ bases[s]) % F.p
-        sol = F.solve_many(bases[t], rhs)
+    for i, (s, t) in enumerate(f.source.algebra.quiver.arrow_ends):
+        if dims[s] and dims[t]:
+            sol = F.solve_many(bases[t], (f.target.maps[i] @ bases[s]) % F.p)
+        elif dims[s] and tgt[t] and ((f.target.maps[i] @ bases[s]) % F.p).any():
+            sol = None
+        else:
+            sol = np.zeros((dims[t], dims[s]), dtype=np.int64)
         if sol is None:
             raise AssertionError("image subspace is not arrow-stable")
         maps.append(sol)
     img = Representation._of_reduced(f.target.algebra, dims, maps)
     incl = ModuleMorphism._of_reduced(img, f.target, bases)
     epi_maps = []
-    for v in range(len(f.maps)):
-        sol = F.solve_many(bases[v], f.maps[v])
+    for b, m in zip(bases, f.maps):
+        # an image of dimension zero comes from a zero component
+        sol = F.solve_many(b, m) if b.shape[1] else np.zeros((0, m.shape[1]), dtype=np.int64)
         if sol is None:
             raise AssertionError("factoring through the image failed")
         epi_maps.append(sol)
@@ -320,21 +343,23 @@ def quotient(m: Representation, subspaces: list[np.ndarray]
     """Quotient by an arrow-stable subspace, given by per-vertex column
     bases, with the projection onto it."""
     F = m.field
-    projs, reps = zip(*(F.quotient_projection(sub, int(d))
-                        for sub, d in zip(subspaces, m.dims)))
-    qv = m.algebra.quiver
-    maps = []
-    for i, a in enumerate(qv.arrows):
-        s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
-        maps.append((projs[t] @ m.maps[i] @ reps[s]) % F.p)
-    q = Representation._of_reduced(m.algebra, [p.shape[0] for p in projs], maps)
+    projs, reps = zip(*(F.quotient_projection(sub, d) if sub.size
+                        else (np.eye(d, dtype=np.int64),) * 2
+                        for sub, d in zip(subspaces, m.dim_list)))
+    dims = [p.shape[0] for p in projs]
+    maps = [(projs[t] @ a @ reps[s]) % F.p if dims[s] and dims[t]
+            else np.zeros((dims[t], dims[s]), dtype=np.int64)
+            for a, (s, t) in zip(m.maps, m.algebra.quiver.arrow_ends)]
+    q = Representation._of_reduced(m.algebra, dims, maps)
     return q, ModuleMorphism._of_reduced(m, q, projs)
 
 
 def cokernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
     """Cokernel with the projection from the target."""
     F = f.source.field
-    return quotient(f.target, [F.column_reduce(mv) for mv in f.maps])
+    return quotient(f.target, [F.column_reduce(mv) if mv.size
+                               else np.zeros((mv.shape[0], 0), dtype=np.int64)
+                               for mv in f.maps])
 
 
 def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
@@ -343,7 +368,8 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
                    dtype=np.int64)
     r = c = 0
     for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        if b.size:
+            out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
 
@@ -351,32 +377,34 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
 def sum_module(algebra: Algebra, parts: list[Representation]) -> Representation:
     """The direct sum module alone, arrow matrices block diagonal in the
     order of parts."""
-    dims = np.zeros(algebra.quiver.num_vertices, dtype=np.int64)
-    for m in parts:
-        dims += m.dims
+    dims = [sum(col) for col in zip(*(m.dim_list for m in parts))] \
+        or [0] * algebra.quiver.num_vertices
     return Representation._of_reduced(algebra, dims, [
-        block_diagonal([m.maps[i] for m in parts]) for i in range(len(algebra.quiver.arrows))])
+        block_diagonal([m.maps[i] for m in parts]) if dims[s] and dims[t]
+        else np.zeros((dims[t], dims[s]), dtype=np.int64)
+        for i, (s, t) in enumerate(algebra.quiver.arrow_ends)])
 
 
 def direct_sum(algebra: Algebra, parts: list[Representation]
                ) -> tuple[Representation, list[ModuleMorphism], list[ModuleMorphism]]:
-    """Direct sum with inclusions and projections."""
-    nv = algebra.quiver.num_vertices
+    """Direct sum with inclusions and projections: an identity block goes
+    only where a part has dimension, and each projection is the transpose
+    of its inclusion."""
     total = sum_module(algebra, parts)
-    dims = total.dims
+    dims = total.dim_list
     incls, projs = [], []
-    row_off = np.zeros(nv, dtype=np.int64)
+    row_off = [0] * len(dims)
     for m in parts:
-        inc = [np.zeros((int(dims[v]), int(m.dims[v])), dtype=np.int64) for v in range(nv)]
-        prj = [np.zeros((int(m.dims[v]), int(dims[v])), dtype=np.int64) for v in range(nv)]
-        for v in range(nv):
-            d = int(m.dims[v])
-            o = int(row_off[v])
-            inc[v][o:o + d, :] = np.eye(d, dtype=np.int64)
-            prj[v][:, o:o + d] = np.eye(d, dtype=np.int64)
+        inc = []
+        for v, (n, d) in enumerate(zip(dims, m.dim_list)):
+            c = np.zeros((n, d), dtype=np.int64)
+            if d:
+                o = row_off[v]
+                c[o:o + d] = np.eye(d, dtype=np.int64)
+                row_off[v] = o + d
+            inc.append(c)
         incls.append(ModuleMorphism._of_reduced(m, total, inc))
-        projs.append(ModuleMorphism._of_reduced(total, m, prj))
-        row_off += m.dims
+        projs.append(ModuleMorphism._of_reduced(total, m, [c.T for c in inc]))
     return total, incls, projs
 
 
@@ -387,14 +415,9 @@ def zero_rep(algebra: Algebra) -> Representation:
 
 
 def simple(algebra: Algebra, v: int) -> Representation:
-    nv = algebra.quiver.num_vertices
-    dims = [1 if w == v else 0 for w in range(nv)]
-    maps = []
-    for a in algebra.quiver.arrows:
-        s = algebra.quiver.vertex_index[a.source]
-        t = algebra.quiver.vertex_index[a.target]
-        maps.append(np.zeros((dims[t], dims[s]), dtype=np.int64))
-    return Representation._of_reduced(algebra, dims, maps)
+    dims = [int(w == v) for w in range(algebra.quiver.num_vertices)]
+    return Representation._of_reduced(algebra, dims, [
+        np.zeros((dims[t], dims[s]), dtype=np.int64) for s, t in algebra.quiver.arrow_ends])
 
 
 def projective(algebra: Algebra, v: int) -> Representation:
@@ -407,12 +430,9 @@ def projective(algebra: Algebra, v: int) -> Representation:
 
 
 def _projective(algebra: Algebra, v: int) -> tuple:
-    qv = algebra.quiver
-    rows = [algebra.blocks[v, w] for w in range(qv.num_vertices)]
-    maps = []
-    for k, a in zip(algebra.arrow_basis, qv.arrows):
-        s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
-        maps.append(algebra.table[k][np.ix_(rows[s], rows[t])].T)
+    rows = [algebra.blocks[v, w] for w in range(algebra.quiver.num_vertices)]
+    maps = [algebra.table[k][np.ix_(rows[s], rows[t])].T
+            for k, (s, t) in zip(algebra.arrow_basis, algebra.quiver.arrow_ends)]
     return read_only((np.array([len(r) for r in rows], dtype=np.int64), maps))
 
 
@@ -425,8 +445,8 @@ def dualize(m: Representation) -> Representation:
 
 def dualize_morphism(f: ModuleMorphism) -> ModuleMorphism:
     """Dual morphism D(target) -> D(source) over the opposite algebra."""
-    return ModuleMorphism(dualize(f.target), dualize(f.source),
-                          [mm.T.copy() for mm in f.maps])
+    return ModuleMorphism._of_reduced(dualize(f.target), dualize(f.source),
+                                      [mm.T.copy() for mm in f.maps])
 
 
 def injective(algebra: Algebra, v: int) -> Representation:
@@ -470,10 +490,9 @@ def radical_subspaces(m: Representation) -> list[np.ndarray]:
     alg = m.algebra
     cols: list[list[np.ndarray]] = [[] for _ in m.dims]
     if alg.block_radical is None:
-        qv = alg.quiver
-        for a, mat in zip(qv.arrows, m.maps):
+        for (_, t), mat in zip(alg.quiver.arrow_ends, m.maps):
             if mat.size:
-                cols[qv.vertex_index[a.target]].append(mat)
+                cols[t].append(mat)
     else:
         for (i, j), r in alg.block_radical.items():
             if r.shape[1] and m.dims[i] and m.dims[j]:
@@ -510,7 +529,8 @@ def _projective_cover(m: Representation):
     picked: list[int] = []
     cols: list[list[np.ndarray]] = [[] for _ in m.dims]
     for i in range(nv):
-        reps = F.quotient_projection(rad[i], int(m.dims[i]))[1]
+        d = m.dim_list[i]
+        reps = F.quotient_projection(rad[i], d)[1] if rad[i].size else np.eye(d, dtype=np.int64)
         blocks = [_block_action(m, i, j) for j in range(nv)] if reps.shape[1] else []
         covered = rad[i]
         for n in range(reps.shape[1]):
@@ -531,7 +551,7 @@ def _projective_cover(m: Representation):
     if not cover.is_surjective():
         raise AssertionError("projective cover is not surjective")
     for v, f in enumerate(cover.maps):
-        ker = F.nullspace(f)
+        ker = F.nullspace(f) if f.size else np.eye(f.shape[1], dtype=np.int64)
         if ker.shape[1] and not F.column_space_contains(
                 block_diagonal([leaf_rads[i][v] for i in picked]), ker):
             raise AssertionError("projective cover kernel escapes the radical")

@@ -131,14 +131,16 @@ def concat_xmaps_cols(x: "SubcategoryX", blocks: list[XMap], dst: XObject) -> XM
     """[b_1 b_2 ...]: sum of sources -> common target."""
     src = x.obj(i for b in blocks for i in b.src.parts)
     return XMap(src, dst, ModuleMorphism._of_reduced(
-        src.rep, dst.rep, _side_by_side([b.mor for b in blocks], dst.rep.dims)))
+        src.rep, dst.rep, _side_by_side([b.mor for b in blocks], dst.rep.dim_list)))
 
 
-def _side_by_side(mors: list[ModuleMorphism], dims) -> list[np.ndarray]:
+def _side_by_side(mors: list[ModuleMorphism], dims: list[int]) -> list[np.ndarray]:
     """The components of mors side by side at each vertex, into a common
-    target of dimensions dims; reduced mod p as they are, not again."""
-    return [np.concatenate([f.maps[v] for f in mors], axis=1) if mors
-            else np.zeros((int(d), 0), dtype=np.int64) for v, d in enumerate(dims)]
+    target of dimensions dims; reduced mod p as they are, not again.  Where
+    the target is zero the empty block is built from the widths alone."""
+    return [np.concatenate([f.maps[v] for f in mors], axis=1) if d and mors
+            else np.zeros((d, sum(f.maps[v].shape[1] for f in mors)), dtype=np.int64)
+            for v, d in enumerate(dims)]
 
 
 class SubcategoryX:
@@ -352,7 +354,7 @@ class SubcategoryX:
             parts.append(hit[0])
             comps.append(leaf.incl.compose(hit[1]))
         xobj = self.obj(parts)
-        iso = ModuleMorphism._of_reduced(xobj.rep, a, _side_by_side(comps, a.dims))
+        iso = ModuleMorphism._of_reduced(xobj.rep, a, _side_by_side(comps, a.dim_list))
         if not iso.is_isomorphism():
             raise AssertionError("assembled embedding is not an isomorphism")
         return xobj, read_only(iso.maps)
@@ -520,7 +522,7 @@ class SubcategoryX:
                 blocks.append(h)
         if minimize:
             parts, blocks = self._minimize_blocks(parts, blocks)
-        return self.obj(parts), read_only(_side_by_side(blocks, a.dims))
+        return self.obj(parts), read_only(_side_by_side(blocks, a.dim_list))
 
     def _minimize_blocks(self, parts: list[int], blocks: list[ModuleMorphism]
                          ) -> tuple[list[int], list[ModuleMorphism]]:

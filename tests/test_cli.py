@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tiltbench
-from tiltbench import axioms, cli, report
+from tiltbench import algebra_ops, axioms, cli, report
 from tiltbench.axioms import Verdict
 
 from conftest import CORPUS_DIR
@@ -223,6 +223,58 @@ class TestSeedPrecedence:
             rc = cli.main(["check", write_job(tmp_path)])
             assert rc == 2, bad
             assert "TILTBENCH_SEED" in capsys.readouterr().err
+
+
+class TestGenCogenTheorems:
+    """Under a passing gen-cogen certificate the sampled axioms A1-A3op and
+    Morita-Tachikawa's dominant dimension >= 2 are theorems; a check that
+    contradicts them is a route disagreement (exit 3)."""
+
+    def job(self, tmp_path):
+        data = json.loads((CORPUS_DIR / "linear_a2_generator.json").read_text())
+        data["checks"] = ["gen-cogen-ff"]
+        p = tmp_path / "gen_cogen.json"
+        p.write_text(json.dumps(data))
+        return str(p)
+
+    def run_json(self, tmp_path, capsys):
+        rc = cli.main(["check", self.job(tmp_path), "--report", "json", "--trials", "20"])
+        return rc, json.loads(capsys.readouterr().out)
+
+    def test_unpatched_job_passes_with_both_flags(self, tmp_path, capsys):
+        rc, doc = self.run_json(tmp_path, capsys)
+        assert rc == 0
+        (v,) = doc["verdicts"]
+        assert v["status"] == "certified-pass"
+        assert v["details"]["axioms_consistent"] is True
+        assert v["details"]["morita_tachikawa_consistent"] is True
+
+    def test_a_failing_sampled_axiom_is_a_disagreement(self, tmp_path, capsys, monkeypatch):
+        def planted(*args, **kwargs):
+            return Verdict("A3+A3op", "fail", route="planted", witness={"kind": "planted"})
+        monkeypatch.setattr(axioms, "check_A3_A3op", planted)
+        rc, doc = self.run_json(tmp_path, capsys)
+        assert rc == report.EXIT_ROUTE_DISAGREEMENT == 3
+        assert doc["status"] == "route-disagreement"
+        assert doc["disagreement"]["check"]["check"] == "gen-cogen-ff"
+        assert "A1-A3op" in doc["disagreement"]["error"]
+        assert doc["disagreement"]["details"]["axioms_consistent"] is False
+
+    def test_an_exact_domdim_below_2_is_a_disagreement(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(algebra_ops, "dominant_dimension",
+                            lambda *args, **kwargs: algebra_ops.DimBound.exact(1))
+        rc, doc = self.run_json(tmp_path, capsys)
+        assert rc == 3
+        assert "dominant dimension" in doc["disagreement"]["error"]
+
+    def test_a_lower_bound_below_2_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(algebra_ops, "dominant_dimension",
+                            lambda *args, **kwargs: algebra_ops.DimBound.at_least(1))
+        rc, doc = self.run_json(tmp_path, capsys)
+        assert rc == 0
+        (v,) = doc["verdicts"]
+        assert v["status"] == "certified-pass"
+        assert v["details"]["morita_tachikawa_consistent"] is False
 
 
 class TestDisagreementRendering:

@@ -236,6 +236,19 @@ def test_reports_are_wired_to_their_jobs(corpus, name):
     assert rpt.disagreement is None
 
 
+def test_certified_gen_cogen_reads_both_theorems_true(corpus):
+    """Where membership certifies gen-cogen, the sampled axioms and the
+    dominant dimension agree (a disagreement would be exit 3); nine corpus
+    jobs carry the certificate."""
+    certified = [name for name in sorted(EXPECTED)
+                 if corpus.verdict(name, "gen-cogen-ff").status == "certified-pass"]
+    assert len(certified) == 9
+    for name in certified:
+        details = corpus.verdict(name, "gen-cogen-ff").details
+        assert details["axioms_consistent"] is True, name
+        assert details["morita_tachikawa_consistent"] is True, name
+
+
 class TestDeclaredListsAreComplete:
     """For a serial radical-square-zero path algebra on n vertices the
     indecomposables are exactly the n projectives and the n-1 simples at

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltbench import rep
+from tiltbench import jobspec, rep
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import Quiver, build_algebra
+
+from conftest import CORPUS_DIR, corpus_paths
 
 
 def dims(m):
@@ -304,3 +306,235 @@ def test_hom_system_blocks_match_kron(n, r, c, data):
                       (rep._kron_eye(a, n), np.kron(a, eye))):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+# -- vertex-sparse operations against the dense loops they replaced ----------
+#
+# The references below loop over every vertex and arrow, as `rep` did before
+# it skipped zero spaces; each vertex-sparse operation must give the same
+# arrays (shape, dtype, entries and basis order).
+
+
+def _dense_flat(source, target, flat):
+    maps, at = [], 0
+    for v in range(len(source.dims)):
+        r, c = int(target.dims[v]), int(source.dims[v])
+        maps.append(flat[at:at + r * c].reshape(r, c).copy())
+        at += r * c
+    return rep.ModuleMorphism._of_reduced(source, target, maps)
+
+
+def _dense_hom_space(a, b):
+    F, qv = a.field, a.algebra.quiver
+    sizes = [int(b.dims[v]) * int(a.dims[v]) for v in range(qv.num_vertices)]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    unknowns = int(starts[-1])
+    if unknowns == 0:
+        return []
+    rows = []
+    for i, ar in enumerate(qv.arrows):
+        s, t = qv.vertex_index[ar.source], qv.vertex_index[ar.target]
+        n_eq = int(b.dims[t]) * int(a.dims[s])
+        if n_eq == 0:
+            continue
+        block = np.zeros((n_eq, unknowns), dtype=np.int64)
+        block[:, starts[t]:starts[t + 1]] = rep._eye_kron(int(b.dims[t]), a.maps[i].T)
+        block[:, starts[s]:starts[s + 1]] = (block[:, starts[s]:starts[s + 1]]
+                                             - rep._kron_eye(b.maps[i], int(a.dims[s]))) % F.p
+        rows.append(block)
+    basis = (F.nullspace(np.concatenate(rows) % F.p) if rows
+             else np.eye(unknowns, dtype=np.int64))
+    return [_dense_flat(a, b, basis[:, k]) for k in range(basis.shape[1])]
+
+
+def _dense_kernel(f):
+    F, qv = f.source.field, f.source.algebra.quiver
+    bases = [F.nullspace(f.maps[v]) for v in range(len(f.maps))]
+    maps = []
+    for i, a in enumerate(qv.arrows):
+        s, t = qv.vertex_index[a.source], qv.vertex_index[a.target]
+        sol = F.solve_many(bases[t], (f.source.maps[i] @ bases[s]) % F.p)
+        if sol is None:
+            raise AssertionError("kernel subspace is not arrow-stable")
+        maps.append(sol)
+    k = rep.Representation._of_reduced(f.source.algebra, [b.shape[1] for b in bases], maps)
+    return k, rep.ModuleMorphism._of_reduced(k, f.source, bases)
+
+
+def _dense_block_diagonal(blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _dense_direct_sum(algebra, parts):
+    nv = algebra.quiver.num_vertices
+    dims = np.zeros(nv, dtype=np.int64)
+    for m in parts:
+        dims += m.dims
+    total = rep.Representation._of_reduced(algebra, dims, [
+        _dense_block_diagonal([m.maps[i] for m in parts])
+        for i in range(len(algebra.quiver.arrows))])
+    incls, projs = [], []
+    row_off = np.zeros(nv, dtype=np.int64)
+    for m in parts:
+        inc = [np.zeros((int(dims[v]), int(m.dims[v])), dtype=np.int64) for v in range(nv)]
+        prj = [np.zeros((int(m.dims[v]), int(dims[v])), dtype=np.int64) for v in range(nv)]
+        for v in range(nv):
+            d, o = int(m.dims[v]), int(row_off[v])
+            inc[v][o:o + d, :] = np.eye(d, dtype=np.int64)
+            prj[v][:, o:o + d] = np.eye(d, dtype=np.int64)
+        incls.append(rep.ModuleMorphism._of_reduced(m, total, inc))
+        projs.append(rep.ModuleMorphism._of_reduced(total, m, prj))
+        row_off += m.dims
+    return total, incls, projs
+
+
+def _dense_compose(g, f):
+    return rep.ModuleMorphism(f.source, g.target, [a @ b for a, b in zip(g.maps, f.maps)])
+
+
+def _same_arrays(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.dtype == y.dtype == np.int64
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+def _same_module(a, b):
+    assert a.dims.dtype == b.dims.dtype and a.dims.tolist() == b.dims.tolist()
+    _same_arrays(a.maps, b.maps)
+
+
+def _agree_with_dense(alg, modules):
+    """hom_space of every ordered pair, the kernel of each basis element and
+    of the zero maps, direct sums of pairs, and composites, add and scale of
+    basis elements, each equal to its dense reference."""
+    zero = rep.zero_rep(alg)
+    modules = list(modules) + [zero]
+    for a in modules:
+        maps = [rep.zero_morphism(a, zero), rep.zero_morphism(zero, a), rep.zero_morphism(a, a)]
+        for b in modules:
+            fwd, want = rep.hom_space(a, b), _dense_hom_space(a, b)
+            assert len(fwd) == len(want)
+            for f, g in zip(fwd, want):
+                _same_arrays(f.maps, g.maps)
+            bwd = rep.hom_space(b, a)
+            maps += fwd[:2]
+            for f in fwd[:2]:
+                for g in bwd[:2]:
+                    _same_arrays(g.compose(f).maps, _dense_compose(g, f).maps)
+                    _same_arrays(f.compose(g).maps, _dense_compose(f, g).maps)
+            if len(fwd) > 1:
+                _same_arrays(fwd[0].add(fwd[1]).maps, rep.ModuleMorphism(
+                    a, b, [x + y for x, y in zip(fwd[0].maps, fwd[1].maps)]).maps)
+                _same_arrays(fwd[1].scale(-3).maps, rep.ModuleMorphism(
+                    a, b, [-3 * x for x in fwd[1].maps]).maps)
+            got, want = rep.direct_sum(alg, [a, b]), _dense_direct_sum(alg, [a, b])
+            _same_module(got[0], want[0])
+            for fs, gs in zip(got[1:], want[1:]):
+                for f, g in zip(fs, gs):
+                    _same_arrays(f.maps, g.maps)
+        for f in maps:
+            (k, incl), (k_ref, incl_ref) = rep.kernel(f), _dense_kernel(f)
+            _same_module(k, k_ref)
+            _same_arrays(incl.maps, incl_ref.maps)
+            _same_arrays(f.compose(rep.identity_morphism(f.source)).maps,
+                         _dense_compose(f, rep.identity_morphism(f.source)).maps)
+
+
+def _rad2_path(n):
+    """kA_n/rad^2 over F_101: the path 1 -> ... -> n, every length-2 path zero."""
+    arrows = [(f"a{v}", str(v), str(v + 1)) for v in range(1, n)]
+    return build_algebra(Quiver([str(v) for v in range(1, n + 1)], arrows),
+                         [[(1, [f"a{v}", f"a{v + 1}"])] for v in range(1, n - 1)], _F)
+
+
+_A9RAD2 = _rad2_path(9)
+
+
+def test_vertex_sparse_ops_agree_with_dense_on_a9_rad2():
+    alg = _A9RAD2
+    _agree_with_dense(alg, [make(alg, v) for make in (rep.simple, rep.projective, rep.injective)
+                            for v in range(9)])
+
+
+@pytest.mark.parametrize("name", [p.stem for p in corpus_paths()])
+def test_vertex_sparse_ops_agree_with_dense_on_corpus_summands(name):
+    x = jobspec.ingest(CORPUS_DIR / f"{name}.json").realize().x
+    _agree_with_dense(x.algebra, x.summands)
+
+
+def test_a_map_that_is_not_arrow_stable_is_refused():
+    """Over kA_2, the identity at vertex 2 and zero at vertex 1 on P_1 is no
+    module map: its kernel at 1 is sent by the arrow to a non-zero vector at
+    2, where the kernel is zero."""
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), [], _F)
+    p1 = rep.projective(alg, 0)
+    bent = rep.ModuleMorphism(p1, p1, [np.zeros((1, 1), dtype=np.int64),
+                                       np.eye(1, dtype=np.int64)])
+    for kernel in (rep.kernel, _dense_kernel):
+        with pytest.raises(AssertionError, match="not arrow-stable"):
+            kernel(bent)
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """(name, first argument) of every PrimeField.nullspace and solve_many
+    call, memo hits included."""
+    calls = []
+    for name in ("nullspace", "solve_many"):
+        orig = getattr(PrimeField, name)
+
+        def wrapped(self, *args, _orig=orig, _name=name):
+            calls.append((_name, args[0]))
+            return _orig(self, *args)
+        monkeypatch.setattr(PrimeField, name, wrapped)
+    return calls
+
+
+def test_hom_space_of_disjoint_supports_makes_no_field_call(field_calls):
+    alg = _A9RAD2
+    pairs = [(rep.simple(alg, 0), rep.simple(alg, 4)),
+             (rep.projective(alg, 0), rep.projective(alg, 5)),
+             (rep.injective(alg, 8), rep.projective(alg, 2))]
+    for a, b in pairs:
+        assert not set(np.flatnonzero(a.dims)) & set(np.flatnonzero(b.dims))
+        assert rep.hom_space(a, b) == [] and rep.hom_space(b, a) == []
+    assert field_calls == []
+
+
+def test_kernel_eliminates_only_on_the_support(field_calls):
+    """The kernel of a map between modules supported on a vertex set S
+    eliminates once per vertex of S where both spaces are non-zero and
+    solves once per arrow inside S between non-zero kernel spaces."""
+    alg = _A9RAD2
+    ends = alg.quiver.arrow_ends
+    p3, p4, s3 = (rep.projective(alg, 2), rep.projective(alg, 3), rep.simple(alg, 2))
+    p34 = rep.direct_sum(alg, [p3, p4])[0]
+    cases = [rep.zero_morphism(p34, p34),              # S = {3, 4, 5}
+             rep.projective_cover(s3)[0],              # P_3 -> S_3, S = {3, 4}
+             rep.hom_space(p4, p3)[0],                 # P_4 -> P_3, kernel S_5
+             rep.identity_morphism(p3)]
+    checked = []
+    for f in cases:
+        support = {v for v in range(9) if f.source.dims[v] or f.target.dims[v]}
+        del field_calls[:]
+        k, incl = rep.kernel(f)
+        both = [v for v in support if f.source.dims[v] and f.target.dims[v]]
+        inside = [(s, t) for s, t in ends if s in support and t in support
+                  and k.dims[s] and k.dims[t]]
+        nulls = [m for name, m in field_calls if name == "nullspace"]
+        solves = [m for name, m in field_calls if name == "solve_many"]
+        assert len(nulls) == len(both)
+        assert all(any(m is f.maps[v] for v in both) for m in nulls)
+        assert len(solves) == len(inside)
+        assert all(any(m is incl.maps[t] for _, t in inside) for m in solves)
+        assert all(m.size for _, m in field_calls)
+        checked.append((len(nulls), len(solves)))
+    assert checked == [(3, 2), (1, 0), (1, 0), (2, 0)]
