@@ -16,6 +16,14 @@ certified surjective with its kernel inside the radical of its source.
 Everything here is exact arithmetic over the algebra's prime field; kernels,
 cokernels and images come back together with the structure maps that witness
 them.
+
+The operations are vertex-sparse.  A module's dimension vector is read once
+as Python ints (`Representation.dim_list`, and `Quiver.arrow_ends` gives the
+arrows' vertex indices), and numpy products, eliminations and their memo
+lookups happen only at vertices where the spaces involved are non-zero and
+on arrows whose two ends are non-zero.  Every other component is built
+directly as the empty, identity or zero int64 array of its shape, equal to
+what the dense loop would give, so every result is the same array.
 """
 
 from __future__ import annotations
@@ -282,50 +290,43 @@ def hom_space(a: Representation, b: Representation) -> list[ModuleMorphism]:
 
 def kernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
     """Kernel subrepresentation with its inclusion.  Eliminates only where
-    the source and target of f are both non-zero, and solves only on arrows
-    between non-zero kernel spaces; an arrow from a non-zero kernel space
-    into a zero one is checked to send it to zero."""
+    the source and target of f are both non-zero."""
     F = f.source.field
-    src = f.source.dim_list
     bases = [F.nullspace(m) if r and c else np.eye(c, dtype=np.int64)
-             for m, r, c in zip(f.maps, f.target.dim_list, src)]
+             for m, r, c in zip(f.maps, f.target.dim_list, f.source.dim_list)]
+    k = _subrepresentation(f.source, bases, "kernel")
+    return k, ModuleMorphism._of_reduced(k, f.source, bases)
+
+
+def _subrepresentation(m: Representation, bases: list[np.ndarray],
+                       what: str) -> Representation:
+    """The subrepresentation of m spanned by per-vertex column bases, each
+    of full column rank.  Its arrow matrices are solved only between
+    non-zero subspaces; an arrow from a non-zero subspace into a zero one
+    is checked to send it to zero."""
+    F = m.field
     dims = [b.shape[1] for b in bases]
     maps = []
-    for i, (s, t) in enumerate(f.source.algebra.quiver.arrow_ends):
+    for a, (s, t) in zip(m.maps, m.algebra.quiver.arrow_ends):
         if dims[s] and dims[t]:
-            sol = F.solve_many(bases[t], (f.source.maps[i] @ bases[s]) % F.p)
-        elif dims[s] and src[t] and ((f.source.maps[i] @ bases[s]) % F.p).any():
+            sol = F.solve_many(bases[t], (a @ bases[s]) % F.p)
+        elif dims[s] and m.dim_list[t] and ((a @ bases[s]) % F.p).any():
             sol = None
         else:
             sol = np.zeros((dims[t], dims[s]), dtype=np.int64)
         if sol is None:
-            raise AssertionError("kernel subspace is not arrow-stable")
+            raise AssertionError(f"{what} subspace is not arrow-stable")
         maps.append(sol)
-    k = Representation._of_reduced(f.source.algebra, dims, maps)
-    incl = ModuleMorphism._of_reduced(k, f.source, bases)
-    return k, incl
+    return Representation._of_reduced(m.algebra, dims, maps)
 
 
 def image(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism, ModuleMorphism]:
     """Image subrepresentation, its inclusion into the target, and the
     epimorphism from the source onto it (inclusion o epi == f)."""
     F = f.source.field
-    tgt = f.target.dim_list
     bases = [F.column_reduce(m) if r and c else np.zeros((r, 0), dtype=np.int64)
-             for m, r, c in zip(f.maps, tgt, f.source.dim_list)]
-    dims = [b.shape[1] for b in bases]
-    maps = []
-    for i, (s, t) in enumerate(f.source.algebra.quiver.arrow_ends):
-        if dims[s] and dims[t]:
-            sol = F.solve_many(bases[t], (f.target.maps[i] @ bases[s]) % F.p)
-        elif dims[s] and tgt[t] and ((f.target.maps[i] @ bases[s]) % F.p).any():
-            sol = None
-        else:
-            sol = np.zeros((dims[t], dims[s]), dtype=np.int64)
-        if sol is None:
-            raise AssertionError("image subspace is not arrow-stable")
-        maps.append(sol)
-    img = Representation._of_reduced(f.target.algebra, dims, maps)
+             for m, r, c in zip(f.maps, f.target.dim_list, f.source.dim_list)]
+    img = _subrepresentation(f.target, bases, "image")
     incl = ModuleMorphism._of_reduced(img, f.target, bases)
     epi_maps = []
     for b, m in zip(bases, f.maps):
