@@ -28,6 +28,7 @@ what the dense loop would give, so every result is the same array.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -66,8 +67,7 @@ class Representation:
         self.dims = dims
         self.maps = maps
         self.dim_list = dims.tolist()
-        self.offsets = [0, *itertools.accumulate(self.dim_list)]
-        self.total_dim = self.offsets[-1]
+        self.total_dim = sum(self.dim_list)
 
     @property
     def field(self) -> PrimeField:
@@ -92,10 +92,18 @@ class Representation:
                 raise ValueError("arrow matrices do not satisfy the algebra relations")
 
     def vertex_slice(self, v: int) -> slice:
-        return slice(self.offsets[v], self.offsets[v + 1])
+        start = sum(self.dim_list[:v])
+        return slice(start, start + self.dim_list[v])
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dims.tolist()})"
+
+
+@functools.cache
+def _empty(r: int, c: int) -> np.ndarray:
+    """The int64 array of shape (r, c), r or c zero: it has no entries, so
+    one read-only copy per shape serves every caller."""
+    return read_only(np.zeros((r, c), dtype=np.int64))
 
 
 def stored(m: Representation) -> tuple:
@@ -229,7 +237,7 @@ def morphism_from_flat(source: Representation, target: Representation,
             maps.append(flat[at:at + r * c].reshape(r, c).copy())
             at += r * c
         else:
-            maps.append(np.zeros((r, c), dtype=np.int64))
+            maps.append(_empty(r, c))
     return ModuleMorphism._of_reduced(source, target, maps)
 
 
@@ -313,7 +321,7 @@ def _subrepresentation(m: Representation, bases: list[np.ndarray],
         elif dims[s] and m.dim_list[t] and ((a @ bases[s]) % F.p).any():
             sol = None
         else:
-            sol = np.zeros((dims[t], dims[s]), dtype=np.int64)
+            sol = _empty(dims[t], dims[s])
         if sol is None:
             raise AssertionError(f"{what} subspace is not arrow-stable")
         maps.append(sol)
@@ -324,14 +332,14 @@ def image(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism, ModuleMorp
     """Image subrepresentation, its inclusion into the target, and the
     epimorphism from the source onto it (inclusion o epi == f)."""
     F = f.source.field
-    bases = [F.column_reduce(m) if r and c else np.zeros((r, 0), dtype=np.int64)
+    bases = [F.column_reduce(m) if r and c else _empty(r, 0)
              for m, r, c in zip(f.maps, f.target.dim_list, f.source.dim_list)]
     img = _subrepresentation(f.target, bases, "image")
     incl = ModuleMorphism._of_reduced(img, f.target, bases)
     epi_maps = []
     for b, m in zip(bases, f.maps):
         # an image of dimension zero comes from a zero component
-        sol = F.solve_many(b, m) if b.shape[1] else np.zeros((0, m.shape[1]), dtype=np.int64)
+        sol = F.solve_many(b, m) if b.shape[1] else _empty(0, m.shape[1])
         if sol is None:
             raise AssertionError("factoring through the image failed")
         epi_maps.append(sol)
@@ -349,7 +357,7 @@ def quotient(m: Representation, subspaces: list[np.ndarray]
                         for sub, d in zip(subspaces, m.dim_list)))
     dims = [p.shape[0] for p in projs]
     maps = [(projs[t] @ a @ reps[s]) % F.p if dims[s] and dims[t]
-            else np.zeros((dims[t], dims[s]), dtype=np.int64)
+            else _empty(dims[t], dims[s])
             for a, (s, t) in zip(m.maps, m.algebra.quiver.arrow_ends)]
     q = Representation._of_reduced(m.algebra, dims, maps)
     return q, ModuleMorphism._of_reduced(m, q, projs)
@@ -358,8 +366,7 @@ def quotient(m: Representation, subspaces: list[np.ndarray]
 def cokernel(f: ModuleMorphism) -> tuple[Representation, ModuleMorphism]:
     """Cokernel with the projection from the target."""
     F = f.source.field
-    return quotient(f.target, [F.column_reduce(mv) if mv.size
-                               else np.zeros((mv.shape[0], 0), dtype=np.int64)
+    return quotient(f.target, [F.column_reduce(mv) if mv.size else _empty(mv.shape[0], 0)
                                for mv in f.maps])
 
 
@@ -382,7 +389,7 @@ def sum_module(algebra: Algebra, parts: list[Representation]) -> Representation:
         or [0] * algebra.quiver.num_vertices
     return Representation._of_reduced(algebra, dims, [
         block_diagonal([m.maps[i] for m in parts]) if dims[s] and dims[t]
-        else np.zeros((dims[t], dims[s]), dtype=np.int64)
+        else _empty(dims[t], dims[s])
         for i, (s, t) in enumerate(algebra.quiver.arrow_ends)])
 
 
@@ -398,11 +405,13 @@ def direct_sum(algebra: Algebra, parts: list[Representation]
     for m in parts:
         inc = []
         for v, (n, d) in enumerate(zip(dims, m.dim_list)):
-            c = np.zeros((n, d), dtype=np.int64)
             if d:
+                c = np.zeros((n, d), dtype=np.int64)
                 o = row_off[v]
                 c[o:o + d] = np.eye(d, dtype=np.int64)
                 row_off[v] = o + d
+            else:
+                c = _empty(n, 0)
             inc.append(c)
         incls.append(ModuleMorphism._of_reduced(m, total, inc))
         projs.append(ModuleMorphism._of_reduced(total, m, [c.T for c in inc]))
@@ -418,7 +427,7 @@ def zero_rep(algebra: Algebra) -> Representation:
 def simple(algebra: Algebra, v: int) -> Representation:
     dims = [int(w == v) for w in range(algebra.quiver.num_vertices)]
     return Representation._of_reduced(algebra, dims, [
-        np.zeros((dims[t], dims[s]), dtype=np.int64) for s, t in algebra.quiver.arrow_ends])
+        _empty(dims[t], dims[s]) for s, t in algebra.quiver.arrow_ends])
 
 
 def projective(algebra: Algebra, v: int) -> Representation:
