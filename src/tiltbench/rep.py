@@ -23,7 +23,8 @@ arrows' vertex indices), and numpy products, eliminations and their memo
 lookups happen only at vertices where the spaces involved are non-zero and
 on arrows whose two ends are non-zero.  Every other component is built
 directly as the empty, identity or zero int64 array of its shape, equal to
-what the dense loop would give, so every result is the same array.
+what the dense loop would give, so every result is the same array.  An
+array with no entries is one shared read-only copy per shape (`_empty`).
 """
 
 from __future__ import annotations
