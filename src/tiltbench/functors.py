@@ -24,6 +24,38 @@ from tiltbench.subcat import (ResolutionCapExceeded, SubcategoryX, XMap, XObject
                               concat_xmaps_cols)
 
 
+# The field's entry points key every call in its memo; an empty matrix has a
+# known answer, given here without a call.
+
+
+def _rank(F, m: np.ndarray) -> int:
+    return F.rank(m) if m.size else 0
+
+
+def _nullspace(F, m: np.ndarray) -> np.ndarray:
+    return F.nullspace(m) if m.size else np.eye(m.shape[1], dtype=np.int64)
+
+
+def _span(F, m: np.ndarray) -> np.ndarray:
+    """A basis of the column space of m, column-reduced."""
+    return F.column_reduce(m) if m.size else np.zeros((m.shape[0], 0), dtype=np.int64)
+
+
+def _quotient(F, sub: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if sub.size:
+        return F.quotient_projection(sub, n)
+    eye = np.eye(n, dtype=np.int64)
+    return eye, eye
+
+
+def _solve(F, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """A solution x of m @ x = b for a vector b, or None."""
+    if not m.size:
+        return None if b.any() else np.zeros(m.shape[1], dtype=np.int64)
+    sol = F.solve_many(m, b.reshape(-1, 1))
+    return None if sol is None else sol[:, 0]
+
+
 class SequenceCheckFailed(Exception):
     """A unit/counit four-term sequence failed its evaluation-point check."""
 
@@ -61,18 +93,12 @@ class CoherentFunctor:
                 empty = np.zeros((0, 0), dtype=np.int64)
                 self._evals[z] = EvalData(0, empty, empty, 0)
             else:
-                denom = x.post_matrix(self.pres, z)
-                basis = F.column_reduce(denom)
-                proj, reps = F.quotient_projection(basis, ambient)
+                proj, reps = _quotient(F, _span(F, x.post_matrix(self.pres, z)), ambient)
                 self._evals[z] = EvalData(ambient, proj, reps, proj.shape[0])
         return self._evals[z]
 
     def eval_dim(self, z: int) -> int:
         return self.evaluate(z).dim
-
-    @property
-    def is_zero(self) -> bool:
-        return all(self.eval_dim(z) == 0 for z in range(len(self.subcat.summands)))
 
     def __repr__(self) -> str:
         return f"CoherentFunctor({self.pres.src.parts} -> {self.pres.dst.parts})"
@@ -94,7 +120,7 @@ class FunctorMorphism:
             need = lift.mor.compose(source.pres.mor)  # X1 -> Y0
             mat = x.obj_post_matrix(g, source.pres.src)
             want = x.obj_coords(source.pres.src, g.dst, need)
-            if x.field.solve_many(mat, want.reshape(-1, 1)) is None:
+            if _solve(x.field, mat, want) is None:
                 raise ValueError("lift does not descend to a map of functors")
 
     def eval_matrix(self, z: int) -> np.ndarray:
@@ -105,14 +131,6 @@ class FunctorMorphism:
             return np.zeros((eg.dim, ef.dim), dtype=np.int64)
         post = self.source.subcat.post_matrix(self.lift, z)
         return (eg.proj @ ((post @ ef.reps) % F.p)) % F.p
-
-    @property
-    def is_zero(self) -> bool:
-        x = self.source.subcat
-        g = self.target.pres
-        mat = x.obj_post_matrix(g, self.source.pres.dst)
-        want = x.obj_coords(self.source.pres.dst, g.dst, self.lift.mor)
-        return x.field.solve_many(mat, want.reshape(-1, 1)) is not None
 
 
 def yoneda_morphism(x: SubcategoryX, m: XMap) -> FunctorMorphism:
@@ -130,14 +148,14 @@ def hom_functors(f: CoherentFunctor, g: CoherentFunctor) -> list[FunctorMorphism
     post_g = x.obj_post_matrix(pg, pf.src)      # Hom(X1,Y1) -> Hom(X1,Y0)
     n_a = pre_f.shape[1]
     system = np.concatenate([pre_f, (-post_g) % F.p], axis=1) % F.p
-    pairs = F.nullspace(system)
-    a_space = F.column_reduce(pairs[:n_a, :]) if pairs.size else np.zeros((n_a, 0), dtype=np.int64)
-    denom = F.column_reduce(x.obj_post_matrix(pg, pf.dst))
+    pairs = _nullspace(F, system)
+    a_space = _span(F, pairs[:n_a, :])
+    denom = _span(F, x.obj_post_matrix(pg, pf.dst))
     picked = []
     seen = denom
     for j in range(a_space.shape[1]):
         cand = np.concatenate([seen, a_space[:, j:j + 1]], axis=1)
-        if F.rank(cand) > seen.shape[1]:
+        if _rank(F, cand) > seen.shape[1]:
             seen = F.column_reduce(cand)
             picked.append(a_space[:, j])
     out = []
@@ -163,7 +181,7 @@ def cokernel_functor(phi: FunctorMorphism) -> tuple[CoherentFunctor, FunctorMorp
 def _check_cokernel(phi: FunctorMorphism, c: CoherentFunctor) -> None:
     for z in range(len(phi.source.subcat.summands)):
         m = phi.eval_matrix(z)
-        want = phi.target.eval_dim(z) - phi.source.subcat.field.rank(m)
+        want = phi.target.eval_dim(z) - _rank(phi.source.subcat.field, m)
         if c.eval_dim(z) != want:
             raise AssertionError("cokernel functor failed evaluation check")
 
@@ -207,10 +225,10 @@ def _double_star_data(f: CoherentFunctor):
     c1 = XMap(x0, c1x.dst, c1x.mor)
     mat = x.obj_post_matrix(s1, x0)
     want = x.obj_coords(x0, s1.dst, c1.mor)
-    sol = x.field.solve_many(mat, want.reshape(-1, 1))
+    sol = _solve(x.field, mat, want)
     if sol is None:
         raise AssertionError("unit lift does not factor through the weak kernel")
-    u_mor = x.obj_from_coords(x0, s1.src, sol[:, 0])
+    u_mor = x.obj_from_coords(x0, s1.src, sol)
     unit = FunctorMorphism(f, fss, XMap(x0, s2.dst, u_mor))
     return unit, fss, c1, c2x, s1
 
@@ -237,24 +255,24 @@ def verify_star_adjunction_sequences(f: CoherentFunctor) -> dict:
         if ((d1 @ d0) % F.p).any() or ((d2 @ d1) % F.p).any():
             raise SequenceCheckFailed("transpose resolution is not a complex",
                                       {"summand": z})
-        e1 = int(d1.shape[1] - F.rank(d1) - F.rank(d0))
-        e2 = int(d2.shape[1] - F.rank(d2) - F.rank(d1))
+        r0, r1, r2 = _rank(F, d0), _rank(F, d1), _rank(F, d2)
+        e1 = int(d1.shape[1] - r1 - r0)
+        e2 = int(d2.shape[1] - r2 - r1)
         ef = f.evaluate(z)
         ess = fss.evaluate(z)
         eta = unit.eval_matrix(z)
-        k_dim = int(eta.shape[1] - F.rank(eta))
-        c_dim = int(ess.dim - F.rank(eta))
+        r_eta = _rank(F, eta)
+        k_dim = int(eta.shape[1] - r_eta)
+        c_dim = int(ess.dim - r_eta)
         if k_dim != e1 or c_dim != e2:
             raise SequenceCheckFailed(
                 "unit kernel/cokernel do not match the transpose Ext terms",
                 {"summand": z, "ker_unit": k_dim, "ext1": e1,
                  "coker_unit": c_dim, "ext2": e2})
         # mapwise: ker(eta) = classes of {v : c1 o v = 0}
-        amb_null = F.nullspace(d1)
-        killed = (ef.proj @ amb_null) % F.p if amb_null.size else \
-            np.zeros((ef.dim, 0), dtype=np.int64)
-        killed = F.column_reduce(killed)
-        eta_null = F.nullspace(eta)
+        amb_null = _nullspace(F, d1)
+        killed = _span(F, (ef.proj @ amb_null) % F.p)
+        eta_null = _nullspace(F, eta)
         if killed.shape[1] != k_dim or eta_null.shape[1] != k_dim or (
                 k_dim and not F.column_space_contains(eta_null, killed)):
             raise SequenceCheckFailed(
@@ -262,21 +280,20 @@ def verify_star_adjunction_sequences(f: CoherentFunctor) -> dict:
                 {"summand": z})
         # pi: F**(Z) -> ker(d2)/im(d1), [w] -> [s1 o w]; must be onto with
         # kernel exactly the image of eta
-        w_basis = F.nullspace(d2)
-        w_proj, _ = F.quotient_projection(F.column_reduce(d1), d2.shape[1])
+        w_basis = _nullspace(F, d2)
+        w_proj, _ = _quotient(F, _span(F, d1), d2.shape[1])
         # coordinates of ker(d2)/im(d1): project nullspace basis and reduce
-        w_amb = (w_proj @ w_basis) % F.p if w_basis.size else \
-            np.zeros((w_proj.shape[0], 0), dtype=np.int64)
-        w_space = F.column_reduce(w_amb)
+        w_space = _span(F, (w_proj @ w_basis) % F.p)
         post_s1 = x.post_matrix(s1, z)    # Hom(Z,S1) -> Hom(Z,T1)
         pi = (w_proj @ ((post_s1 @ ess.reps) % F.p)) % F.p
-        if F.rank(pi) != w_space.shape[1]:
+        r_pi = _rank(F, pi)
+        if r_pi != w_space.shape[1]:
             raise SequenceCheckFailed(
                 "comparison map onto the Ext^2 term is not surjective",
-                {"summand": z, "rank": int(F.rank(pi)),
+                {"summand": z, "rank": int(r_pi),
                  "target_dim": int(w_space.shape[1])})
-        pi_null = F.nullspace(pi)
-        im_eta = F.column_reduce(eta)
+        pi_null = _nullspace(F, pi)
+        im_eta = _span(F, eta)
         if pi_null.shape[1] != im_eta.shape[1] or (
                 im_eta.shape[1] and not F.column_space_contains(pi_null, im_eta)):
             raise SequenceCheckFailed(
@@ -305,6 +322,6 @@ def functor_ext_yoneda(f: CoherentFunctor, z: int, i: int, cap: int = 10) -> int
 
     if i == 0:
         m = cochain(0)
-        return int(m.shape[1] - F.rank(m))
+        return int(m.shape[1] - _rank(F, m))
     upper, lower = cochain(i), cochain(i - 1)
-    return int(upper.shape[1] - F.rank(upper) - F.rank(lower))
+    return int(upper.shape[1] - _rank(F, upper) - _rank(F, lower))

@@ -51,20 +51,32 @@ MEMO_TOTAL_CELLS = 1 << 20
 def read_only(value):
     """value with its arrays made read-only in place, so that a memoized
     result cannot be changed under a later caller; a list or tuple is
-    walked and comes back as a tuple."""
+    walked in one loop (a nested one in its own) and comes back as a
+    tuple."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
-    elif isinstance(value, (list, tuple)):
-        return tuple(read_only(v) for v in value)
-    return value
+        return value
+    if not isinstance(value, (list, tuple)):
+        return value
+    out = []
+    for v in value:
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+        elif isinstance(v, (list, tuple)):
+            v = read_only(v)
+        out.append(v)
+    return tuple(out)
 
 
 def _cells(value) -> int:
     if isinstance(value, np.ndarray):
         return value.size
-    if isinstance(value, tuple):
-        return sum(_cells(v) for v in value)
-    return 1
+    if not isinstance(value, tuple):
+        return 1
+    cells = 0
+    for v in value:
+        cells += v.size if isinstance(v, np.ndarray) else _cells(v) if isinstance(v, tuple) else 1
+    return cells
 
 
 def memo(store: dict, key, compute, *args):

@@ -93,10 +93,6 @@ class XObject:
             offs.append(run)
         return offs
 
-    @property
-    def is_zero(self) -> bool:
-        return len(self.parts) == 0
-
     def __repr__(self) -> str:
         return f"XObject{self.parts}"
 
@@ -109,13 +105,6 @@ class XMap:
         self.dst = dst
         self.mor = mor
         self._dual: XMap | None = None  # see SubcategoryX.dual_xmap
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mor.is_zero
-
-    def compose(self, other: "XMap") -> "XMap":
-        return XMap(other.src, self.dst, self.mor.compose(other.mor))
 
     def __repr__(self) -> str:
         return f"XMap({self.src.parts} -> {self.dst.parts})"
@@ -161,16 +150,19 @@ class SubcategoryX:
 
     Everything it caches lives in one dict, `_memo`, filled through
     `linalg.memo` under keys that start with the name of what they hold:
-    the X-objects, the summand hom bases with their stacks and solvers, the
-    hom bases and solvers between X-objects, End(M), the morphisms of
-    `axioms.sample_morphisms`, and, keyed by content so the sampled checks
-    of one job share them, weak kernels, the matrices of Hom(X_z, f), the
-    weak-kernel and mono tests, right approximations and embeddings; a
-    module-keyed result is rebuilt to end at the caller's module.  Empty
-    Hom(X_z, f) blocks are not memoized: they are answered from the hom
-    dimensions dim Hom(X_z, X_parts), which each X-object keeps
-    (`hom_dim`), and which also let the tests skip every z with
-    Hom(X_z, source) = 0.  Entries are read-only and point at no
+    the X-objects, the summand hom bases with their stacks and solvers,
+    End(M), the morphisms of `axioms.sample_morphisms`, and, keyed by
+    content so the sampled checks of one job share them, weak kernels, the
+    matrices of Hom(X_z, f), the weak-kernel and mono tests, right
+    approximations and embeddings; a module-keyed result is rebuilt to end
+    at the caller's module.  Empty Hom(X_z, f) blocks are not memoized:
+    they are answered from the hom dimensions dim Hom(X_z, X_parts), which
+    each X-object keeps (`hom_dim`), and which also let the tests skip
+    every z with Hom(X_z, source) = 0.  Hom between X-objects is read block
+    by block from these: its basis is incl_dp o h o proj_sp over the parts
+    sp of the source, dp of the target and h in the summand basis, in that
+    order, so `obj_post_matrix` is the block diagonal of `post_matrix`
+    over the source's parts.  Entries are read-only and point at no
     subcategory, so reference counting frees the memo with its owner.
     """
 
@@ -294,16 +286,14 @@ class SubcategoryX:
         return table, idempotents
 
     def hom_solver(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """`_solver` of the (i, j) hom basis."""
-        return memo(self._memo, ("hom_solver", i, j), lambda: self._solver(
-            self.hom(i, j), self.summands[i], self.summands[j]))
+        """(stacked flats, left inverse) of the (i, j) hom basis; the
+        coordinates of any morphism X_i -> X_j are leftinv @ flatten."""
+        return memo(self._memo, ("hom_solver", i, j), self._solver, i, j)
 
-    def _solver(self, basis: list[ModuleMorphism], a: Representation, b: Representation
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """(stacked flats, left inverse) of a basis of Hom(a, b); the
-        coordinates of any morphism in its span are leftinv @ flatten."""
+    def _solver(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        basis = self.hom(i, j)
         if not basis:
-            n = int(np.sum(a.dims * b.dims))
+            n = int(np.sum(self.summands[i].dims * self.summands[j].dims))
             return np.zeros((n, 0), dtype=np.int64), np.zeros((0, n), dtype=np.int64)
         stacked = np.stack([h.flatten() for h in basis], axis=1) % self.field.p
         left = self.field.solve_many(stacked.T, np.eye(stacked.shape[1], dtype=np.int64))
@@ -405,8 +395,9 @@ class SubcategoryX:
         return memo(self._memo, ("post_matrix", z, _xmap_key(m)), self._post_matrix, m, z)
 
     def _post_matrix(self, m: XMap, z: int) -> np.ndarray:
-        """Hom(X_z, m), equal to obj_post_matrix(m, obj((z,))), assembled
-        block by block from the summand hom bases.  Block (dp, sp) holds
+        """Hom(X_z, m), assembled block by block from the summand hom
+        bases; `obj_post_matrix` of a sum of parts is built from these, its
+        one-part case is this matrix itself.  Block (dp, sp) holds
         the coordinates, in the basis of Hom(X_z, X_j), of m_{dp,sp} o h for
         h in the basis of Hom(X_z, X_i), where i and j are the sp-th source
         and dp-th target parts and m_{dp,sp} is m's component between them;
@@ -443,44 +434,60 @@ class SubcategoryX:
 
     # -- hom coordinates between two X-objects ----------------------------------
 
-    def obj_hom(self, xa: XObject, xb: XObject) -> list[ModuleMorphism]:
-        """Hom basis between realizations, assembled blockwise."""
-        return memo(self._memo, ("obj_hom", xa.parts, xb.parts), lambda: [
-            xb.incls[dp].compose(h).compose(xa.projs[sp])
-            for sp, i in enumerate(xa.parts) for dp, j in enumerate(xb.parts)
-            for h in self.hom(i, j)])
+    def obj_dim(self, xa: XObject, xb: XObject) -> int:
+        """dim Hom(xa, xb), from the summand dimensions."""
+        return sum(self.hom_dim(i, xb) for i in xa.parts)
 
-    def obj_hom_solver(self, xa: XObject, xb: XObject) -> tuple[np.ndarray, np.ndarray]:
-        """`_solver` of the hom basis between two X-objects."""
-        return memo(self._memo, ("obj_solver", xa.parts, xb.parts), lambda: self._solver(
-            self.obj_hom(xa, xb), xa.rep, xb.rep))
+    def _obj_blocks(self, xa: XObject, xb: XObject):
+        """(i, j, dim Hom(X_i, X_j), per-vertex (rows, cols) slices) of each
+        non-zero block of Hom(xa, xb), in the order of its basis."""
+        so, do = xa.offsets, xb.offsets
+        for sp, i in enumerate(xa.parts):
+            for dp, j in enumerate(xb.parts):
+                k = self._summand_dim(i, j)
+                if k:
+                    yield i, j, k, [(slice(do[dp][v], do[dp + 1][v]),
+                                     slice(so[sp][v], so[sp + 1][v])) for v in range(len(so[0]))]
 
     def obj_coords(self, xa: XObject, xb: XObject, mor: ModuleMorphism) -> np.ndarray:
-        _, left = self.obj_hom_solver(xa, xb)
-        return (left @ mor.flatten()) % self.field.p
+        """Coordinates of mor: xa -> xb, block by block the coordinates of
+        its components in the summand hom bases."""
+        p = self.field.p
+        out = [self.hom_solver(i, j)[1] @ np.concatenate([t[s].reshape(-1) for t, s in
+                                                          zip(mor.maps, at)]) % p
+               for i, j, _, at in self._obj_blocks(xa, xb)]
+        return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
     def obj_from_coords(self, xa: XObject, xb: XObject, coords: np.ndarray) -> ModuleMorphism:
-        stacked, _ = self.obj_hom_solver(xa, xb)
-        flat = (stacked @ (np.asarray(coords, dtype=np.int64) % self.field.p)) % self.field.p
-        return rep.morphism_from_flat(xa.rep, xb.rep, flat)
+        """The morphism xa -> xb with these coordinates: each component is
+        the combination of the summand hom basis that its block gives."""
+        p = self.field.p
+        coords = np.asarray(coords, dtype=np.int64) % p
+        maps = [np.zeros((r, c), dtype=np.int64) if r and c else rep._empty(r, c)
+                for r, c in zip(xb.offsets[-1], xa.offsets[-1])]
+        pos = 0
+        for i, j, k, at in self._obj_blocks(xa, xb):
+            c, pos = coords[pos:pos + k], pos + k
+            for t, s, st in zip(maps, at, self._hom_stack(i, j)):
+                if st.size:
+                    t[s] = (c @ st.reshape(k, -1)).reshape(st.shape[1:]) % p
+        return ModuleMorphism._of_reduced(xa.rep, xb.rep, maps)
 
     def obj_pre_matrix(self, m: XMap, xb: XObject) -> np.ndarray:
-        """Matrix of Hom(m, xb): Hom(m.dst, xb) -> Hom(m.src, xb)."""
-        basis = self.obj_hom(m.dst, xb)
-        _, left = self.obj_hom_solver(m.src, xb)
-        if not basis:
-            return np.zeros((left.shape[0], 0), dtype=np.int64)
-        cols = np.stack([e.compose(m.mor).flatten() for e in basis], axis=1)
-        return (left @ cols) % self.field.p
+        """Matrix of Hom(m, xb): Hom(m.dst, xb) -> Hom(m.src, xb); column e
+        holds the coordinates of e o m, e in the basis of Hom(m.dst, xb)."""
+        cols = [self.obj_coords(m.src, xb, self.obj_from_coords(m.dst, xb, e).compose(m.mor))
+                for e in np.eye(self.obj_dim(m.dst, xb), dtype=np.int64)]
+        return np.stack(cols, axis=1) if cols else \
+            np.zeros((self.obj_dim(m.src, xb), 0), dtype=np.int64)
 
     def obj_post_matrix(self, m: XMap, xa: XObject) -> np.ndarray:
-        """Matrix of Hom(xa, m): Hom(xa, m.src) -> Hom(xa, m.dst)."""
-        basis = self.obj_hom(xa, m.src)
-        _, left = self.obj_hom_solver(xa, m.dst)
-        if not basis:
-            return np.zeros((left.shape[0], 0), dtype=np.int64)
-        cols = np.stack([m.mor.compose(e).flatten() for e in basis], axis=1)
-        return (left @ cols) % self.field.p
+        """Matrix of Hom(xa, m): Hom(xa, m.src) -> Hom(xa, m.dst), the block
+        diagonal of Hom(X_z, m) over the parts z of xa; an empty block is
+        answered from the hom dimensions, as post_matrix answers it."""
+        shapes = [(self.hom_dim(z, m.dst), self.hom_dim(z, m.src), z) for z in xa.parts]
+        return rep.block_diagonal([self.post_matrix(m, z) if r and c else self._empty_block(r, c)
+                                   for r, c, z in shapes])
 
     # -- epis, monos, approximations --------------------------------------------
 
@@ -500,7 +507,8 @@ class SubcategoryX:
             if not self.hom_dim(z, m.src):
                 continue  # a map out of the zero space is injective
             mat = self.post_matrix(m, z)
-            if self.field.nullspace(mat).shape[1]:
+            # a non-zero space into the zero space is not injective
+            if not mat.size or self.field.nullspace(mat).shape[1]:
                 return False, z
         return True, None
 
@@ -529,28 +537,28 @@ class SubcategoryX:
         """Drop, in one forward scan, each block that factors through the
         blocks still kept.  A block kept against a rest set R is kept against
         every later rest set, since those are subsets of R; so one scan ends
-        where rescanning until nothing drops would."""
-        parts, blocks = list(parts), list(blocks)
+        where rescanning until nothing drops would.  The columns b o u, u in
+        the basis of Hom(X_i, X_j), are composed once per (summand i of the
+        tested block, block b on X_j) and reused at every later position."""
+        p = self.field.p
+        cols: dict[tuple[int, int], list[np.ndarray]] = {}
+        keep = list(range(len(parts)))
         pos = 0
-        while pos < len(parts):
-            rest_parts = parts[:pos] + parts[pos + 1:]
-            rest_blocks = blocks[:pos] + blocks[pos + 1:]
-            if self._factors_through(parts[pos], blocks[pos], rest_parts, rest_blocks):
-                parts, blocks = rest_parts, rest_blocks
+        while pos < len(keep):
+            i, rest = parts[keep[pos]], keep[:pos] + keep[pos + 1:]
+            mat = []
+            for r in rest:
+                if (i, r) not in cols:
+                    cols[i, r] = [blocks[r].compose(u).flatten() for u in self.hom(i, parts[r])]
+                mat += cols[i, r]
+            block = blocks[keep[pos]]
+            drop = block.is_zero if not mat else self.field.solve_many(
+                np.stack(mat, axis=1) % p, block.flatten().reshape(-1, 1)) is not None
+            if drop:
+                keep = rest
             else:
                 pos += 1
-        return parts, blocks
-
-    def _factors_through(self, part: int, block: ModuleMorphism,
-                         parts: list[int], blocks: list[ModuleMorphism]) -> bool:
-        cols = []
-        for j, bj in zip(parts, blocks):
-            for u in self.hom(part, j):
-                cols.append(bj.compose(u).flatten())
-        if not cols:
-            return block.is_zero
-        mat = np.stack(cols, axis=1) % self.field.p
-        return self.field.solve_many(mat, block.flatten().reshape(-1, 1)) is not None
+        return [parts[k] for k in keep], [blocks[k] for k in keep]
 
     def left_approximation(self, a: Representation, minimize: bool = False
                            ) -> tuple[XObject, ModuleMorphism]:
@@ -559,8 +567,7 @@ class SubcategoryX:
         da = rep.dualize(a)
         xop, ev = o.right_approximation(da, minimize)
         xobj = self.obj(xop.parts)
-        mor = ModuleMorphism(a, xobj.rep, [m.T.copy() for m in ev.maps])
-        return xobj, mor
+        return xobj, ModuleMorphism._of_reduced(a, xobj.rep, [m.T.copy() for m in ev.maps])
 
     # -- weak kernels / cokernels ------------------------------------------------
 
@@ -596,8 +603,8 @@ class SubcategoryX:
                 continue  # both ranks are 0: Hom(X_z, src m) = 0
             mw = self.post_matrix(w, z)
             mm = self.post_matrix(m, z)
-            rank_w = self.field.rank(mw)
-            null_m = mm.shape[1] - self.field.rank(mm)
+            rank_w = self.field.rank(mw) if mw.size else 0
+            null_m = mm.shape[1] - (self.field.rank(mm) if mm.size else 0)
             if rank_w != null_m:
                 return False, {"summand": z, "image_rank": rank_w,
                                "kernel_dim": null_m}
@@ -769,7 +776,7 @@ def ext_dim(a: Representation, b: Representation, i: int) -> int:
         if got is None:
             mat = _hom_complex_diff(data["diffs"][k], data["parts"][k + 1],
                                     data["parts"][k], b)
-            got = known[bkey, k] = (mat.shape[1], a.field.rank(mat))
+            got = known[bkey, k] = (mat.shape[1], a.field.rank(mat) if mat.size else 0)
         return got
 
     cols_upper, rank_upper = delta(i)  # C^i -> C^{i+1}

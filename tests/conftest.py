@@ -21,6 +21,17 @@ def make_x(alg, parts):
     return subcat.SubcategoryX(alg, rep.direct_sum(alg, parts)[0], summands=parts)
 
 
+def rad2_x(n, d):
+    """kA_n/rad^2 on 1 -> ... -> n with M = Lambda + S_{n-d} + S_{n-2d} + ..."""
+    data = {"characteristic": 101,
+            "quiver": {"vertices": [str(v) for v in range(1, n + 1)],
+                       "arrows": [[f"a{v}", str(v), str(v + 1)] for v in range(1, n)]},
+            "relations": [[[1, [f"a{v}", f"a{v + 1}"]]] for v in range(1, n - 1)],
+            "module": ["regular"] + [{"simple": str(v)} for v in range(n - d, 0, -d)],
+            "checks": [{"check": "A1+A1op"}]}
+    return jobspec.parse(data).realize().x
+
+
 def projectives(alg):
     """The indecomposable projectives, one per vertex."""
     return [rep.projective(alg, v) for v in range(alg.quiver.num_vertices)]

@@ -17,6 +17,19 @@ def as_xmap(x, mor):
                        rep.invert_morphism(iso_d).compose(mor).compose(iso_s))
 
 
+def functor_vanishes(f):
+    return all(f.eval_dim(z) == 0 for z in range(len(f.subcat.summands)))
+
+
+def morphism_vanishes(phi):
+    """phi is zero when its lift factors through the target's presentation."""
+    x = phi.source.subcat
+    g = phi.target.pres
+    mat = x.obj_post_matrix(g, phi.source.pres.dst)
+    want = x.obj_coords(phi.source.pres.dst, g.dst, phi.lift.mor)
+    return x.field.solve_many(mat, want.reshape(-1, 1)) is not None
+
+
 def yoneda_at(x, i):
     return fun.CoherentFunctor.yoneda(x, x.obj((i,)))
 
@@ -73,7 +86,7 @@ class TestCokernelAndLocalization:
     def test_cokernel_of_radical_map(self, a2, x_ct, funcs):
         fq, proj_f, _ = funcs
         assert [fq.eval_dim(z) for z in range(3)] == [1, 0, 0]
-        assert fun.cokernel_functor(proj_f)[0].is_zero  # the projection is epi
+        assert functor_vanishes(fun.cokernel_functor(proj_f)[0])  # the projection is epi
         assert rep.is_isomorphic(fun.psi_tilde(fq), rep.simple(a2, 0))
         eff, witness = fun.is_effaceable(fq)
         assert not eff and witness is not None
@@ -96,7 +109,7 @@ class TestCokernelAndLocalization:
         x0 = fq.pres.dst
         idm = fun.FunctorMorphism(fq, fq, subcat.XMap(x0, x0, rep.identity_morphism(x0.rep)),
                                   verify=False)
-        assert not idm.is_zero
+        assert not morphism_vanishes(idm)
         for z in range(3):
             got = idm.eval_matrix(z)
             n = fq.eval_dim(z)
@@ -143,7 +156,7 @@ class TestStarAndFourTerm:
     def test_zero_functor(self, x_ct):
         z0 = x_ct.zero_obj()
         z = fun.CoherentFunctor(x_ct, subcat.XMap(z0, z0, rep.zero_morphism(z0.rep, z0.rep)))
-        assert z.is_zero
+        assert functor_vanishes(z)
         fun.verify_star_adjunction_sequences(z)
 
     def test_effaceables_have_no_low_ext(self, x_ct, funcs):

@@ -1,7 +1,8 @@
 """Code layout: every public function and method in src/tiltbench has a
 caller in src/tiltbench, or is an entry point named below, no public
-module-level function name is defined in two modules, no module drives
-the garbage collector, and none reaches numpy's random package.
+module-level function name is defined in two modules, a public name that
+several definitions share is on the list below, no module drives the
+garbage collector, and none reaches numpy's random package.
 
 A call is any reference to the name (as a bare name or an attribute)
 outside the function's own body, so a name shared by two definitions counts
@@ -88,6 +89,41 @@ def test_public_functions_have_callers_in_src():
 def test_entry_points_are_still_defined_and_uncalled():
     # an entry point that gained a caller in src/ or was deleted leaves the list
     assert ENTRY_POINTS <= set(uncalled_public_functions())
+
+
+# Public function and method names that several definitions share, each
+# checked by hand to have callers of its own: a reference to a shared name
+# counts for every definition of it, so test_public_functions_have_callers_in_src
+# cannot tell a dead one among them.  A new sharing definition fails
+# test_shared_names_are_listed until someone has looked and listed it.
+SHARED_NAMES = {
+    # Representation.is_zero: resolution lengths in algebra_ops, rep's
+    # decomposition, subcat's summand check; ModuleMorphism's: composites,
+    # blocks and idempotents in subcat and axioms
+    "is_zero": ["rep.ModuleMorphism.is_zero", "rep.Representation.is_zero"],
+    # the two multiplication tables of fitting's idempotent search
+    "mul": ["fitting._QuotientRing.mul", "fitting._RingData.mul"],
+    # ModuleMorphism.rank backs is_injective and is_surjective
+    "rank": ["linalg.PrimeField.rank", "rep.ModuleMorphism.rank"],
+    # the verdict details in axioms and the report in report
+    "to_json": ["algebra_ops.DimBound.to_json", "axioms.Verdict.to_json",
+                "jobspec.CheckRequest.to_json", "report.CheckReport.to_json"],
+}
+
+
+def shared_public_names() -> dict[str, list[str]]:
+    """Public function and method names with more than one definition in
+    src/tiltbench, with the qualified names of those definitions."""
+    owners: dict[str, list[str]] = {}
+    for module, tree in _trees().items():
+        for qualname, fn in _definitions(tree, module):
+            if not fn.name.startswith("_"):
+                owners.setdefault(fn.name, []).append(qualname)
+    return {name: sorted(q) for name, q in sorted(owners.items()) if len(q) > 1}
+
+
+def test_shared_names_are_listed():
+    assert shared_public_names() == SHARED_NAMES
 
 
 def public_functions_in_several_modules() -> dict[str, list[str]]:
