@@ -635,7 +635,7 @@ def _approx_sequence_witness(x: SubcategoryX, d: int, a: Representation,
     cur = a
     incl: ModuleMorphism | None = None
     for _ in range(d):
-        _, ev = x.right_approximation(cur, minimize=True)
+        _, ev = x.right_approximation(cur)
         if not ev.is_surjective():
             return {"kind": "not-generating", "side": side, "module": desc,
                     "stalled_dims": cur.dims.tolist()}
@@ -734,7 +734,7 @@ def _resolution_witness(x: SubcategoryX, d: int, a: Representation,
         if step == d - 1:
             return {"kind": "resolution-overruns", "module": desc,
                     "remainder_dims": cur.dims.tolist()}
-        _, ev = x.right_approximation(cur, minimize=True)
+        _, ev = x.right_approximation(cur)
         if not ev.is_surjective():
             return {"kind": "not-generating", "module": desc,
                     "stalled_dims": cur.dims.tolist()}

@@ -14,11 +14,13 @@ effaceable functors are exactly its kernel, which is tested definitionally
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from tiltbench import rep
+from tiltbench.linalg import read_only
 from tiltbench.rep import Representation
 from tiltbench.subcat import (ResolutionCapExceeded, SubcategoryX, XMap, XObject,
                               concat_xmaps_cols)
@@ -28,12 +30,19 @@ from tiltbench.subcat import (ResolutionCapExceeded, SubcategoryX, XMap, XObject
 # known answer, given here without a call.
 
 
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, one read-only copy per size: nothing writes into
+    the bases and evaluations built from it."""
+    return read_only(np.eye(n, dtype=np.int64))
+
+
 def _rank(F, m: np.ndarray) -> int:
     return F.rank(m) if m.size else 0
 
 
 def _nullspace(F, m: np.ndarray) -> np.ndarray:
-    return F.nullspace(m) if m.size else np.eye(m.shape[1], dtype=np.int64)
+    return F.nullspace(m) if m.size else _eye(m.shape[1])
 
 
 def _span(F, m: np.ndarray) -> np.ndarray:
@@ -44,8 +53,7 @@ def _span(F, m: np.ndarray) -> np.ndarray:
 def _quotient(F, sub: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     if sub.size:
         return F.quotient_projection(sub, n)
-    eye = np.eye(n, dtype=np.int64)
-    return eye, eye
+    return _eye(n), _eye(n)
 
 
 def _solve(F, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -203,8 +211,8 @@ def star(f: CoherentFunctor) -> CoherentFunctor:
     x = f.subcat
     o = x.op
     fop = x.dual_xmap(f.pres)
-    t1 = o.weak_kernel(fop, minimize=True)
-    t2 = o.weak_kernel(t1, minimize=True)
+    t1 = o.weak_kernel(fop)
+    t2 = o.weak_kernel(t1)
     out = CoherentFunctor(o, t2)
     f._star_chain = (t1, t2)
     return out
@@ -314,7 +322,7 @@ def functor_ext_yoneda(f: CoherentFunctor, z: int, i: int, cap: int = 10) -> int
         raise ResolutionCapExceeded(f"needed resolution length {i + 1} > cap {cap}")
     diffs = [f.pres]
     while len(diffs) < i + 1:
-        diffs.append(x.weak_kernel(diffs[-1], minimize=True))
+        diffs.append(x.weak_kernel(diffs[-1]))
 
     def cochain(k: int) -> np.ndarray:
         """Hom(d_k, X_z): C^k -> C^{k+1}, read as Hom(D X_z, D d_k) over x.op."""

@@ -200,9 +200,6 @@ class PrimeField:
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.mod(a @ b, self.p)
-
     # -- elimination -------------------------------------------------------
     # The memoized entry points reduce their input once, on a miss, and hand
     # the reduced array to `_rref`, which does not reduce it again (see the

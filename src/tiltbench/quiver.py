@@ -171,12 +171,6 @@ class Algebra:
         op._opposite, op._opposite_basis = weakref.ref(self), at
         return op
 
-    def to_opposite(self, elem: np.ndarray) -> np.ndarray:
-        """The coordinates of an element in the basis of `opposite`."""
-        if held(self._opposite) is None:
-            self._link_opposite()
-        return elem[self._opposite_basis]
-
     # built by rep, which imports this module: each method imports rep
 
     def projective_leaves(self) -> list:

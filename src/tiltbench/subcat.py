@@ -22,6 +22,7 @@ higher Auslander-Reiten translates built from it.
 from __future__ import annotations
 
 import functools
+import itertools
 import weakref
 
 import numpy as np
@@ -512,24 +513,22 @@ class SubcategoryX:
                 return False, z
         return True, None
 
-    def right_approximation(self, a: Representation, minimize: bool = False
-                            ) -> tuple[XObject, ModuleMorphism]:
+    def right_approximation(self, a: Representation) -> tuple[XObject, ModuleMorphism]:
         """Evaluation map from a sum of summands hitting every morphism
-        X_i -> a; with minimize, blocks factoring through the rest are
-        dropped greedily."""
-        xobj, maps = memo(self._memo, ("right_approximation", minimize, _module_key(a)),
-                          self._right_approximation, a, minimize)
+        X_i -> a, minimal: blocks factoring through the rest are dropped
+        greedily."""
+        xobj, maps = memo(self._memo, ("right_approximation", _module_key(a)),
+                          self._right_approximation, a)
         return xobj, ModuleMorphism._of_reduced(xobj.rep, a, maps)
 
-    def _right_approximation(self, a: Representation, minimize: bool):
+    def _right_approximation(self, a: Representation):
         parts: list[int] = []
         blocks: list[ModuleMorphism] = []
         for i, s in enumerate(self.summands):
             for h in rep.hom_space(s, a):
                 parts.append(i)
                 blocks.append(h)
-        if minimize:
-            parts, blocks = self._minimize_blocks(parts, blocks)
+        parts, blocks = self._minimize_blocks(parts, blocks)
         return self.obj(parts), read_only(_side_by_side(blocks, a.dim_list))
 
     def _minimize_blocks(self, parts: list[int], blocks: list[ModuleMorphism]
@@ -560,32 +559,29 @@ class SubcategoryX:
                 pos += 1
         return [parts[k] for k in keep], [blocks[k] for k in keep]
 
-    def left_approximation(self, a: Representation, minimize: bool = False
-                           ) -> tuple[XObject, ModuleMorphism]:
-        """Coevaluation a -> sum of summands hitting every morphism a -> X_i."""
-        o = self.op
-        da = rep.dualize(a)
-        xop, ev = o.right_approximation(da, minimize)
+    def left_approximation(self, a: Representation) -> tuple[XObject, ModuleMorphism]:
+        """Coevaluation a -> sum of summands hitting every morphism a -> X_i,
+        minimal."""
+        xop, ev = self.op.right_approximation(rep.dualize(a))
         xobj = self.obj(xop.parts)
         return xobj, ModuleMorphism._of_reduced(a, xobj.rep, [m.T.copy() for m in ev.maps])
 
     # -- weak kernels / cokernels ------------------------------------------------
 
-    def weak_kernel(self, m: XMap, minimize: bool = True) -> XMap:
-        return memo(self._memo, ("weak_kernel", minimize, _xmap_key(m)),
-                    self._weak_kernel, m, minimize)
+    def weak_kernel(self, m: XMap) -> XMap:
+        return memo(self._memo, ("weak_kernel", _xmap_key(m)), self._weak_kernel, m)
 
-    def _weak_kernel(self, m: XMap, minimize: bool) -> XMap:
+    def _weak_kernel(self, m: XMap) -> XMap:
         k, incl = rep.kernel(m.mor)
-        xobj, ev = self.right_approximation(k, minimize)
+        xobj, ev = self.right_approximation(k)
         w = incl.compose(ev)
         read_only(w.maps)
         return XMap(xobj, m.src, w)
 
-    def weak_cokernel(self, m: XMap, minimize: bool = True) -> XMap:
+    def weak_cokernel(self, m: XMap) -> XMap:
         """The dual of the weak kernel of the dual map over `op`."""
         o = self.op
-        return o.dual_xmap(o.weak_kernel(self.dual_xmap(m), minimize))
+        return o.dual_xmap(o.weak_kernel(self.dual_xmap(m)))
 
     def is_weak_kernel(self, w: XMap, m: XMap) -> tuple[bool, dict | None]:
         """Is w: W -> src(m) a weak kernel of m? (image of Hom(X, w) equals
@@ -615,16 +611,15 @@ class SubcategoryX:
         kernel of the dual of m over `op`)."""
         return self.op.is_weak_kernel(self.dual_xmap(c), self.dual_xmap(m))
 
-    def weak_kernel_chain(self, m: XMap, length: int, minimize: bool = True
-                          ) -> list[XMap]:
+    def weak_kernel_chain(self, m: XMap, length: int) -> list[XMap]:
         chain = [m]
         for _ in range(length):
-            chain.append(self.weak_kernel(chain[-1], minimize))
+            chain.append(self.weak_kernel(chain[-1]))
         return chain[1:]
 
     # -- higher kernels -----------------------------------------------------------
 
-    def d_kernel(self, m: XMap, d: int, minimize: bool = True) -> list[XMap]:
+    def d_kernel(self, m: XMap, d: int) -> list[XMap]:
         """Maps (k_1, ..., k_d) with k_1 a weak kernel of m, each next a weak
         kernel of the previous, and k_d the genuine kernel inclusion; the
         full sequence is verified left exact under every Hom(X_z, -).
@@ -636,7 +631,7 @@ class SubcategoryX:
             raise ValueError("d must be positive")
         chain: list[XMap] = [m]
         for _ in range(d - 1):
-            chain.append(self.weak_kernel(chain[-1], minimize))
+            chain.append(self.weak_kernel(chain[-1]))
         last = chain[-1]
         k, incl = rep.kernel(last.mor)
         emb = self.embed(k)
@@ -674,11 +669,11 @@ class SubcategoryX:
                          "image_rank": int(self.field.rank(inner)),
                          "kernel_dim": int(null_dim)})
 
-    def d_cokernel(self, m: XMap, d: int, minimize: bool = True) -> list[XMap]:
+    def d_cokernel(self, m: XMap, d: int) -> list[XMap]:
         """Dual of d_kernel: (c_1, ..., c_d) ending in the genuine cokernel,
         verified right exact under every Hom(-, X_z)."""
         try:
-            op_seq = self.op.d_kernel(self.dual_xmap(m), d, minimize)
+            op_seq = self.op.d_kernel(self.dual_xmap(m), d)
         except DKernelNotLeftExact as e:
             raise DCokernelNotRightExact(str(e), e.witness) from None
         return [self.op.dual_xmap(t) for t in op_seq]
@@ -714,46 +709,34 @@ def extend_resolution(a: Representation, length: int) -> dict:
     return data
 
 
-def _gen_positions(algebra: BoundQuiverAlgebra, verts: list[int]) -> list[tuple[int, int]]:
-    """(vertex, coordinate offset inside that vertex) of each part generator
-    in the direct sum of projectives over verts."""
-    nv = algebra.quiver.num_vertices
-    offs = [0] * nv
-    out = []
-    for v in verts:
-        out.append((v, offs[v] + algebra.blocks[v, v].index(algebra.path_position[v, ()])))
-        for w in range(nv):
-            offs[w] += len(algebra.blocks[v, w])
-    return out
-
-
 def _hom_complex_diff(diff: tuple[np.ndarray, ...], parts_hi: list[int],
                       parts_lo: list[int], b: Representation) -> np.ndarray:
-    """Matrix of Hom(diff, b), diff given by its components: coordinates are
-    values at part generators."""
-    algebra = b.algebra
-    F = b.field
-    gens_hi = _gen_positions(algebra, parts_hi)
+    """Matrix of Hom(diff, b): Hom(P_lo, b) -> Hom(P_hi, b), diff: P_hi ->
+    P_lo given by its components.  Hom(A e_v, b) = e_v b, so coordinates are
+    values at part generators, and block (j, i) is the action on b of the
+    element of e_u A e_v (u, v the j-th and i-th parts) that diff sends
+    generator j to, read in part i.  Only the generator's vertex u is read,
+    and only where b is non-zero at both ends."""
+    algebra, p = b.algebra, b.field.p
+    dims, blocks = b.dim_list, algebra.blocks
     acts = rep.basis_actions(b)
-    nv = algebra.quiver.num_vertices
-    per_vertex: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for pi, v in enumerate(parts_lo):
-        for w in range(nv):
-            for g in algebra.blocks[v, w]:
-                per_vertex[w].append((pi, g))
-    row_off = np.concatenate([[0], np.cumsum([int(b.dims[v]) for v in parts_hi])])
-    col_off = np.concatenate([[0], np.cumsum([int(b.dims[v]) for v in parts_lo])])
-    out = np.zeros((int(row_off[-1]), int(col_off[-1])), dtype=np.int64)
-    for j, (vj, coord) in enumerate(gens_hi):
-        x = diff[vj][:, coord]
-        for local, (pi, g) in enumerate(per_vertex[vj]):
-            val = int(x[local])
-            if not val:
-                continue
-            act = acts[g]  # b.dims[target g = vj] x b.dims[source g]
-            r0, r1 = int(row_off[j]), int(row_off[j + 1])
-            c0, c1 = int(col_off[pi]), int(col_off[pi + 1])
-            out[r0:r1, c0:c1] = (out[r0:r1, c0:c1] + val * act) % F.p
+    cols = [0, *itertools.accumulate(dims[v] for v in parts_lo)]
+    out = np.zeros((sum(dims[u] for u in parts_hi), cols[-1]), dtype=np.int64)
+    r0 = 0
+    for j, u in enumerate(parts_hi):
+        r1 = r0 + dims[u]
+        if r1 > r0:
+            # generator j: the trivial path of part j, at u
+            coord = (sum(len(blocks[w, u]) for w in parts_hi[:j])
+                     + blocks[u, u].index(algebra.path_position[u, ()]))
+            x = diff[u][:, coord].tolist()
+            local = 0
+            for c0, c1, v in zip(cols, cols[1:], parts_lo):
+                for g in blocks[v, u]:
+                    if x[local] and c1 > c0:
+                        out[r0:r1, c0:c1] = (out[r0:r1, c0:c1] + x[local] * acts[g]) % p
+                    local += 1
+        r0 = r1
     return out
 
 
@@ -789,65 +772,39 @@ def _min_presentation(a: Representation):
     return data["diffs"][0], data["parts"][1], data["parts"][0]
 
 
-def _yoneda_right_mult(algebra: BoundQuiverAlgebra, elem: np.ndarray,
-                       src_vertex: int, tgt_vertex: int) -> list[np.ndarray]:
-    """Right multiplication by an element of e_t * A * e_s as the reduced
-    components, vertex by vertex, of a morphism P(tgt_vertex) ->
-    P(src_vertex)."""
-    F = algebra.field
-    rm = np.einsum("j,ljk->kl", elem % F.p, algebra.table) % F.p
-    maps = []
-    for w in range(algebra.quiver.num_vertices):
-        bs, bt = algebra.blocks[src_vertex, w], algebra.blocks[tgt_vertex, w]
-        maps.append(rm[np.ix_(bs, bt)] if bs and bt
-                    else np.zeros((len(bs), len(bt)), dtype=np.int64))
-    return maps
-
-
 def transpose(a: Representation) -> Representation:
-    """Cokernel of the dual of a minimal presentation, over the opposite
-    algebra; projective summands of the input die here, so the result feeds
-    straight into the translate."""
+    """Tr a = Cok Hom(d_1, A) over the opposite algebra, for d_1: P_1 -> P_0
+    a minimal presentation (Auslander-Reiten-Smalo, Representation theory
+    of Artin algebras, IV.1), read by `_hom_complex_diff` as Ext reads its
+    complexes.  Hom(A e_v, A) = e_v A is the opposite projective at v: its
+    component at w is e_v A e_w, the rows of the regular module at v that
+    its summand A e_w holds, put in the opposite's basis order.  Projective
+    summands of the input die here, so the result feeds straight into the
+    translate."""
     algebra = a.algebra
     op = algebra.opposite
     diff, parts1, parts0 = _min_presentation(a)
     if not parts0:
         return rep.zero_rep(op)
-    nv = algebra.quiver.num_vertices
+    regular = algebra.regular_module()
+    dual = _hom_complex_diff(diff, parts1, parts0, regular)
+    at = op._opposite_basis  # at[k]: the index in op of basis element k
 
-    def offsets(alg, verts):
-        """Per-vertex offset of each projective alg e_v in their direct sum."""
-        offs = []
-        run = np.zeros(nv, dtype=np.int64)
-        for v in verts:
-            offs.append(run.copy())
-            run += [len(alg.blocks[v, w]) for w in range(nv)]
-        return offs
+    def rows(parts: list[int], w: int) -> list[int]:
+        """Where, among the rows of Hom(P, A) for P the sum over parts, the
+        components at w of the op projectives sit, in their basis order."""
+        out, start = [], 0
+        for v in parts:
+            lo = start + sum(len(algebra.blocks[u, v]) for u in range(w))
+            out += (lo + np.argsort(at[algebra.blocks[w, v]])).tolist()
+            start += regular.dim_list[v]
+        return out
 
-    # the dual map between opposite projectives: block (j, i) is right
-    # multiplication by the element of e_{vj} A e_{vi} that the presentation
-    # sends generator j to, read in part i, written once at the offsets of
-    # source part i and target part j
-    offs0 = offsets(algebra, parts0)
-    src_total = rep.sum_module(op, [rep.projective(op, v) for v in parts0])
-    dst_total = rep.sum_module(op, [rep.projective(op, v) for v in parts1])
-    col_offs, row_offs = offsets(op, parts0), offsets(op, parts1)
-    maps = [np.zeros((int(r), int(c)), dtype=np.int64)
-            for r, c in zip(dst_total.dims, src_total.dims)]
-    for j, (vj, coord) in enumerate(_gen_positions(algebra, parts1)):
-        for i, vi in enumerate(parts0):
-            idx = algebra.blocks[vi, vj]
-            lo = int(offs0[i][vj])
-            elem = np.zeros(algebra.dim, dtype=np.int64)
-            elem[idx] = diff[vj][lo:lo + len(idx), coord]
-            if not elem.any():
-                continue
-            block = _yoneda_right_mult(op, algebra.to_opposite(elem), parts1[j], parts0[i])
-            for w, bw in enumerate(block):
-                r, c = int(row_offs[j][w]), int(col_offs[i][w])
-                maps[w][r:r + bw.shape[0], c:c + bw.shape[1]] = bw
-    c, _ = rep.cokernel(ModuleMorphism._of_reduced(src_total, dst_total, maps))
-    return c
+    maps = [dual[np.ix_(rows(parts1, w), rows(parts0, w))]
+            for w in range(algebra.quiver.num_vertices)]
+    src, dst = (rep.sum_module(op, [rep.projective(op, v) for v in parts])
+                for parts in (parts0, parts1))
+    return rep.cokernel(ModuleMorphism._of_reduced(src, dst, maps))[0]
 
 
 def tau(a: Representation) -> Representation:

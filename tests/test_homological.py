@@ -335,7 +335,8 @@ def _reverse_path_map(algebra):
     """Matrix sending basis-path coordinates to the coordinates, in the
     opposite's basis, of the reversed paths, each multiplied out arrow by
     arrow in the opposite's table.  Kept as the reference for the
-    permutation `to_opposite` applies."""
+    permutation into the opposite's basis order that `subcat.transpose`
+    applies (`Algebra._opposite_basis`)."""
     op = algebra.opposite
     m = np.zeros((op.dim, algebra.dim), dtype=np.int64)
     for i, (src, arrows) in enumerate(algebra.basis_paths):
@@ -347,11 +348,39 @@ def _reverse_path_map(algebra):
     return m
 
 
+def _gen_positions(algebra, verts):
+    """(vertex, coordinate offset inside that vertex) of each part generator
+    in the direct sum of projectives over verts."""
+    nv = algebra.quiver.num_vertices
+    offs = [0] * nv
+    out = []
+    for v in verts:
+        out.append((v, offs[v] + algebra.blocks[v, v].index(algebra.path_position[v, ()])))
+        for w in range(nv):
+            offs[w] += len(algebra.blocks[v, w])
+    return out
+
+
+def _yoneda_right_mult(algebra, elem, src_vertex, tgt_vertex):
+    """Right multiplication by an element of e_t * A * e_s, read off the
+    dense table, as the components, vertex by vertex, of a morphism
+    P(tgt_vertex) -> P(src_vertex)."""
+    F = algebra.field
+    rm = np.einsum("j,ljk->kl", elem % F.p, algebra.table) % F.p
+    maps = []
+    for w in range(algebra.quiver.num_vertices):
+        bs, bt = algebra.blocks[src_vertex, w], algebra.blocks[tgt_vertex, w]
+        maps.append(rm[np.ix_(bs, bt)] if bs and bt
+                    else np.zeros((len(bs), len(bt)), dtype=np.int64))
+    return maps
+
+
 def _transpose_by_inclusions(a):
     """The transpose assembled as a sum over the blocks of the presentation
-    of inclusion o block o projection between the opposite projectives.
-    Kept as the reference for `subcat.transpose`, which writes each block
-    into place."""
+    of inclusion o block o projection between the opposite projectives,
+    each block right multiplication in the opposite's table.  Kept as the
+    reference for `subcat.transpose`, which reads the dual map off
+    Hom(d_1, Lambda)."""
     algebra = a.algebra
     op = algebra.opposite
     F = algebra.field
@@ -367,7 +396,7 @@ def _transpose_by_inclusions(a):
     src_total, _, src_projs = rep.direct_sum(op, [rep.projective(op, v) for v in parts0])
     dst_total, dst_incls, _ = rep.direct_sum(op, [rep.projective(op, v) for v in parts1])
     g = rep.zero_morphism(src_total, dst_total)
-    for j, (vj, coord) in enumerate(subcat._gen_positions(algebra, parts1)):
+    for j, (vj, coord) in enumerate(_gen_positions(algebra, parts1)):
         x = diff[vj][:, coord]
         for i, vi in enumerate(parts0):
             elem = np.zeros(algebra.dim, dtype=np.int64)
@@ -378,20 +407,45 @@ def _transpose_by_inclusions(a):
                 continue
             block = rep.ModuleMorphism(
                 rep.projective(op, parts0[i]), rep.projective(op, parts1[j]),
-                subcat._yoneda_right_mult(op, (rmap @ elem) % F.p, parts1[j], parts0[i]))
+                _yoneda_right_mult(op, (rmap @ elem) % F.p, parts1[j], parts0[i]))
             g = g.add(dst_incls[j].compose(block).compose(src_projs[i]))
     return rep.cokernel(g)[0]
 
 
-@pytest.mark.parametrize("name", [p.stem for p in corpus_paths()])
+# the square 1 -> 2 -> 4, 1 -> 3 -> 4: with no relations the block e_4 A e_1
+# holds ad and bc, which the opposite's basis lists the other way round (cb
+# before da), so its transposes need the reordering into the opposite's basis
+_SQUARE = Quiver(["1", "2", "3", "4"],
+                 [("a", "1", "2"), ("d", "2", "4"), ("b", "1", "3"), ("c", "3", "4")])
+_SQUARE_RELATIONS = {
+    "square_free": [],
+    "square_commutative": [[(1, ["a", "d"]), (-1, ["b", "c"])]],
+    "square_zero_ad": [[(1, ["a", "d"])]],
+}
+
+
+def _transpose_test_modules(name):
+    """A corpus job's summands and their sum, so that presentations have
+    several blocks; over a square algebra its simples, projectives and
+    injectives, their sum, syzygies and cosyzygies.  Each with its dual."""
+    if name in _SQUARE_RELATIONS:
+        alg = build_algebra(_SQUARE, _SQUARE_RELATIONS[name], PrimeField(101))
+        verts = range(alg.quiver.num_vertices)
+        base = ([rep.simple(alg, v) for v in verts] + alg.projective_leaves()
+                + [rep.injective(alg, v) for v in verts])
+        mods = (base + [rep.sum_module(alg, base)] + [rep.syzygy(m) for m in base]
+                + [rep.cosyzygy(m) for m in base])
+    else:
+        x = _realize(name)
+        mods = x.summands + [rep.sum_module(x.algebra, x.summands)]
+    return [m for s in mods for m in (s, rep.dualize(s))]
+
+
+@pytest.mark.parametrize("name", [p.stem for p in corpus_paths()] + list(_SQUARE_RELATIONS))
 def test_transpose_matches_the_inclusion_assembly(name):
-    """Every summand, and their sum so that presentations have several
-    blocks, each with its dual."""
-    x = _realize(name)
-    for s in x.summands + [rep.sum_module(x.algebra, x.summands)]:
-        for m in (s, rep.dualize(s)):
-            assert (subcat._module_key(subcat.transpose(m))
-                    == subcat._module_key(_transpose_by_inclusions(m)))
+    for m in _transpose_test_modules(name):
+        assert (subcat._module_key(subcat.transpose(m))
+                == subcat._module_key(_transpose_by_inclusions(m)))
 
 
 def _gamma_test_modules(g):

@@ -52,11 +52,16 @@ def _definitions(tree: ast.Module, module: str):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every bare name and attribute read in a module."""
+    """(name, line) of every bare name and attribute read in a module.  An
+    attribute read on a name bound by `import` (`np.matmul` after `import
+    numpy as np`) names another package's function, not one of ours."""
+    modules = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id in modules):
             yield node.attr, node.lineno
 
 
@@ -84,6 +89,15 @@ def uncalled_public_functions() -> list[str]:
 
 def test_public_functions_have_callers_in_src():
     assert [name for name in uncalled_public_functions() if name not in ENTRY_POINTS] == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("import numpy as np\nnp.matmul(a, b)", ["a", "b", "np"]),
+    ("from tiltbench import rep\nrep.kernel(f)", ["f", "kernel", "rep"]),
+    ("field.matmul(a, b)", ["a", "b", "field", "matmul"]),
+])
+def test_references_skip_attributes_of_imported_modules(source, want):
+    assert sorted(name for name, _ in _references(ast.parse(source))) == want
 
 
 def test_entry_points_are_still_defined_and_uncalled():

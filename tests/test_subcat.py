@@ -50,19 +50,19 @@ class TestMembership:
 class TestApproximations:
     def test_right_approximation_surjective_when_generating(self, a2):
         xl = make_x(a2, [rep.projective(a2, 0), rep.projective(a2, 1)])
-        xa, ev = xl.right_approximation(rep.simple(a2, 0), minimize=True)
+        xa, ev = xl.right_approximation(rep.simple(a2, 0))
         assert ev.is_surjective()
         assert len(xa.parts) == 1  # minimal: just the cover P1
 
     def test_left_approximation(self, a2):
         xl = make_x(a2, [rep.projective(a2, 0), rep.projective(a2, 1)])
         S2 = rep.simple(a2, 1)  # = P2, so the coevaluation is split
-        xa, coev = xl.left_approximation(S2, minimize=True)
+        xa, coev = xl.left_approximation(S2)
         assert coev.is_injective()
 
     def test_approximation_property(self, a2, x_a2):
         from tiltbench.axioms import is_right_approximation
-        _, ev = x_a2.right_approximation(rep.simple(a2, 1), minimize=True)
+        _, ev = x_a2.right_approximation(rep.simple(a2, 1))
         ok, _ = is_right_approximation(x_a2, ev)
         assert ok
 
@@ -305,22 +305,20 @@ class TestMemo:
         computed = []
         real = subcat.SubcategoryX._right_approximation
         monkeypatch.setattr(subcat.SubcategoryX, "_right_approximation",
-                            lambda self, a, m: computed.append(a) or real(self, a, m))
+                            lambda self, a: computed.append(a) or real(self, a))
         first, again = rep.simple(a2, 0), rep.simple(a2, 0)
-        xo1, ev1 = x.right_approximation(first, minimize=True)
-        xo2, ev2 = x.right_approximation(again, minimize=True)
+        xo1, ev1 = x.right_approximation(first)
+        xo2, ev2 = x.right_approximation(again)
         assert len(computed) == 1
         assert xo1 is xo2 and ev2.source is xo2.rep
         assert ev1.target is first and ev2.target is again
-        x.right_approximation(again, minimize=False)
-        assert len(computed) == 2  # minimize is part of the key
 
     def test_a2_after_a1_computes_no_weak_kernel(self, corpus, monkeypatch):
         x = corpus.fresh_x("nakayama_a3_rad2_bimodule").x
         computed = []
         real = subcat.SubcategoryX._weak_kernel
         monkeypatch.setattr(subcat.SubcategoryX, "_weak_kernel",
-                            lambda self, m, mini: computed.append(m) or real(self, m, mini))
+                            lambda self, m: computed.append(m) or real(self, m))
         axioms.check_A1_A1op(x, 40, 42)
         assert computed  # A1 built its weak kernels
         before = len(computed)
