@@ -339,7 +339,10 @@ def _a3_witness(x: SubcategoryX, f: XMap, side: str) -> dict | None:
     h = y.weak_kernel(g)
     post_h = y.obj_post_matrix(h, fy.src)
     fc = y.obj_coords(fy.src, h.dst, fy.mor)
-    sol = y.field.solve_many(post_h, fc.reshape(-1, 1))
+    if post_h.size:
+        sol = y.field.solve_many(post_h, fc.reshape(-1, 1))
+    else:  # no unknowns or no equations: a solution exists when fc is 0
+        sol = None if fc.any() else np.zeros((post_h.shape[1], 1), dtype=np.int64)
     if sol is None:
         raise AssertionError("factorization through the weak kernel must exist")
     l = XMap(fy.src, h.src, y.obj_from_coords(fy.src, h.src, sol[:, 0]))

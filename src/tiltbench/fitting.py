@@ -288,18 +288,6 @@ class _QuotientRing:
         return out
 
 
-def radical_coordinates(F: PrimeField, mats: list[np.ndarray]) -> np.ndarray:
-    """Basis (as columns in ring coordinates) of the Jacobson radical of the
-    ring spanned by the given matrices.
-
-    Sound whenever it returns: the result is checked to be a nilpotent ideal
-    containing every trace-degenerate direction, which pins it to the radical
-    exactly.  Requires p > dim of the ring so the trace form stays faithful.
-    """
-    ring = _RingData(F, mats)
-    return _radical_of_ring(ring)
-
-
 def radical_from_table(F: PrimeField, table: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Radical basis for a ring given by structure constants."""
     return _radical_of_ring(_RingData(F, None, table=table, unit=unit))

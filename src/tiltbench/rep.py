@@ -652,46 +652,17 @@ def decompose(m: Representation, seed: int = 0) -> list[Leaf]:
     return out
 
 
-def _unit_witness(a: Representation, b: Representation,
-                  seed: int = 0) -> ModuleMorphism | None:
-    """For a, b indecomposable of equal dimension vector: a morphism a -> b
-    admitting a left inverse modulo the radical of End(a), i.e. an
-    isomorphism; None when no pair of hom-basis elements composes to a unit.
+def _unit_witness(a: Representation, b: Representation) -> ModuleMorphism | None:
+    """For a and b indecomposable: the first bijective element of the hom
+    basis a -> b, an isomorphism, or None when a and b are not isomorphic.
 
-    Sound in both directions for indecomposables: if some g o f avoids
-    rad End(a) it is a unit there (local ring), so f is a split mono between
-    modules of equal dimension, hence an isomorphism.  Conversely if a ~ b
-    then writing an isomorphism u in the hom basis and its inverse in the
-    other, bilinearity forces some basis pair g o f outside the radical.
+    Complete because End(a) is local: if u: a -> b is an isomorphism, the
+    non-isomorphisms a -> b are u o rad End(a), a proper subspace of
+    Hom(a, b), and no basis lies inside a proper subspace.
     """
-    if a.dims.tolist() != b.dims.tolist():
+    if a.dim_list != b.dim_list:
         return None
-    if a.total_dim == 0:
-        return zero_morphism(a, b)
-    F = a.field
-    fwd = hom_space(a, b)
-    if not fwd:
-        return None
-    bwd = hom_space(b, a)
-    ends = hom_space(a, a)
-    mats = [f.total_matrix() for f in ends]
-    rad = fitting.radical_coordinates(F, mats)
-    basis_mat = np.stack([f.flatten() for f in ends], axis=1) % F.p
-    for f in fwd:
-        for g in bwd:
-            comp = g.compose(f)
-            coords = F.solve_many(basis_mat, comp.flatten().reshape(-1, 1))
-            if coords is None:
-                raise AssertionError("endomorphism left its own hom space")
-            if rad.shape[1] == 0:
-                in_rad = not coords.any()
-            else:
-                in_rad = F.column_space_contains(rad, coords)
-            if not in_rad:
-                if not f.is_isomorphism():
-                    raise AssertionError("unit composite did not yield an isomorphism")
-                return f
-    return None
+    return next((f for f in hom_space(a, b) if f.is_isomorphism()), None)
 
 
 def is_isomorphic(a: Representation, b: Representation, seed: int = 0,
@@ -738,7 +709,7 @@ def _is_isomorphic_by_matching(a: Representation, b: Representation, seed: int =
         for j, cand in enumerate(lb):
             if used[j]:
                 continue
-            w = _unit_witness(leaf.rep, cand.rep, seed)
+            w = _unit_witness(leaf.rep, cand.rep)
             if w is not None:
                 used[j] = True
                 pieces.append((leaf, cand, w))

@@ -177,15 +177,14 @@ class SubcategoryX:
             for leaf in rep.decompose(part, seed):
                 if all(rep._unit_witness(s, leaf.rep) is None for s in basic):
                     basic.append(leaf.rep)
-        self._setup(algebra, module, basic, seed)
+        self._setup(algebra, module, basic)
 
     def _setup(self, algebra: BoundQuiverAlgebra, module: Representation,
-               summands: list[Representation], seed: int) -> None:
+               summands: list[Representation]) -> None:
         """Fields and caches over summands already split and deduplicated."""
         self.algebra = algebra
         self.field: PrimeField = algebra.field
         self.module = module
-        self.seed = seed
         self.summands = summands
         self._op = None  # op, or a weak reference to it
         self._memo: dict[tuple, object] = {}
@@ -200,7 +199,7 @@ class SubcategoryX:
             # and pairwise non-isomorphic
             o = SubcategoryX.__new__(SubcategoryX)
             o._setup(self.algebra.opposite, rep.dualize(self.module),
-                     [rep.dualize(s) for s in self.summands], self.seed)
+                     [rep.dualize(s) for s in self.summands])
             o._op, self._op = weakref.ref(self), o
         return o
 
@@ -327,28 +326,19 @@ class SubcategoryX:
         return xobj, ModuleMorphism._of_reduced(xobj.rep, a, maps)
 
     def _embed(self, a: Representation):
-        if a.total_dim == 0:
-            z = self.zero_obj()
-            return z, read_only(rep.zero_morphism(z.rep, a).maps)
-        leaves = rep.decompose(a, self.seed)
-        parts: list[int] = []
-        comps: list[ModuleMorphism] = []
-        for leaf in leaves:
-            hit = None
-            for idx, s in enumerate(self.summands):
-                w = rep._unit_witness(s, leaf.rep)
-                if w is not None:
-                    hit = (idx, w)
-                    break
-            if hit is None:
-                return None
-            parts.append(hit[0])
-            comps.append(leaf.incl.compose(hit[1]))
-        xobj = self.obj(parts)
-        iso = ModuleMorphism._of_reduced(xobj.rep, a, _side_by_side(comps, a.dim_list))
-        if not iso.is_isomorphism():
-            raise AssertionError("assembled embedding is not an isomorphism")
-        return xobj, read_only(iso.maps)
+        """The minimal right approximation X_a -> a when it is bijective,
+        else None (Auslander-Smalo, J. Algebra 1980).
+
+        The approximation is right minimal: were a summand X'' of X_a in
+        its kernel, some component c_k: X'' -> X_{i_k} would be an
+        isomorphism (Krull-Schmidt), so the block f_k on X_{i_k} would be
+        -sum_{l != k} f_l c_l c_k^-1, factoring through the others, and
+        `_minimize_blocks` would have dropped it.  When a is in add(M), the
+        identity of a is a right approximation too, and two minimal ones
+        are isomorphic, so X_a -> a is an isomorphism.  The zero module
+        gets the zero object."""
+        xobj, ev = self.right_approximation(a)
+        return (xobj, ev.maps) if ev.is_isomorphism() else None
 
     def contains(self, a: Representation) -> bool:
         """Whether a lies in add(M).  With no embedding of a kept here, an
@@ -726,10 +716,9 @@ def _hom_complex_diff(diff: tuple[np.ndarray, ...], parts_hi: list[int],
     for j, u in enumerate(parts_hi):
         r1 = r0 + dims[u]
         if r1 > r0:
-            # generator j: the trivial path of part j, at u
-            coord = (sum(len(blocks[w, u]) for w in parts_hi[:j])
-                     + blocks[u, u].index(algebra.path_position[u, ()]))
-            x = diff[u][:, coord].tolist()
+            # generator j: e_u in part j, read in the block e_u A e_u
+            start, own = sum(len(blocks[w, u]) for w in parts_hi[:j]), blocks[u, u]
+            x = (diff[u][:, start:start + len(own)] @ algebra.unit[own] % p).tolist()
             local = 0
             for c0, c1, v in zip(cols, cols[1:], parts_lo):
                 for g in blocks[v, u]:

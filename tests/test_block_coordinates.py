@@ -7,7 +7,8 @@
   test against the sum of the summands first and must name the witness the
   per-pair loops (kept here) name.
 * No empty matrix reaches the field's memoized entry points from `functors`
-  or from `subcat`'s `delta`, `_is_weak_kernel` and `_is_mono`.
+  or from `subcat`'s `delta`, `_is_weak_kernel` and `_is_mono`, nor
+  `solve_many` from the sampled checks.
 
 Counts only, never wall-clock times.
 """
@@ -199,6 +200,39 @@ def test_no_empty_matrix_reaches_the_field_from_functors_or_subcat_tests(monkeyp
     axioms.check_d_rigid(x, 3, 20, SEED)
     assert all(calls.values()), calls
     assert any(met) and not all(met)
+    assert empty == []
+
+
+@pytest.mark.parametrize("name", ["nakayama_a4_rad2_bimodule", "semisimple_pair", "kA9_rad2"])
+def test_no_empty_matrix_reaches_solve_many_from_the_sampled_checks(name, monkeypatch):
+    """A3 factors f through the weak kernel h by solving Hom(f's source, h);
+    that system is empty when Hom from f's source to an end of h is 0,
+    which the checks meet on every job, and it is answered without the
+    field."""
+    solved, empty, met = [], [], []
+    real = PrimeField.solve_many
+
+    def counted(self, *args):
+        solved.append(sys._getframe(1).f_code.co_name)
+        if any(isinstance(a, np.ndarray) and not a.size for a in args):
+            empty.append(solved[-1])
+        return real(self, *args)
+    monkeypatch.setattr(PrimeField, "solve_many", counted)
+    real_post = subcat.SubcategoryX.obj_post_matrix
+
+    def post(self, m, xa):
+        out = real_post(self, m, xa)
+        if sys._getframe(1).f_code.co_name == "_a3_witness":
+            met.append(not out.size)
+        return out
+    monkeypatch.setattr(subcat.SubcategoryX, "obj_post_matrix", post)
+
+    x = fresh_x(name)
+    for check in (axioms.check_A1_A1op, axioms.check_A2_A2op, axioms.check_A3_A3op):
+        check(x, 20, SEED)
+    axioms.check_d_rigid(x, 2, 20, SEED)
+    axioms.check_A4d(x, 2, 20, SEED)
+    assert "_a3_witness" in solved and any(met) and not all(met)
     assert empty == []
 
 

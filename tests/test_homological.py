@@ -245,12 +245,16 @@ class TestSummandNormalization:
         assert all(s is p for s, p in zip(x.summands, parts))
 
 
-def test_non_split_simple():
+def _non_split_gamma():
     # x^2 - 2 is irreducible mod 101, so End of the explicit summand is the
     # field F_{101^2} and Gamma has a simple of dimension 2 over F_101
     spec = job(KRONECKER, ["regular", "coregular", {"explicit": {
         "dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]}}}])
-    g = spec.realize().x.endomorphism_algebra()
+    return spec.realize().x.endomorphism_algebra()
+
+
+def test_non_split_simple():
+    g = _non_split_gamma()
     assert g.dim == 22
     # no Gabriel presentation: Gamma keeps its block quiver, one arrow per
     # basis element, and its radical block by block
@@ -312,6 +316,30 @@ def test_gamma_rejects_perturbed_idempotents(corpus):
         else:
             algebra_ops.AbstractAlgebra(F, g.table, g.unit, perturbed)
     assert [orthogonal_by_pairs(g, c) for c in cases.values()] == [True, False, False, False, True]
+
+
+@pytest.mark.parametrize("name", ["serial_x3_generator", "serial_x4_generator",
+                                  "nakayama_a3_rad2_bimodule", "non-split"])
+def test_ext_over_gamma(name):
+    """Ext over Gamma, whose basis is not a path basis of a bound quiver:
+    on Gamma presented on its Gabriel quiver, dim Ext^1(S_i, S_j) is the
+    number of arrows i -> j; on every Gamma, including the non-split one on
+    its block quiver, pd S_i is the top degree k with Ext^k(S_i, S_j) != 0
+    for some j, and Tr Tr S_i is S_i when S_i is not projective."""
+    g = _non_split_gamma() if name == "non-split" else _realize(name).endomorphism_algebra()
+    simples = g.simples()
+    if g.block_radical is None:
+        arrows = np.zeros((len(simples),) * 2, dtype=np.int64)
+        for s, t in g.quiver.arrow_ends:
+            arrows[s, t] += 1
+        assert [[subcat.ext_dim(a, b, 1) for b in simples] for a in simples] == arrows.tolist()
+    for a in simples:
+        pd = algebra_ops.projective_dimension(a, cap=8)
+        assert pd.kind == "exact"
+        top = max(k for k in range(pd.value + 3) for b in simples if subcat.ext_dim(a, b, k))
+        assert top == pd.value
+        if pd.value:
+            assert rep.is_isomorphic(subcat.transpose(subcat.transpose(a)), a)
 
 
 def test_small_field_precondition():

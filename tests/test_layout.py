@@ -1,8 +1,9 @@
 """Code layout: every public function and method in src/tiltbench has a
 caller in src/tiltbench, or is an entry point named below, no public
 module-level function name is defined in two modules, a public name that
-several definitions share is on the list below, no module drives the
-garbage collector, and none reaches numpy's random package.
+several definitions share is on the list below, every function reads each
+of its parameters, no module drives the garbage collector, and none
+reaches numpy's random package.
 
 A call is any reference to the name (as a bare name or an attribute)
 outside the function's own body, so a name shared by two definitions counts
@@ -156,6 +157,56 @@ def test_each_module_function_has_one_owner():
     # one implementation of each operation: a second module defining the
     # same public function is a second copy of it
     assert public_functions_in_several_modules() == {}
+
+
+# Parameters that no code reads, each named by its contract: the abstract
+# method's subclasses read it.
+UNREAD_PARAMETERS = {"quiver.Algebra._reverse_into(op)"}
+
+
+def unread_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """qualified.name(parameter) of every parameter that its function's
+    body never reads, nested functions included; a method's self or cls is
+    not counted."""
+    out = []
+    stack = [(tree, module) for module, tree in trees.items()]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if p is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out += [f"{name}({p})" for p in params
+                        if p not in read and p not in ("self", "cls")]
+                stack.append((child, name))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((child, f"{prefix}.{child.name}"))
+    return sorted(out)
+
+
+def test_every_parameter_is_read():
+    # a parameter nothing reads is a dead argument every caller still passes
+    assert unread_parameters(_trees()) == sorted(UNREAD_PARAMETERS)
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(a, b):\n    return a", ["m.f(b)"]),
+    ("def f(a, *rest, k=1, **opts):\n    return a", ["m.f(k)", "m.f(opts)", "m.f(rest)"]),
+    ("def f(a):\n    def g(b):\n        return a\n    return g", ["m.f.g(b)"]),
+    ("class C:\n    def f(self, a):\n        return 1", ["m.C.f(a)"]),
+    ("def f(a):\n    a = 1\n    return 0", ["m.f(a)"]),
+])
+def test_unread_parameter_guard_sees_each_form(source, want):
+    assert unread_parameters({"m": ast.parse(source)}) == want
+
+
+def test_unread_parameter_guard_counts_reads_in_nested_code():
+    source = "def f(a, b):\n    return [lambda: a for _ in b]"
+    assert unread_parameters({"m": ast.parse(source)}) == []
 
 
 # what forces a collection or changes when one runs

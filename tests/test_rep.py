@@ -11,6 +11,7 @@ from tiltbench import jobspec, rep
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import Quiver, build_algebra
 
+import matching_route
 from conftest import CORPUS_DIR, corpus_paths
 
 
@@ -274,6 +275,47 @@ def test_is_isomorphic_agrees_with_matching(data):
     if ok:
         assert _commutes(f)
         assert f.is_isomorphism()
+
+
+# the non-split Kronecker module: x^2 - 2 is irreducible mod 101, so its
+# endomorphism ring is the field F_{101^2}
+_NON_SPLIT = _kron(np.eye(2), [[0, 2], [1, 0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_unit_witness_equals_the_matching_route(data):
+    """On an indecomposable and a random change of basis of itself or of
+    another indecomposable (the Kronecker R_lambda for lambda = 0, 1, 2 and
+    infinity and the non-split module among them), the first bijective
+    hom-basis element is the first with a unit composite."""
+    alg = data.draw(st.sampled_from([_KRONECKER, _A3RAD2]))
+    pool = _pool(alg) + ([_NON_SPLIT] if alg is _KRONECKER else [rep.injective(alg, 2)])
+    i = data.draw(st.integers(0, len(pool) - 1))
+    a, b = pool[i], pool[i if data.draw(st.booleans()) else data.draw(st.integers(0, len(pool) - 1))]
+    b = _base_change(b, [data.draw(_invertible(int(d))) for d in b.dims])
+    _same_witness(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([_NON_SPLIT, _pool(_KRONECKER)[-1]]), st.data())
+def test_unit_witness_is_the_first_bijection(a, data):
+    """Hom(a, b) of dimension 2 for b a change of basis of a: for the
+    non-split module every basis element is bijective (End(a) is the field
+    F_{101^2}), for the length-2 R_0 one of them (End(a) is k[x]/(x^2));
+    both routes return the first."""
+    b = _base_change(a, [data.draw(_invertible(int(d))) for d in a.dims])
+    basis = rep.hom_space(a, b)
+    assert len(basis) == 2 and (a is not _NON_SPLIT or all(f.is_isomorphism() for f in basis))
+    _same_witness(a, b)
+
+
+def _same_witness(a, b):
+    got, want = rep._unit_witness(a, b), matching_route.unit_witness(a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(np.array_equal(u, v) for u, v in zip(got.maps, want.maps))
+        assert got.is_isomorphism() and _commutes(got)
 
 
 @pytest.mark.parametrize("alg, left, right", [

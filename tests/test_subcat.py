@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tiltbench import axioms, jobspec, rep, subcat
 
 import composition_route
-from conftest import CORPUS_DIR, make_x
+import matching_route
+from conftest import CORPUS_DIR, corpus_paths, make_x
 
 
 def as_xmap(x, mor):
@@ -45,6 +46,53 @@ class TestMembership:
     def test_zero_module_is_member(self, a2, x_a2):
         z = rep.zero_rep(a2)
         assert x_a2.contains(z)
+
+
+def _membership_modules(x):
+    """The zero module, the test modules of the classifiers, the simples,
+    projectives and injectives, and tau, tau^-, tau_2 and tau_2^- of every
+    summand."""
+    alg = x.algebra
+    verts = range(alg.quiver.num_vertices)
+    mods = [rep.zero_rep(alg)]
+    mods += [a for a, _ in axioms.generate_test_modules(x, 20, 42)]
+    mods += [make(alg, v) for make in (rep.simple, rep.projective, rep.injective) for v in verts]
+    mods += [t(s) for s in x.summands for t in (subcat.tau, subcat.tau_inverse)]
+    mods += [t(s, 2) for s in x.summands for t in (subcat.tau_d, subcat.tau_d_inverse)]
+    return mods
+
+
+def _commutes(f):
+    """f is a module morphism: each component commutes with the arrows."""
+    p = f.source.field.p
+    return all(np.array_equal(f.maps[t] @ f.source.maps[i] % p, f.target.maps[i] @ f.maps[s] % p)
+               for i, (s, t) in enumerate(f.source.algebra.quiver.arrow_ends))
+
+
+@pytest.mark.parametrize("side", ["x", "op"])
+@pytest.mark.parametrize("name", [p.stem for p in corpus_paths()])
+def test_membership_equals_the_matching_route(name, side, monkeypatch):
+    """`contains` agrees with decomposing and matching leaves
+    (`matching_route`), and `embed` of a member is a bijective module map
+    whose parts are a permutation of the matched summands.  Membership
+    reads the approximation and decomposes nothing."""
+    x = jobspec.ingest(CORPUS_DIR / f"{name}.json").realize().x
+    x = x if side == "x" else x.op
+    mods = _membership_modules(x)
+    want = [matching_route.embed(x, a) for a in mods]
+    calls = []
+    for fn in ("decompose", "_unit_witness"):
+        real = getattr(rep, fn)
+        monkeypatch.setattr(rep, fn, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    for a, ref in zip(mods, want):
+        assert x.contains(a) == (ref is not None)
+        if ref is not None:
+            xobj, iso = x.embed(a)
+            assert iso.source is xobj.rep and iso.target is a
+            assert iso.is_isomorphism() and _commutes(iso)
+            assert sorted(xobj.parts) == sorted(ref[0])
+    assert calls == []
+    assert any(ref is not None for ref in want[1:])
 
 
 class TestApproximations:
