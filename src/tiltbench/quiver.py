@@ -111,8 +111,8 @@ class Algebra:
             order, so the projective A e_s is the sum over t of these blocks
             (`rep.projective`).
         basis_paths (from the subclass): each basis element as the path of
-            arrows whose product it is, so `rep.basis_actions` reads its
-            action on a module off the arrow matrices.
+            arrows whose product it is, so `rep` reads its action on a
+            module off the arrow matrices, one arrow after a shared prefix.
         block_radical: None where the arrows generate the radical (Lambda,
             and Gamma on its Gabriel quiver), so rad(A)*m is the span of the
             arrow images; otherwise rad A block by block, for (s, t) columns
@@ -124,7 +124,7 @@ class Algebra:
     (`_reverse_into`); the algebra that built it holds it, and it links
     back weakly (`linalg.held`).  Each algebra keeps its cached results in
     one dict, `_memo`, filled through `linalg.memo`: projectives, leaf
-    radicals and simples, the basis actions, projective covers and
+    radicals and simples, the path actions, projective covers and
     resolutions of modules by content, and Gamma's dimensions.
     A module there is kept as `rep.stored` arrays, not as a module, which
     would point back at the algebra: no algebra is in a reference cycle.

@@ -12,6 +12,12 @@ The radical of a module is the span of its arrow images wherever the arrows
 generate the algebra's radical (Lambda, and Gamma on its Gabriel quiver),
 and otherwise the images of `Algebra.block_radical`; every cover is
 certified surjective with its kernel inside the radical of its source.
+A basis element acts on a module as the product of the arrow matrices along
+its path (`Algebra.basis_paths`), applied one arrow at a time to the image
+of the path's prefix, which paths that share it compute once: a cover lifts
+the tops of a module this way, and `path_actions` keeps the whole action
+matrices, by module content, for Ext and a radical read off
+`block_radical`.
 
 Everything here is exact arithmetic over the algebra's prime field; kernels,
 cokernels and images come back together with the structure maps that witness
@@ -466,29 +472,35 @@ def injective(algebra: Algebra, v: int) -> Representation:
     return dualize(projective(algebra.opposite, v))
 
 
-def basis_actions(m: Representation) -> tuple[np.ndarray, ...]:
-    """The matrix of each basis element of m's algebra acting on m, the
-    product of the arrow matrices along its path (`Algebra.basis_paths`).
-    Kept in the algebra's memo by m's content, read-only."""
-    return memo(m.algebra._memo, ("basis_actions", module_key(m)), _basis_actions, m)
+def path_actions(m: Representation) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per vertices i and j, the basis elements of e_j A e_i acting on m,
+    stacked into an array of shape (block size, dim of m at j, dim of m at
+    i): `_path_images` of the identity at each i.  Kept in the algebra's
+    memo by m's content, read-only."""
+    return memo(m.algebra._memo, ("path_actions", module_key(m)), lambda: read_only([
+        _path_images(m, i, np.eye(d, dtype=np.int64)) for i, d in enumerate(m.dim_list)]))
 
 
-def _basis_actions(m: Representation) -> tuple[np.ndarray, ...]:
-    out = []
-    for src, arrows in m.algebra.basis_paths:
-        act = np.eye(int(m.dims[src]), dtype=np.int64)
-        for a in arrows:
-            act = (m.maps[a] @ act) % m.field.p
-        out.append(act)
-    return read_only(out)
+def _path_images(m: Representation, i: int, u: np.ndarray) -> list[np.ndarray]:
+    """Per vertex j, the images of the columns u of m at vertex i under the
+    basis elements of e_j A e_i (`Algebra.basis_paths`), stacked into an
+    array of shape (block size, dim of m at j, columns of u).  A path's
+    image is its last arrow's matrix times the image of the path without
+    that arrow, kept by arrow tuple, so a prefix that paths share is
+    multiplied once, whether or not it is a basis element."""
+    alg, maps, p = m.algebra, m.maps, m.field.p
+    seen = {(): u}
 
+    def image(arrows: tuple) -> np.ndarray:
+        got = seen.get(arrows)
+        if got is None:
+            got = seen[arrows] = maps[arrows[-1]] @ image(arrows[:-1]) % p
+        return got
 
-def _block_action(m: Representation, i: int, j: int) -> np.ndarray:
-    """The basis elements of e_j A e_i acting on m, stacked into an array of
-    shape (block size, dim of m at j, dim of m at i)."""
-    acts, idx = basis_actions(m), m.algebra.blocks[i, j]
-    return np.array([acts[k] for k in idx], dtype=np.int64).reshape(
-        len(idx), int(m.dims[j]), int(m.dims[i]))
+    # with no entries in u every image is empty: no product is taken
+    return [np.array([image(alg.basis_paths[k][1]) for k in alg.blocks[i, j]] if u.size else [],
+                     dtype=np.int64).reshape(len(alg.blocks[i, j]), d, u.shape[1])
+            for j, d in enumerate(m.dim_list)]
 
 
 def radical_subspaces(m: Representation) -> list[np.ndarray]:
@@ -507,7 +519,7 @@ def radical_subspaces(m: Representation) -> list[np.ndarray]:
     else:
         for (i, j), r in alg.block_radical.items():
             if r.shape[1] and m.dims[i] and m.dims[j]:
-                acts = np.tensordot(r.T, _block_action(m, i, j), axes=1) % F.p
+                acts = np.tensordot(r.T, path_actions(m)[i][j], axes=1) % F.p
                 cols[j].append(np.concatenate(list(acts), axis=1))
     return [F.column_reduce(np.concatenate(c, axis=1)) if c
             else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
@@ -520,7 +532,8 @@ def projective_cover(m: Representation) -> tuple[ModuleMorphism, list[int]]:
     Vertex by vertex, each coset representative u of top(m) at i
     (`PrimeField.quotient_projection` of the radical) not yet covered
     becomes a generator A e_i -> m, a |-> a*u, adding one copy of the
-    simple top at i; u can be covered already only where that simple's
+    simple top at i; its images a*u are read off `_path_images` of all the
+    representatives at i; u can be covered already only where that simple's
     endomorphism field is larger than F_p.  Certified surjective, with its
     kernel inside rad P, block diagonal in `Algebra.leaf_radicals`; so
     every syzygy taken through here is minimal.  Kept in the algebra's
@@ -542,13 +555,12 @@ def _projective_cover(m: Representation):
     for i in range(nv):
         d = m.dim_list[i]
         reps = F.quotient_projection(rad[i], d)[1] if rad[i].size else np.eye(d, dtype=np.int64)
-        blocks = [_block_action(m, i, j) for j in range(nv)] if reps.shape[1] else []
+        images = _path_images(m, i, reps) if reps.shape[1] else []
         covered = rad[i]
         for n in range(reps.shape[1]):
-            u = reps[:, n]
-            if n and F.column_space_contains(covered, u.reshape(-1, 1)):
+            if n and F.column_space_contains(covered, reps[:, n:n + 1]):
                 continue
-            lifts = [np.tensordot(b, u, axes=([2], [0])).T % F.p for b in blocks]
+            lifts = [img[:, :, n].T for img in images]
             for j in range(nv):
                 cols[j].append(lifts[j])
             picked.append(i)

@@ -528,21 +528,27 @@ class SubcategoryX:
         every later rest set, since those are subsets of R; so one scan ends
         where rescanning until nothing drops would.  The columns b o u, u in
         the basis of Hom(X_i, X_j), are composed once per (summand i of the
-        tested block, block b on X_j) and reused at every later position."""
+        tested block, block b on X_j), one product with `_hom_stack(i, j)`
+        per vertex, flattened as `ModuleMorphism.flatten` would, and reused
+        at every later position."""
         p = self.field.p
-        cols: dict[tuple[int, int], list[np.ndarray]] = {}
+        cols: dict[tuple[int, int], np.ndarray] = {}
         keep = list(range(len(parts)))
         pos = 0
         while pos < len(keep):
             i, rest = parts[keep[pos]], keep[:pos] + keep[pos + 1:]
-            mat = []
             for r in rest:
                 if (i, r) not in cols:
-                    cols[i, r] = [blocks[r].compose(u).flatten() for u in self.hom(i, parts[r])]
-                mat += cols[i, r]
+                    k = len(self.hom(i, parts[r]))
+                    flats = [(np.matmul(b, st) % p).reshape(k, -1) for b, st in zip(
+                        blocks[r].maps, self._hom_stack(i, parts[r]) if k else ())
+                        if b.shape[0] and st.shape[2]]
+                    cols[i, r] = (np.concatenate(flats, axis=1) if flats
+                                  else np.zeros((k, 0), dtype=np.int64))
+            mat = [cols[i, r] for r in rest if len(cols[i, r])]
             block = blocks[keep[pos]]
             drop = block.is_zero if not mat else self.field.solve_many(
-                np.stack(mat, axis=1) % p, block.flatten().reshape(-1, 1)) is not None
+                np.concatenate(mat).T, block.flatten().reshape(-1, 1)) is not None
             if drop:
                 keep = rest
             else:
@@ -709,9 +715,11 @@ def _hom_complex_diff(diff: tuple[np.ndarray, ...], parts_hi: list[int],
     and only where b is non-zero at both ends."""
     algebra, p = b.algebra, b.field.p
     dims, blocks = b.dim_list, algebra.blocks
-    acts = rep.basis_actions(b)
     cols = [0, *itertools.accumulate(dims[v] for v in parts_lo)]
     out = np.zeros((sum(dims[u] for u in parts_hi), cols[-1]), dtype=np.int64)
+    if not out.size:
+        return out
+    acts = rep.path_actions(b)
     r0 = 0
     for j, u in enumerate(parts_hi):
         r1 = r0 + dims[u]
@@ -721,9 +729,9 @@ def _hom_complex_diff(diff: tuple[np.ndarray, ...], parts_hi: list[int],
             x = (diff[u][:, start:start + len(own)] @ algebra.unit[own] % p).tolist()
             local = 0
             for c0, c1, v in zip(cols, cols[1:], parts_lo):
-                for g in blocks[v, u]:
+                for act in acts[v][u]:
                     if x[local] and c1 > c0:
-                        out[r0:r1, c0:c1] = (out[r0:r1, c0:c1] + x[local] * acts[g]) % p
+                        out[r0:r1, c0:c1] = (out[r0:r1, c0:c1] + x[local] * act) % p
                     local += 1
         r0 = r1
     return out

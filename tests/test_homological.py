@@ -8,6 +8,7 @@ from tiltbench.fitting import RadicalPreconditionViolated
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import Quiver, build_algebra, path_target
 
+import cover_route
 from conftest import CORPUS_DIR, corpus_paths, make_x, projectives
 
 
@@ -526,7 +527,7 @@ def _greedy_cover_all_vertices(m):
             if F.column_space_contains(covered[i], u.reshape(-1, 1)):
                 continue
             for j in range(len(m.dims)):
-                lift = np.tensordot(rep._block_action(m, i, j), u,
+                lift = np.tensordot(cover_route.block_action(m, i, j), u,
                                     axes=([2], [0])).T % F.p
                 covered[j] = F.column_reduce(np.concatenate([covered[j], lift], axis=1))
                 cols[j].append(lift)

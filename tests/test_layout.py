@@ -1,9 +1,9 @@
-"""Code layout: every public function and method in src/tiltbench has a
-caller in src/tiltbench, or is an entry point named below, no public
-module-level function name is defined in two modules, a public name that
-several definitions share is on the list below, every function reads each
-of its parameters, no module drives the garbage collector, and none
-reaches numpy's random package.
+"""Code layout: every function and method in src/tiltbench, private ones
+included and dunders aside, has a caller in src/tiltbench, or is an entry
+point named below, no public module-level function name is defined in two
+modules, a public name that several definitions share is on the list
+below, every function reads each of its parameters, no module drives the
+garbage collector, and none reaches numpy's random package.
 
 A call is any reference to the name (as a bare name or an attribute)
 outside the function's own body, so a name shared by two definitions counts
@@ -71,8 +71,10 @@ def _trees() -> dict[str, ast.Module]:
             for path in sorted(SRC.glob("*.py"))}
 
 
-def uncalled_public_functions() -> list[str]:
-    trees = _trees()
+def uncalled_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """Every function and method, private ones included, that no code in
+    trees references outside its own body.  Dunders are exempt: Python
+    calls them."""
     refs: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
         for name, line in _references(tree):
@@ -80,7 +82,7 @@ def uncalled_public_functions() -> list[str]:
     out = []
     for module, tree in trees.items():
         for qualname, fn in _definitions(tree, module):
-            if fn.name.startswith("_"):
+            if fn.name.startswith("__") and fn.name.endswith("__"):
                 continue
             if not any(where != module or not fn.lineno <= line <= fn.end_lineno
                        for where, line in refs.get(fn.name, ())):
@@ -89,7 +91,20 @@ def uncalled_public_functions() -> list[str]:
 
 
 def test_public_functions_have_callers_in_src():
-    assert [name for name in uncalled_public_functions() if name not in ENTRY_POINTS] == []
+    # private ones too: a helper kept alive only for tests is dead code
+    assert [name for name in uncalled_functions(_trees()) if name not in ENTRY_POINTS] == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def _f():\n    return 1", ["m._f"]),
+    ("class C:\n    def _g(self):\n        return 1", ["m.C._g"]),
+    ("def _f(n):\n    return _f(n - 1)", ["m._f"]),
+    ("def f():\n    return 1", ["m.f"]),
+    ("def _f():\n    return 1\ng = _f", []),
+    ("class C:\n    def __init__(self):\n        pass", []),
+])
+def test_uncalled_function_guard_sees_each_form(source, want):
+    assert uncalled_functions({"m": ast.parse(source)}) == want
 
 
 @pytest.mark.parametrize("source, want", [
@@ -103,7 +118,7 @@ def test_references_skip_attributes_of_imported_modules(source, want):
 
 def test_entry_points_are_still_defined_and_uncalled():
     # an entry point that gained a caller in src/ or was deleted leaves the list
-    assert ENTRY_POINTS <= set(uncalled_public_functions())
+    assert ENTRY_POINTS <= set(uncalled_functions(_trees()))
 
 
 # Public function and method names that several definitions share, each

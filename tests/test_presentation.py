@@ -7,6 +7,7 @@ import pytest
 from tiltbench import algebra_ops, axioms, fitting, jobspec, rep
 from tiltbench.quiver import Algebra, Quiver, path_target
 
+import cover_route
 from conftest import CORPUS_DIR, corpus_paths
 
 CORPUS = [p.stem for p in corpus_paths()]
@@ -173,15 +174,15 @@ def test_gamma_rejects_a_bumped_product(name):
 
 def _tensordot_radical(m):
     """rad(A)*m from every basis path of length >= 1, block by block,
-    through the basis actions.  Kept as the reference for the arrow-image
-    `rep.radical_subspaces`."""
+    through the whole-path basis actions of `cover_route`.  Kept as the
+    reference for the arrow-image `rep.radical_subspaces`."""
     alg, F = m.algebra, m.field
     cols = [[] for _ in m.dims]
     for (i, j), idx in alg.blocks.items():
         keep = [c for c, k in enumerate(idx) if alg.basis_paths[k][1]]
         if keep and m.dims[i] and m.dims[j]:
             gens = np.eye(len(idx), dtype=np.int64)[:, keep]
-            acts = np.tensordot(gens.T, rep._block_action(m, i, j), axes=1) % F.p
+            acts = np.tensordot(gens.T, cover_route.block_action(m, i, j), axes=1) % F.p
             cols[j].append(np.concatenate(list(acts), axis=1))
     return [F.column_reduce(np.concatenate(c, axis=1)) if c
             else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
