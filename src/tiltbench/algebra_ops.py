@@ -6,14 +6,12 @@ Gamma is assembled from the hom blocks between the pairwise non-isomorphic
 indecomposable summands M_i of M, so it comes with its idempotents
 e_i = id_{M_i}, and each basis element lies in one block
 e_j Gamma e_i = Hom(M_i, M_j) (the Peirce decomposition; Assem-Simson-
-Skowronski, Elements vol. 1, ch. I-III).  Where every End(M_i)/rad is F_p,
-Gamma is then presented on its Gabriel quiver: the arrows i -> j are a basis
-of rad/rad^2 in e_j Gamma e_i, and the basis is paths in them, chosen
-length by length; the presentation certifies that the arrows generate a
-nilpotent ideal of codimension n, which is the radical (Gabriel's theorem,
-ibid. ch. II).  Otherwise Gamma keeps its block quiver, one arrow
-i -> j per basis element of e_j Gamma e_i, and its radical, read block by
-block and certified nilpotent.  Either way Gamma is a `quiver.Algebra`
+Skowronski, Elements vol. 1, ch. I-III).  Gamma is then presented on its
+Gabriel quiver: the arrows i -> j are a basis of rad/rad^2 in e_j Gamma e_i,
+each vertex i whose End(M_i)/rad has dimension d_i > 1 over F_p gets d_i - 1
+top loops, and the basis is e_i, the loops and paths in the arrows, chosen
+length by length; the presentation certifies that the arrows generate the
+radical (Gabriel's theorem, ibid. ch. II).  Gamma is a `quiver.Algebra`
 like Lambda, with the same opposite (the transposed table), so
 Gamma-modules are plain `rep.Representation`s, and their radicals,
 projective covers, injective envelopes and (co)syzygies are rep's, the same
@@ -97,7 +95,7 @@ class DimBound:
 
 class AbstractAlgebra(Algebra):
     """Basic associative unital algebra from structure constants, presented
-    on its Gabriel quiver where its simples split.
+    on its Gabriel quiver.
 
     idempotents is a complete set of primitive orthogonal idempotents e_i
     (coordinate vectors summing to the unit) whose projectives A*e_i are
@@ -105,16 +103,15 @@ class AbstractAlgebra(Algebra):
     e_j A e_i (ValueError otherwise), and `blocks[i, j]` keeps the indices of
     the given basis of that block.
 
-    Where every e_i A e_i / rad is F_p, the basis of each block is replaced
-    by paths in the Gabriel arrows (`_present`): `quiver` has the arrows
-    i -> j, a basis of rad/rad^2 in e_j A e_i, the basis elements are
-    `basis_paths`, `table` and `idempotents` are in that basis, and the
-    arrows generate the radical, as for Lambda.  Otherwise (some
-    End(M_i)/rad larger than F_p) the algebra keeps the given basis on its
-    block quiver, one arrow i -> j, named b<k>, per basis element k of
-    e_j A e_i, and keeps its radical block by block in `block_radical`,
-    certified nilpotent on the whole table.  The opposite keeps the basis
-    and the idempotents.
+    The basis of each block is replaced by paths in the Gabriel arrows,
+    after e_i and its top loops on the diagonal (`_present`): `quiver` has
+    the arrows i -> j, a basis of rad/rad^2 in e_j A e_i, which generate the
+    radical and are `radical_arrows`, and after them d_i - 1 loops i -> i
+    wherever e_i A e_i / rad has dimension d_i > 1 over F_p; the basis
+    elements are `basis_paths`, and `table` and `idempotents` are in that
+    basis.  Where every simple splits there are no loops, and the arrows
+    are all radical, as for Lambda.  The opposite keeps the basis and the
+    idempotents.
     """
 
     def __init__(self, field: PrimeField, table: np.ndarray, unit: np.ndarray,
@@ -146,13 +143,11 @@ class AbstractAlgebra(Algebra):
         in_source = (right == eye).all(axis=2)
         in_target = (left == eye).all(axis=2)
         blocks: dict[tuple[int, int], list[int]] = {(i, j): [] for i in range(n) for j in range(n)}
-        block_arrows = []
         for k in range(dim):
             src, dst = np.flatnonzero(in_source[:, k]), np.flatnonzero(in_target[:, k])
             if len(src) != 1 or len(dst) != 1:
                 raise ValueError(f"basis element {k} lies in no single block e_j A e_i")
             blocks[int(src[0]), int(dst[0])].append(k)
-            block_arrows.append((f"b{k}", str(src[0]), str(dst[0])))
         # a map between non-isomorphic indecomposables is radical, so every
         # off-diagonal block lies in rad A; a diagonal block contributes
         # rad End(M_i), from the trace form of that block alone
@@ -160,34 +155,30 @@ class AbstractAlgebra(Algebra):
                else fitting.radical_from_table(field, table[np.ix_(idx, idx, idx)],
                                                self.idempotents[i][idx])
                for (i, j), idx in blocks.items()}
-        if all(len(blocks[i, i]) - rad[i, i].shape[1] == 1 for i in range(n)):
-            quiver, table, unit, blocks = self._present(field, table, blocks, rad)
-        else:
-            quiver = Quiver([str(i) for i in range(n)], block_arrows)
-            self.basis_paths = [(int(a.source), (k,)) for k, a in enumerate(quiver.arrows)]
-            cols = []
-            for (i, j), idx in blocks.items():
-                full = np.zeros((dim, rad[i, j].shape[1]), dtype=np.int64)
-                full[idx] = rad[i, j]
-                cols.append(full)
-            fitting.certify_nilpotent(field, table, np.concatenate(cols, axis=1))
-            self.block_radical = rad
+        quiver, table, unit, blocks, radical_arrows = self._present(field, table, blocks, rad)
         position = {path: k for k, path in enumerate(self.basis_paths)}
         super().__init__(field, quiver, table, unit, blocks,
-                         [position[int(a.source), (m,)] for m, a in enumerate(quiver.arrows)])
+                         [position[int(a.source), (m,)] for m, a in enumerate(quiver.arrows)],
+                         radical_arrows)
 
     def _present(self, F: PrimeField, table: np.ndarray, blocks: dict[tuple[int, int], list[int]],
                  rad: dict[tuple[int, int], np.ndarray]):
-        """The Gabriel quiver, and the table, unit and blocks in a basis of
-        paths in its arrows, block by block; sets `basis_paths` and
-        `idempotents` in that basis.
+        """The Gabriel quiver with its top loops, the table, unit and blocks
+        in a basis of paths in its arrows, block by block, and the indices
+        of the radical arrows; sets `basis_paths` and `idempotents` in that
+        basis.
 
         rad holds, per block, a basis of rad A meet e_j A e_i in the given
-        coordinates.  The arrows i -> j extend a basis of (rad^2)_(i, j),
-        the products of rad blocks through every j, to one of rad_(i, j).
-        The paths are chosen length by length: the paths of length l + 1
-        that are searched are the arrows after a basis, kept as B_l, of the
-        span P_l of all paths of length l, so B_(l+1) is again a basis of
+        coordinates: the whole block off the diagonal, the trace-form
+        radical of End(M_i) on it.  The arrows i -> j extend a basis of
+        (rad^2)_(i, j), the products of rad blocks through every j, to one
+        of rad_(i, j), so they are a basis of rad/rad^2 per block.  Block
+        (i, i) starts with e_i and then its top loops, the columns of the
+        identity that extend e_i and rad_(i, i): basis elements, not
+        radical, which the search never multiplies by.  The paths are
+        chosen length by length: the paths of length l + 1 that are
+        searched are the arrows after a basis, kept as B_l, of the span P_l
+        of all paths of length l, so B_(l+1) is again a basis of
         P_(l+1) = sum over arrows a of a P_l, and the search stays within
         dim A per length.  Each block keeps the paths of B_l that extend its
         basis so far.  The presentation certifies itself:
@@ -197,14 +188,19 @@ class AbstractAlgebra(Algebra):
            block's radical;
         3. P_L = 0 for the last length L searched.
 
-        By 1 the arrows generate the ideal I = P_1 + P_2 + ..., and by 3
-        I^L lies in P_L + P_(L+1) + ... = 0, so I is nilpotent and lies in
-        rad A.  A = span(e_i) + I by 1, and the e_i stay independent modulo
-        rad A, so I = rad A, of codimension n; by 2 its diagonal blocks are
-        the trace-form radicals the arrows were chosen from.  So the arrows
-        are the Gabriel quiver's (Assem-Simson-Skowronski, Elements vol. 1,
-        ch. II), and the structure constants are rebased one block triple
-        at a time.  A failed certificate raises AssertionError.
+        The arrows generate I = P_1 + P_2 + ..., closed under products, and
+        by 3 I^L lies in P_L + P_(L+1) + ... = 0.  By 1 I holds every
+        off-diagonal block, and by 1 and 2 its diagonal blocks are the
+        rad End(M_i), as e_i and the loops span a complement of rad_(i, i).
+        A is the span of the e_i, the loops and I, and a loop times a block
+        of I stays in I, so I is a nilpotent two-sided ideal, and A/I is the
+        product of the End(M_i)/rad: semisimple, since each End(M_i) is
+        local (certified when M was split).  Hence I = rad A, spanned by
+        paths in the arrows alone (rad = V + rad^2 for V the arrows' span
+        gives rad = V + V^2 + ...), whether or not the tops split.  So the
+        arrows are the Gabriel quiver's (Assem-Simson-Skowronski, Elements
+        vol. 1, ch. II), and the structure constants are rebased one block
+        triple at a time.  A failed certificate raises AssertionError.
         """
         p, n, dim = F.p, len(self.idempotents), table.shape[0]
         # the basis in block order, so that each block is one slice
@@ -245,9 +241,20 @@ class AbstractAlgebra(Algebra):
                 arrows[i, k] = (list(range(len(names), len(names) + len(picked))),
                                 rad[i, k][:, picked])
                 names += [(f"a{len(names) + m}", str(i), str(k)) for m in range(len(picked))]
+        radical_arrows = list(range(len(names)))
+        # block (i, i) starts with e_i and its top loops, the columns of the
+        # identity that extend e_i and rad_(i, i); the search below starts
+        # from e_i alone and multiplies only by the Gabriel arrows
         chosen = {st: ([], np.zeros((len(blocks[st]), 0), dtype=np.int64)) for st in pairs}
-        level = {(i, i): ([(i, ())], self.idempotents[i][blocks[i, i]].reshape(-1, 1))
-                 for i in range(n)}
+        level = {}
+        for i in range(n):
+            unit = self.idempotents[i][blocks[i, i]].reshape(-1, 1)
+            own = np.eye(len(blocks[i, i]), dtype=np.int64)
+            loops = own[:, extend(np.concatenate([unit, rad[i, i]], axis=1), own)]
+            chosen[i, i] = ([(i, ())] + [(i, (len(names) + m,)) for m in range(loops.shape[1])],
+                            np.concatenate([unit, loops], axis=1))
+            names += [(f"a{len(names) + m}", str(i), str(i)) for m in range(loops.shape[1])]
+            level[i, i] = ([(i, ())], unit)
         # P_l lies in rad^l, and rad^dim = 0
         for length in range(dim + 1):
             if not level:
@@ -292,14 +299,12 @@ class AbstractAlgebra(Algebra):
         eye = np.eye(dim, dtype=np.int64)
         self.idempotents = [eye[sl[i, i].start] for i in range(n)]
         return (Quiver([str(i) for i in range(n)], names), rebased, sum(self.idempotents),
-                {st: list(range(s.start, s.stop)) for st, s in sl.items()})
+                {st: list(range(s.start, s.stop)) for st, s in sl.items()}, radical_arrows)
 
     def _reverse_into(self, op: "AbstractAlgebra") -> list[int]:
         op.idempotents = self.idempotents
         op.basis_paths = [(path_target(self.quiver, path), path[1][::-1])
                           for path in self.basis_paths]
-        if self.block_radical is not None:
-            op.block_radical = {(j, i): r for (i, j), r in self.block_radical.items()}
         return list(range(self.dim))
 
 

@@ -294,12 +294,11 @@ class PrimeField:
         a = self.asarray(m)
         rows, cols = a.shape
         r, pivots = self._rref(a)
+        pivots = list(pivots)
         free = [c for c in range(cols) if c not in pivots]
         basis = self.zeros(cols, len(free))
-        for j, fc in enumerate(free):
-            basis[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, j] = (-r[i, fc]) % self.p
+        basis[free, range(len(free))] = 1
+        basis[pivots] = -r[:len(pivots), free] % self.p
         return basis
 
     @_memoized
@@ -316,12 +315,10 @@ class PrimeField:
             return None if bs.any() else self.zeros(0, bs.shape[1])
         aug = np.concatenate([a, bs], axis=1)
         r, pivots = self._rref(aug)
-        for pc in pivots:
-            if pc >= cols:
-                return None
+        if pivots and pivots[-1] >= cols:
+            return None
         x = self.zeros(cols, bs.shape[1])
-        for i, pc in enumerate(pivots):
-            x[pc] = r[i, cols:]
+        x[list(pivots)] = r[:len(pivots), cols:]
         return x
 
     # -- subspace utilities --------------------------------------------------
@@ -352,23 +349,17 @@ class PrimeField:
             return self.eye(n), self.eye(n)
         sub = self.asarray(sub).reshape(n, -1)
         r, pivots = self._rref(sub.T)
+        pivots = list(pivots)
         sub_basis = r[: len(pivots)].T  # columns, echelon form
         free = [i for i in range(n) if i not in pivots]
         reps = self.zeros(n, len(free))
-        for j, fr in enumerate(free):
-            reps[fr, j] = 1
-        # Write e_i = (element of sub) + sum_j c_ij reps_j.  With echelon sub
-        # basis, coefficient extraction is triangular: subtract pivot parts.
+        reps[free, range(len(free))] = 1
+        # e_i = (element of sub) + sum_j c_ij reps_j: a free e_i is its own
+        # rep, and the pivot e_c of the echelon column s_k is s_k, in sub,
+        # minus the rest of s_k, which lies on free coordinates
         proj = self.zeros(len(free), n)
-        for i in range(n):
-            v = self.zeros(n, 1)
-            v[i, 0] = 1
-            for k, pc in enumerate(pivots):
-                coef = v[pc, 0]
-                if coef:
-                    v = (v - coef * sub_basis[:, k : k + 1]) % self.p
-            for j, fr in enumerate(free):
-                proj[j, i] = v[fr, 0]
+        proj[range(len(free)), free] = 1
+        proj[:, pivots] = -sub_basis[free] % self.p
         return proj, reps
 
 

@@ -15,10 +15,10 @@ admissible at this bound and NotAdmissible is raised.
 `Algebra` is the structure a bound quiver algebra shares with End(M)
 (`algebra_ops.AbstractAlgebra`): structure constants, quiver, unit, Peirce
 blocks, the basis index of each arrow, each basis element as a path, the
-radical where the arrows do not generate it, one memo, and the opposite,
-which is the transposed table over the reversed quiver; no algebra is built
-twice.  The projectives, their radicals and simple tops, and the regular
-module are `rep`'s, built once per algebra.
+arrows that generate the radical, one memo, and the opposite, which is the
+transposed table over the reversed quiver; no algebra is built twice.  The
+projectives, their radicals and simple tops, and the regular module are
+`rep`'s, built once per algebra.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class Algebra:
         table: structure constants, table[i, j, k] = coefficient of basis
             element k in the product (basis i) * (basis j).
         quiver: one vertex per primitive idempotent e_v; each arrow is a
-            basis element, its length-one path (for Gamma, the Gabriel
-            arrows where its simples split, else every basis element), and
-            `arrow_basis[a]` is the basis index of arrow a.
+            basis element, its length-one path (for Gamma, its Gabriel
+            arrows and its top loops), and `arrow_basis[a]` is the basis
+            index of arrow a.
         unit: coordinates of 1 = sum of the e_v.
         blocks: blocks[s, t] lists the basis indices of e_t A e_s, in basis
             order, so the projective A e_s is the sum over t of these blocks
@@ -113,10 +113,10 @@ class Algebra:
         basis_paths (from the subclass): each basis element as the path of
             arrows whose product it is, so `rep` reads its action on a
             module off the arrow matrices, one arrow after a shared prefix.
-        block_radical: None where the arrows generate the radical (Lambda,
-            and Gamma on its Gabriel quiver), so rad(A)*m is the span of the
-            arrow images; otherwise rad A block by block, for (s, t) columns
-            in the coordinates of blocks[s, t] (`rep.radical_subspaces`).
+        radical_arrows: the indices of the arrows that generate rad A as
+            an ideal, so rad(A)*m is the span of their images
+            (`rep.radical_subspaces`): every arrow of Lambda, the Gabriel
+            arrows of Gamma.
 
     `opposite` is A^op: the same structure constants with the factors
     swapped, over the reversed quiver (Assem-Simson-Skowronski, Elements
@@ -130,10 +130,9 @@ class Algebra:
     would point back at the algebra: no algebra is in a reference cycle.
     """
 
-    block_radical: dict[tuple[int, int], np.ndarray] | None = None
-
     def __init__(self, field: PrimeField, quiver: Quiver, table: np.ndarray, unit: np.ndarray,
-                 blocks: dict[tuple[int, int], list[int]], arrow_basis: list[int]):
+                 blocks: dict[tuple[int, int], list[int]], arrow_basis: list[int],
+                 radical_arrows: list[int]):
         self.field = field
         self.quiver = quiver
         self.table = table
@@ -141,6 +140,7 @@ class Algebra:
         self.unit = unit
         self.blocks = blocks
         self.arrow_basis = arrow_basis
+        self.radical_arrows = radical_arrows
         self._opposite = None  # the opposite, or a weak reference to it
         self._opposite_basis: np.ndarray | None = None  # see _link_opposite
         self._memo: dict[tuple, object] = {}
@@ -166,7 +166,7 @@ class Algebra:
             op, self.field, self.quiver.reversed(),
             self.table.transpose(1, 0, 2)[np.ix_(order, order, order)], self.unit[order],
             {(t, s): sorted(int(at[k]) for k in idx) for (s, t), idx in self.blocks.items()},
-            [int(at[k]) for k in self.arrow_basis])
+            [int(at[k]) for k in self.arrow_basis], self.radical_arrows)
         self._opposite, self._opposite_basis = op, order
         op._opposite, op._opposite_basis = weakref.ref(self), at
         return op
@@ -229,7 +229,8 @@ class BoundQuiverAlgebra(Algebra):
         unit[[self.path_position[v, ()] for v in range(nv)]] = 1
         super().__init__(field, quiver, table, unit, blocks,
                          [self.path_position[quiver.vertex_index[a.source], (i,)]
-                          for i, a in enumerate(quiver.arrows)])
+                          for i, a in enumerate(quiver.arrows)],
+                         list(range(len(quiver.arrows))))
 
     @functools.cached_property
     def path_position(self) -> dict[Path, int]:

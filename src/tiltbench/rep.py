@@ -8,16 +8,15 @@ over Gamma = End(M) (on the quiver of `algebra_ops.AbstractAlgebra`) use
 the same type and the same code: kernels, cokernels, images, quotients,
 direct sums, duals, projectives, radicals, projective covers, injective
 envelopes and (co)syzygies read only what every `quiver.Algebra` gives.
-The radical of a module is the span of its arrow images wherever the arrows
-generate the algebra's radical (Lambda, and Gamma on its Gabriel quiver),
-and otherwise the images of `Algebra.block_radical`; every cover is
+The radical of a module is the span of the images of the arrows that
+generate the algebra's radical (`Algebra.radical_arrows`: every arrow of
+Lambda, Gamma's Gabriel arrows but not its top loops); every cover is
 certified surjective with its kernel inside the radical of its source.
 A basis element acts on a module as the product of the arrow matrices along
 its path (`Algebra.basis_paths`), applied one arrow at a time to the image
 of the path's prefix, which paths that share it compute once: a cover lifts
 the tops of a module this way, and `path_actions` keeps the whole action
-matrices, by module content, for Ext and a radical read off
-`block_radical`.
+matrices, by module content, for Ext and the transpose.
 
 Everything here is exact arithmetic over the algebra's prime field; kernels,
 cokernels and images come back together with the structure maps that witness
@@ -475,8 +474,9 @@ def injective(algebra: Algebra, v: int) -> Representation:
 def path_actions(m: Representation) -> tuple[tuple[np.ndarray, ...], ...]:
     """Per vertices i and j, the basis elements of e_j A e_i acting on m,
     stacked into an array of shape (block size, dim of m at j, dim of m at
-    i): `_path_images` of the identity at each i.  Kept in the algebra's
-    memo by m's content, read-only."""
+    i): `_path_images` of the identity at each i, for the Hom complexes of
+    Ext and the transpose (`subcat._hom_complex_diff`).  Kept in the
+    algebra's memo by m's content, read-only."""
     return memo(m.algebra._memo, ("path_actions", module_key(m)), lambda: read_only([
         _path_images(m, i, np.eye(d, dtype=np.int64)) for i, d in enumerate(m.dim_list)]))
 
@@ -505,22 +505,15 @@ def _path_images(m: Representation, i: int, u: np.ndarray) -> list[np.ndarray]:
 
 def radical_subspaces(m: Representation) -> list[np.ndarray]:
     """Per-vertex bases of rad(A)*m, column reduced, so the basis depends
-    only on the subspace.  Where the arrows generate rad A (Lambda, and
-    Gamma on its Gabriel quiver) it is the span of the arrow images;
-    otherwise that of the images of `Algebra.block_radical`, block by
-    block."""
+    only on the subspace: the span of the images of
+    `Algebra.radical_arrows`.  Their paths span rad A, rad A = V + V^2 + ...
+    for V their span, so rad(A)*m is V m."""
     F = m.field
     alg = m.algebra
     cols: list[list[np.ndarray]] = [[] for _ in m.dims]
-    if alg.block_radical is None:
-        for (_, t), mat in zip(alg.quiver.arrow_ends, m.maps):
-            if mat.size:
-                cols[t].append(mat)
-    else:
-        for (i, j), r in alg.block_radical.items():
-            if r.shape[1] and m.dims[i] and m.dims[j]:
-                acts = np.tensordot(r.T, path_actions(m)[i][j], axes=1) % F.p
-                cols[j].append(np.concatenate(list(acts), axis=1))
+    for a in alg.radical_arrows:
+        if m.maps[a].size:
+            cols[alg.quiver.arrow_ends[a][1]].append(m.maps[a])
     return [F.column_reduce(np.concatenate(c, axis=1)) if c
             else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
 

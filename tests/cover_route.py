@@ -6,13 +6,14 @@ which composes a block with a whole hom basis in one product per vertex.
 Here each basis element of the algebra acts on a module by the full
 product of the arrow matrices along its path, started from the identity,
 and a top representative is lifted by contracting those matrices with it
-(`np.tensordot`); the scan composes and flattens one hom-basis element at a
-time.  Integer products mod p are associative, so both routes must give
-equal arrays.
+(`np.tensordot`); the radical of a module is rad A, read off the trace
+form block by block, acting the same way; the scan composes and flattens
+one hom-basis element at a time.  Integer products mod p are associative,
+so both routes must give equal arrays.
 """
 import numpy as np
 
-from tiltbench import rep, subcat
+from tiltbench import fitting, rep, subcat
 
 
 def basis_actions(m):
@@ -34,20 +35,26 @@ def block_action(m, i, j, acts=None):
         len(idx), int(m.dims[j]), int(m.dims[i]))
 
 
+def radical_blocks(alg):
+    """rad A block by block, as columns in the coordinates of blocks[s, t]:
+    all of e_t A e_s for s != t, and the trace-form radical of the ring
+    e_s A e_s, whose unit is e_s, for s = t."""
+    return {(s, t): np.eye(len(idx), dtype=np.int64) if s != t
+            else fitting.radical_from_table(alg.field, alg.table[np.ix_(idx, idx, idx)],
+                                            alg.unit[idx])
+            for (s, t), idx in alg.blocks.items()}
+
+
 def radical_subspaces(m):
-    """rad(A)*m: the arrow images, or `block_radical` acting block by block."""
-    F, alg = m.field, m.algebra
+    """rad(A)*m: `radical_blocks` acting through the whole-path matrices,
+    without reading which arrows generate the radical."""
+    F = m.field
     cols = [[] for _ in m.dims]
-    if alg.block_radical is None:
-        for (_, t), mat in zip(alg.quiver.arrow_ends, m.maps):
-            if mat.size:
-                cols[t].append(mat)
-    else:
-        acts = basis_actions(m)
-        for (i, j), r in alg.block_radical.items():
-            if r.shape[1] and m.dims[i] and m.dims[j]:
-                got = np.tensordot(r.T, block_action(m, i, j, acts), axes=1) % F.p
-                cols[j].append(np.concatenate(list(got), axis=1))
+    acts = basis_actions(m)
+    for (i, j), r in radical_blocks(m.algebra).items():
+        if r.shape[1] and m.dims[i] and m.dims[j]:
+            got = np.tensordot(r.T, block_action(m, i, j, acts), axes=1) % F.p
+            cols[j].append(np.concatenate(list(got), axis=1))
     return [F.column_reduce(np.concatenate(c, axis=1)) if c
             else np.zeros((int(d), 0), dtype=np.int64) for c, d in zip(cols, m.dims)]
 

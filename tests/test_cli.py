@@ -179,6 +179,28 @@ class TestJsonReport:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["name"] == "cli-probe"
 
+    def test_non_split_kronecker_job(self, tmp_path, capsys):
+        """M = Lambda + DLambda + a (2, 2) module whose End is F_{101^2}, so
+        Gamma has a simple of dimension 2 and a top loop at its vertex."""
+        explicit = {"dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]}}
+        rc, doc = self.run_json(
+            tmp_path, capsys, "--seed", "42",
+            quiver={"vertices": ["1", "2"], "arrows": [["a", "1", "2"], ["b", "1", "2"]]},
+            module=["regular", "coregular", {"explicit": explicit}],
+            checks=["gen-cogen-ff", {"check": "d-precluster", "d": 1},
+                    {"check": "d-cluster-tilting", "d": 1}, {"check": "d-rigid", "d": 2}])
+        assert rc == 1 and doc["status"] == "fail"
+        got = {v["name"]: v for v in doc["verdicts"]}
+        assert {name: v["status"] for name, v in got.items()} == {
+            "gen-cogen-ff": "certified-pass", "2-Rigid": "fail",
+            "1-precluster-tilting": "fail", "1-cluster-tilting": "fail"}
+        exact = {"kind": "exact", "value": 2}
+        assert got["1-precluster-tilting"]["details"]["gamma"] == {
+            "domdim": exact, "selfinjective_left": {"kind": "exact", "value": 3},
+            "selfinjective_right": {"kind": "exact", "value": 3}}
+        assert got["1-cluster-tilting"]["details"]["gamma"] == {
+            "domdim": exact, "gldim": {"kind": "exact", "value": 3}}
+
     def test_out_path_not_writable(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "report.json"
         rc = cli.main(["check", write_job(tmp_path), "--trials", "20", "--out", str(out)])

@@ -84,7 +84,7 @@ def _algebra_case(case):
         return alg, _with_resolutions(base + [rep.sum_module(alg, base)])
     side, job = case.split(":")
     g = _non_split_gamma() if job == "non-split" else _realize(job).endomorphism_algebra()
-    assert (g.block_radical is not None) == (job == "non-split")
+    assert (g.radical_arrows != list(range(len(g.quiver.arrows)))) == (job == "non-split")
     g = g.opposite if side == "op" else g
     return g, _gamma_test_modules(g)
 

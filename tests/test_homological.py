@@ -257,9 +257,14 @@ def _non_split_gamma():
 def test_non_split_simple():
     g = _non_split_gamma()
     assert g.dim == 22
-    # no Gabriel presentation: Gamma keeps its block quiver, one arrow per
-    # basis element, and its radical block by block
-    assert g.block_radical is not None and len(g.quiver.arrows) == g.dim
+    # on its Gabriel quiver with one top loop, at the vertex of the
+    # 2-dimensional simple; the loop is a basis element but not radical
+    loops = [m for m, (s, t) in enumerate(g.quiver.arrow_ends) if s == t]
+    assert len(loops) == 1 and loops[0] not in g.radical_arrows
+    assert g.radical_arrows == [m for m in range(len(g.quiver.arrows)) if m not in loops]
+    (v, _), = [g.quiver.arrow_ends[m] for m in loops]
+    assert g.simples()[v].total_dim == 2
+    assert g.basis_paths[g.arrow_basis[loops[0]]] == (v, (loops[0],))
     assert sorted(s.total_dim for s in g.simples()) == [1, 1, 1, 1, 2]
     assert algebra_ops.global_dimension(g, cap=8) == 3
     assert algebra_ops.dominant_dimension(g, cap=8) == 2
@@ -323,17 +328,16 @@ def test_gamma_rejects_perturbed_idempotents(corpus):
                                   "nakayama_a3_rad2_bimodule", "non-split"])
 def test_ext_over_gamma(name):
     """Ext over Gamma, whose basis is not a path basis of a bound quiver:
-    on Gamma presented on its Gabriel quiver, dim Ext^1(S_i, S_j) is the
-    number of arrows i -> j; on every Gamma, including the non-split one on
-    its block quiver, pd S_i is the top degree k with Ext^k(S_i, S_j) != 0
-    for some j, and Tr Tr S_i is S_i when S_i is not projective."""
+    dim Ext^1(S_i, S_j) over F_p is the number of radical arrows i -> j,
+    also on the non-split Gamma, whose top loop is not counted; pd S_i is
+    the top degree k with Ext^k(S_i, S_j) != 0 for some j, and Tr Tr S_i
+    is S_i when S_i is not projective."""
     g = _non_split_gamma() if name == "non-split" else _realize(name).endomorphism_algebra()
     simples = g.simples()
-    if g.block_radical is None:
-        arrows = np.zeros((len(simples),) * 2, dtype=np.int64)
-        for s, t in g.quiver.arrow_ends:
-            arrows[s, t] += 1
-        assert [[subcat.ext_dim(a, b, 1) for b in simples] for a in simples] == arrows.tolist()
+    arrows = np.zeros((len(simples),) * 2, dtype=np.int64)
+    for m in g.radical_arrows:
+        arrows[g.quiver.arrow_ends[m]] += 1
+    assert [[subcat.ext_dim(a, b, 1) for b in simples] for a in simples] == arrows.tolist()
     for a in simples:
         pd = algebra_ops.projective_dimension(a, cap=8)
         assert pd.kind == "exact"

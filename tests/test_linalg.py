@@ -245,6 +245,88 @@ def test_zero_size_inputs_return_at_once(rows, cols, monkeypatch):
     assert x.shape == (3, 0) and x.dtype == np.int64
 
 
+# -- results read off the echelon form ------------------------------------------
+
+
+def _loop_nullspace(field, m):
+    """`nullspace` with its basis filled entry by entry."""
+    if np.size(m) == 0:
+        return field.eye(np.shape(m)[1])
+    a = field.asarray(m)
+    r, pivots = field.rref(a)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = field.zeros(a.shape[1], len(free))
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = (-r[i, fc]) % field.p
+    return basis
+
+
+def _loop_solve_many(field, m, bs):
+    """`solve_many` with its solution filled row by row."""
+    a, bs = field.asarray(m), field.asarray(bs)
+    rows, cols = a.shape
+    if rows == 0 or bs.shape[1] == 0:
+        return field.zeros(cols, bs.shape[1])
+    if cols == 0:
+        return None if bs.any() else field.zeros(0, bs.shape[1])
+    r, pivots = field.rref(np.concatenate([a, bs], axis=1))
+    for pc in pivots:
+        if pc >= cols:
+            return None
+    x = field.zeros(cols, bs.shape[1])
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, cols:]
+    return x
+
+
+def _loop_quotient_projection(field, sub, n):
+    """`quotient_projection` with each e_i reduced by the echelon basis."""
+    if np.size(sub) == 0:
+        return field.eye(n), field.eye(n)
+    sub = field.asarray(sub).reshape(n, -1)
+    r, pivots = field.rref(sub.T)
+    sub_basis = r[: len(pivots)].T
+    free = [i for i in range(n) if i not in pivots]
+    reps = field.zeros(n, len(free))
+    for j, fr in enumerate(free):
+        reps[fr, j] = 1
+    proj = field.zeros(len(free), n)
+    for i in range(n):
+        v = field.zeros(n, 1)
+        v[i, 0] = 1
+        for k, pc in enumerate(pivots):
+            coef = v[pc, 0]
+            if coef:
+                v = (v - coef * sub_basis[:, k : k + 1]) % field.p
+        for j, fr in enumerate(free):
+            proj[j, i] = v[fr, 0]
+    return proj, reps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F, F3]), st.integers(0, 9), st.integers(0, 9), st.integers(0, 9),
+       st.integers(0, 3), st.integers(0, 10**6))
+def test_echelon_reads_equal_the_entry_loops(field, rows, cols, rank, k, seed):
+    """nullspace, solve_many and quotient_projection read their results off
+    the reduced echelon form by index assignment; each gives the arrays the
+    entry-by-entry loops give, solvable right-hand sides and not."""
+    rng = np.random.default_rng(seed)
+    m = _low_rank(field, rng, rows, cols, min(rank, rows, cols))
+    sub = _low_rank(field, rng, rows, k, min(rank, rows, k))
+    solvable = m @ rng.integers(0, field.p, size=(cols, k))
+    fresh = PrimeField(field.p)
+    _assert_same(fresh.nullspace(m), _loop_nullspace(field, m))
+    for rhs in (solvable, rng.integers(0, field.p, size=(rows, k))):
+        want = _loop_solve_many(field, m, rhs)
+        got = fresh.solve_many(m, rhs)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_same(got, want)
+    _assert_same(fresh.quotient_projection(sub, rows), _loop_quotient_projection(field, sub, rows))
+
+
 # -- the elimination memo -------------------------------------------------------
 
 WARM = PrimeField(101)  # shared by every example below, so it runs warm

@@ -79,38 +79,51 @@ def test_block_table_equals_the_per_pair_reference(name):
 
 
 class _BlockQuiverGamma(Algebra):
-    """Gamma on its block quiver, one arrow per basis element of the block
-    table, with the radical kept block by block and certified nilpotent on
-    the whole table: the algebra as it was before its Gabriel presentation.
-    Kept as the reference for the presented Gamma's dimensions."""
+    """Gamma on its block quiver, one arrow per basis element: the algebra
+    as it was before its Gabriel presentation, kept as the reference for the
+    presented Gamma's dimensions.  Each diagonal block is rebased to e_i and
+    a basis of its trace-form radical (every simple here splits), each
+    off-diagonal block keeps its basis, and the radical arrows are every
+    arrow but the e_i, with their radical certified nilpotent on the whole
+    table."""
 
     def __init__(self, x):
         F, n = x.field, len(x.summands)
         table, idempotents = x._block_table()
-        blocks, arrows, paths, dim = {}, [], [], 0
+        dim = table.shape[0]
+        blocks, arrows, paths, radical, at = {}, [], [], [], 0
+        change = np.zeros((dim, dim), dtype=np.int64)
         for i in range(n):
             for j in range(n):
-                blocks[i, j] = list(range(dim, dim + len(x.hom(i, j))))
-                for k in blocks[i, j]:
+                idx = list(range(at, at + len(x.hom(i, j))))
+                blocks[i, j], at = idx, at + len(idx)
+                if i == j:
+                    rad = fitting.radical_from_table(F, table[np.ix_(idx, idx, idx)],
+                                                     idempotents[i][idx])
+                    change[np.ix_(idx, idx)] = np.concatenate(
+                        [idempotents[i][idx].reshape(-1, 1), rad], axis=1)
+                else:
+                    change[np.ix_(idx, idx)] = np.eye(len(idx), dtype=np.int64)
+                for k in idx:
                     arrows.append((f"b{k}", str(i), str(j)))
                     paths.append((i, (k,)))
-                dim += len(x.hom(i, j))
-        rad, cols = {}, []
-        for (i, j), idx in blocks.items():
-            rad[i, j] = (np.eye(len(idx), dtype=np.int64) if i != j else
-                         fitting.radical_from_table(F, table[np.ix_(idx, idx, idx)],
-                                                    idempotents[i][idx]))
-            full = np.zeros((dim, rad[i, j].shape[1]), dtype=np.int64)
-            full[idx] = rad[i, j]
-            cols.append(full)
-        fitting.certify_nilpotent(F, table, np.concatenate(cols, axis=1))
-        self.basis_paths, self.block_radical = paths, rad
+                    if k != idx[0] or i != j:
+                        radical.append(k)
+        # the products of the new basis elements, in the new basis
+        prods = np.tensordot(np.tensordot(change.T, table, axes=1) % F.p, change,
+                             axes=([1], [0])).transpose(0, 2, 1) % F.p
+        inverse = F.solve_many(change, np.eye(dim, dtype=np.int64))
+        assert inverse is not None, "a simple does not split"
+        table = np.tensordot(prods, inverse.T, axes=1) % F.p
+        eye = np.eye(dim, dtype=np.int64)
+        fitting.certify_nilpotent(F, table, eye[:, radical])
+        self.basis_paths = paths
         super().__init__(F, Quiver([str(i) for i in range(n)], arrows), table,
-                         sum(idempotents) % F.p, blocks, list(range(dim)))
+                         sum(eye[blocks[i, i][0]] for i in range(n)), blocks,
+                         list(range(dim)), radical)
 
     def _reverse_into(self, op):
         op.basis_paths = [(path_target(self.quiver, p), p[1]) for p in self.basis_paths]
-        op.block_radical = {(j, i): r for (i, j), r in self.block_radical.items()}
         return list(range(self.dim))
 
 
@@ -123,13 +136,14 @@ def _dimensions(g):
 def test_presented_dimensions_equal_the_block_quiver(name):
     x = _subcategory(name)
     g = x.endomorphism_algebra()
-    assert g.block_radical is None
+    # every simple splits, so Gamma has no top loops
+    assert g.radical_arrows == list(range(len(g.quiver.arrows)))
     assert _dimensions(g) == _dimensions(_BlockQuiverGamma(x))
 
 
 def test_serial_x4_generator_gamma_is_its_gabriel_quiver():
     g = _realize("serial_x4_generator").endomorphism_algebra()
-    assert g.block_radical is None
+    assert g.radical_arrows == list(range(len(g.quiver.arrows)))
     assert g.quiver.num_vertices == 4 and len(g.quiver.arrows) == 6
     # every basis element is the path of arrows it is named by, and the
     # opposite reads the same paths backwards
@@ -205,7 +219,8 @@ def _radical_test_modules(x):
 def test_arrow_radical_equals_the_tensordot_route(name):
     x = _realize(name)
     lam, gam = _radical_test_modules(x)
-    assert x.endomorphism_algebra().block_radical is None
+    g = x.endomorphism_algebra()
+    assert g.radical_arrows == list(range(len(g.quiver.arrows)))
     for m in lam + gam + [rep.dualize(m) for m in gam]:
         got, want = rep.radical_subspaces(m), _tensordot_radical(m)
         assert len(got) == len(want)
