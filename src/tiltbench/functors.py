@@ -260,7 +260,7 @@ def verify_star_adjunction_sequences(f: CoherentFunctor) -> dict:
         d0 = x.post_matrix(f.pres, z)     # Hom(Z,X1) -> Hom(Z,X0)
         d1 = x.post_matrix(c1, z)         # Hom(Z,X0) -> Hom(Z,T1)
         d2 = x.post_matrix(c2x, z)        # Hom(Z,T1) -> Hom(Z,T2)
-        if ((d1 @ d0) % F.p).any() or ((d2 @ d1) % F.p).any():
+        if np.count_nonzero((d1 @ d0) % F.p) or np.count_nonzero((d2 @ d1) % F.p):
             raise SequenceCheckFailed("transpose resolution is not a complex",
                                       {"summand": z})
         r0, r1, r2 = _rank(F, d0), _rank(F, d1), _rank(F, d2)

@@ -10,10 +10,13 @@ Each field keeps an elimination memo.  `rank`, `nullspace`, `solve_many`,
 `column_reduce` and `quotient_projection` (and so `column_space_contains`,
 which goes through `solve_many`) look up their arguments' raw content,
 dtype, shape and bytes as passed, before any reduction mod p, so a cached
-answer is exactly what the call would compute.  On a miss they reduce their input once and eliminate
-it through `_rref`, which keeps its own entries by the reduced matrix, so
-entry points that eliminate the same matrix share one elimination; `rref`
-reduces its input and goes there directly.
+answer is exactly what the call would compute.  On a miss they reduce their
+input once.  If the matrix they eliminate (m, [m | bs], m.T or sub.T) has at
+most SMALL_CELLS cells, they eliminate it on Python int lists and read the
+answer off the list rows, storing nothing else; a larger one goes through
+`_rref`, which keeps its own entries by the reduced matrix, so entry points
+that eliminate the same large matrix share one elimination.  `rref` reduces
+its input and goes to `_rref` directly.
 
 Only calls whose array arguments total at most MEMO_CALL_CELLS cells are
 stored, and the memo is emptied when the cells it holds (arguments and
@@ -36,11 +39,11 @@ import numpy as np
 
 _P_CAP = 1 << 20
 
-# rref eliminates matrices of at most this many cells on Python int lists,
-# where numpy's per-operation overhead would dominate.  Measured on random
-# square matrices over F_101 on a 2-vCPU VM (Python 3.11): the list kernel is
-# 2-4x faster up to 6x6 and 1.8x at 8x8, the two tie near 100 cells and
-# numpy wins from 144 cells up.
+# Matrices of at most this many cells are eliminated on Python int lists and
+# the entry points read their answers off the list rows.  Per memo miss of
+# each entry point (random matrices over F_101, 2-vCPU VM, Python 3.11) the
+# list path is 2-3x faster up to 4x4 and 1.2-1.4x at 8x8 than the numpy path;
+# the two tie near 100 cells and numpy wins from 128-144 cells up.
 SMALL_CELLS = 64
 
 # Elimination memo caps, in matrix cells (see the module docstring).
@@ -202,8 +205,8 @@ class PrimeField:
 
     # -- elimination -------------------------------------------------------
     # The memoized entry points reduce their input once, on a miss, and hand
-    # the reduced array to `_rref`, which does not reduce it again (see the
-    # module docstring).
+    # the reduced matrix to `_rref_lists` or `_rref`, which do not reduce it
+    # again (see the module docstring).
 
     def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form.
@@ -211,8 +214,8 @@ class PrimeField:
         Returns (r, pivots) with r row-reduced, pivot entries 1 and pivot
         columns cleared.  Zero-sized inputs are legal and return at once with
         an empty pivot list.  Matrices of at most SMALL_CELLS cells are
-        eliminated on Python int lists, larger ones with numpy row
-        operations; the RREF is unique, so both give the same r and pivots.
+        eliminated by the list kernel and read back as one array, larger ones
+        by numpy row operations; the RREF is unique, so both agree.
         """
         r, pivots = self._rref(self.asarray(m))
         return r, list(pivots)
@@ -223,17 +226,18 @@ class PrimeField:
         rows, cols = a.shape
         if rows == 0 or cols == 0:
             return a, ()
-        if rows * cols <= SMALL_CELLS:
-            r, pivots = self._rref_lists(a)
-        else:
+        if rows * cols > SMALL_CELLS:
             r, pivots = self._rref_numpy(a)
-        return r, tuple(pivots)
+            return r, tuple(pivots)
+        r, pivots = self._rref_lists(a.tolist())
+        return np.array(r, dtype=np.int64), tuple(pivots)
 
-    def _rref_lists(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """rref of a reduced, non-empty matrix, on lists of Python ints."""
+    def _rref_lists(self, m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+        """rref of a reduced, non-empty matrix given as lists of Python ints,
+        eliminated in place: the only elimination of a matrix of at most
+        SMALL_CELLS cells."""
         p = self.p
-        m = a.tolist()
-        rows, cols = a.shape
+        rows, cols = len(m), len(m[0])
         pivots: list[int] = []
         r = 0
         for c in range(cols):
@@ -253,7 +257,7 @@ class PrimeField:
                     m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
             pivots.append(c)
             r += 1
-        return np.array(m, dtype=np.int64), pivots
+        return m, pivots
 
     def _rref_numpy(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """rref of a reduced, non-empty matrix, by numpy row operations."""
@@ -284,7 +288,19 @@ class PrimeField:
     def rank(self, m: np.ndarray) -> int:
         if np.size(m) == 0:
             return 0
-        return len(self._rref(self.asarray(m))[1])
+        a = self.asarray(m)
+        if a.size <= SMALL_CELLS:
+            return len(self._rref_lists(a.tolist())[1])
+        return len(self._rref(a)[1])
+
+    def _kernel_rows(self, r: list, pivots: list[int], cols: int) -> list[list[int]]:
+        """Rows of the nullspace basis read off a list rref (r, pivots) with
+        cols columns: free column f gives e_f minus f's column of r, at the pivots."""
+        p = self.p
+        free = [c for c in range(cols) if c not in pivots]
+        row_of = dict(zip(pivots, r))
+        return [[-row_of[c][f] % p for f in free] if c in row_of else [int(c == f) for f in free]
+                for c in range(cols)]
 
     @_memoized
     def nullspace(self, m: np.ndarray) -> np.ndarray:
@@ -293,6 +309,8 @@ class PrimeField:
             return self.eye(np.shape(m)[1])
         a = self.asarray(m)
         rows, cols = a.shape
+        if a.size <= SMALL_CELLS:
+            return np.array(self._kernel_rows(*self._rref_lists(a.tolist()), cols), dtype=np.int64)
         r, pivots = self._rref(a)
         pivots = list(pivots)
         free = [c for c in range(cols) if c not in pivots]
@@ -309,15 +327,22 @@ class PrimeField:
         rows, cols = a.shape
         if bs.shape[0] != rows:
             raise ValueError("shape mismatch in solve")
-        if rows == 0 or bs.shape[1] == 0:
-            return self.zeros(cols, bs.shape[1])
+        k = bs.shape[1]
+        if rows == 0 or k == 0:
+            return self.zeros(cols, k)
         if cols == 0:
-            return None if bs.any() else self.zeros(0, bs.shape[1])
-        aug = np.concatenate([a, bs], axis=1)
-        r, pivots = self._rref(aug)
+            return None if bs.any() else self.zeros(0, k)
+        if rows * (cols + k) <= SMALL_CELLS:
+            r, pivots = self._rref_lists([x + y for x, y in zip(a.tolist(), bs.tolist())])
+            if pivots and pivots[-1] >= cols:
+                return None
+            row_of = dict(zip(pivots, r))
+            return np.array([row_of[c][cols:] if c in row_of else [0] * k for c in range(cols)],
+                            dtype=np.int64)
+        r, pivots = self._rref(np.concatenate([a, bs], axis=1))
         if pivots and pivots[-1] >= cols:
             return None
-        x = self.zeros(cols, bs.shape[1])
+        x = self.zeros(cols, k)
         x[list(pivots)] = r[:len(pivots), cols:]
         return x
 
@@ -334,7 +359,12 @@ class PrimeField:
         """Deterministic basis (as columns) of the column space of m."""
         if np.size(m) == 0:
             return self.zeros(np.shape(m)[0], 0)
-        r, pivots = self._rref(self.asarray(m).T)
+        a = self.asarray(m)
+        if a.size <= SMALL_CELLS:
+            r, pivots = self._rref_lists(a.T.tolist())
+            return np.array([[row[i] for row in r[:len(pivots)]] for i in range(a.shape[0])],
+                            dtype=np.int64)
+        r, pivots = self._rref(a.T)
         return r[: len(pivots)].T.copy()
 
     @_memoized
@@ -348,15 +378,24 @@ class PrimeField:
         if np.size(sub) == 0:
             return self.eye(n), self.eye(n)
         sub = self.asarray(sub).reshape(n, -1)
+        # e_i = (element of sub) + sum_j c_ij reps_j: a free e_i is its own
+        # rep, and the pivot e_c of the echelon column s_k is s_k, in sub,
+        # minus the rest of s_k, which lies on free coordinates; so proj is
+        # the transpose of the nullspace basis of sub's echelon rows
+        if sub.size <= SMALL_CELLS:
+            r, pivots = self._rref_lists(sub.T.tolist())
+            basis = self._kernel_rows(r, pivots, n)
+            q = n - len(pivots)
+            proj = np.array(list(zip(*basis)), dtype=np.int64).reshape(q, n)
+            reps = np.array([[0] * q if c in pivots else row for c, row in enumerate(basis)],
+                            dtype=np.int64)
+            return proj, reps
         r, pivots = self._rref(sub.T)
         pivots = list(pivots)
         sub_basis = r[: len(pivots)].T  # columns, echelon form
         free = [i for i in range(n) if i not in pivots]
         reps = self.zeros(n, len(free))
         reps[free, range(len(free))] = 1
-        # e_i = (element of sub) + sum_j c_ij reps_j: a free e_i is its own
-        # rep, and the pivot e_c of the echelon column s_k is s_k, in sub,
-        # minus the rest of s_k, which lies on free coordinates
         proj = self.zeros(len(free), n)
         proj[range(len(free)), free] = 1
         proj[:, pivots] = -sub_basis[free] % self.p

@@ -150,7 +150,7 @@ class ModuleMorphism:
 
     @property
     def is_zero(self) -> bool:
-        return not any(m.any() for m in self.maps)
+        return not any(np.count_nonzero(m) for m in self.maps)
 
     # compose, scale and add reduce each non-empty component once; an empty
     # one is built as it is

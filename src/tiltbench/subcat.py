@@ -415,7 +415,7 @@ class SubcategoryX:
                 flats = np.concatenate(
                     [c[:, do[dp][v]:do[dp + 1][v], :].reshape(k, -1)
                      for v, c in zip(verts, comps)], axis=1)
-                if flats.any():
+                if np.count_nonzero(flats):
                     _, left = self.hom_solver(z, j)
                     mat[row:row + kj, col:col + k] = (left @ flats.T) % p
                 row += kj

@@ -168,6 +168,12 @@ def _low_rank(field, rng, rows, cols, rank):
     return (left @ right).astype(np.int64)
 
 
+def _list_rref(field, m):
+    """The list kernel on m, its rows read back as an int64 array."""
+    r, pivots = field._rref_lists(field.asarray(m).tolist())
+    return np.array(r, dtype=np.int64), pivots
+
+
 def _same_rref(got, want):
     assert got[0].dtype == want[0].dtype == np.int64
     assert got[0].shape == want[0].shape
@@ -182,7 +188,7 @@ def test_list_kernel_matches_numpy_kernel(field, rows, cols, rank, seed):
     m = _low_rank(field, np.random.default_rng(seed), rows, cols,
                   min(rank, rows, cols))
     want = field._rref_numpy(field.asarray(m))
-    _same_rref(field._rref_lists(field.asarray(m)), want)
+    _same_rref(_list_rref(field, m), want)
     _same_rref(field.rref(m), want)
 
 
@@ -193,7 +199,7 @@ def test_kernels_agree_at_the_cutoff(shape):
         for rank in range(min(shape) + 1):
             m = _low_rank(field, rng, *shape, rank)
             want = field._rref_numpy(field.asarray(m))
-            _same_rref(field._rref_lists(field.asarray(m)), want)
+            _same_rref(_list_rref(field, m), want)
             _same_rref(field.rref(m), want)
 
 
@@ -204,7 +210,7 @@ def test_rref_dispatches_on_cell_count(monkeypatch):
         real = getattr(PrimeField, name)
         monkeypatch.setattr(PrimeField, name,
                             lambda self, a, name=name, real=real:
-                            seen.append((name, a.shape)) or real(self, a))
+                            seen.append((name, np.shape(a))) or real(self, a))
     # a fresh field: the module's F may hold these inputs in its memo
     fresh = PrimeField(101)
     fresh.rref(fresh.eye(8))
@@ -327,6 +333,118 @@ def test_echelon_reads_equal_the_entry_loops(field, rows, cols, rank, k, seed):
     _assert_same(fresh.quotient_projection(sub, rows), _loop_quotient_projection(field, sub, rows))
 
 
+# -- the list path of the entry points -------------------------------------------
+
+
+def _numpy_entry_points(field, m, rhs, sub):
+    """rank, nullspace, solve_many, column_reduce, quotient_projection and
+    column_space_contains on non-empty arguments, through the numpy kernel
+    and index assignment alone, at every size."""
+    p = field.p
+    a, b, sub = field.asarray(m), field.asarray(rhs), field.asarray(sub)
+    rows, cols = a.shape
+    r, pivots = field._rref_numpy(a)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    basis[pivots] = -r[:len(pivots), free] % p
+    r, aug = field._rref_numpy(np.concatenate([a, b], axis=1))
+    x = None
+    if not aug or aug[-1] < cols:
+        x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+        x[aug] = r[:len(aug), cols:]
+    r, col_pivots = field._rref_numpy(a.T)
+    r_sub, sub_pivots = field._rref_numpy(sub.T)
+    free = [i for i in range(rows) if i not in sub_pivots]
+    reps = np.zeros((rows, len(free)), dtype=np.int64)
+    reps[free, range(len(free))] = 1
+    proj = np.zeros((len(free), rows), dtype=np.int64)
+    proj[range(len(free)), free] = 1
+    proj[:, sub_pivots] = -r_sub[:len(sub_pivots)].T[free] % p
+    return {"rank": len(pivots), "nullspace": basis, "solve_many": x,
+            "column_reduce": r[:len(col_pivots)].T.copy(),
+            "quotient_projection": (proj, reps), "contains": x is not None}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F, F3]),
+       st.sampled_from([(1, 1), (2, 3), (4, 4), (8, 7), (8, 8), (8, 9), (9, 8),
+                        (1, 64), (1, 65), (64, 1)]),
+       st.integers(0, 9), st.integers(1, 3), st.booleans(),
+       st.sampled_from(["int64", "int32", "object"]), st.integers(0, 10**6))
+def test_list_path_equals_the_numpy_path(field, shape, rank, k, solvable, kind, seed):
+    """Each entry point on a fresh field, where a matrix of at most
+    SMALL_CELLS cells is answered on Python ints, returns the arrays of the
+    numpy path (same shape, dtype and entries), read-only when stored:
+    unreduced, negative, int32 and object inputs, rank-deficient and zero
+    matrices, shapes on both sides of the cutoff, and solve_many both
+    consistent and not, also where m is under the cutoff and [m | bs] over."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    m = _low_rank(field, rng, rows, cols, min(rank, rows, cols))
+    sub = _low_rank(field, rng, rows, cols, min(rank, rows, cols))
+    rhs = m @ rng.integers(-3, 4, size=(cols, k)) if solvable else rng.integers(-300, 300, size=(rows, k))
+    m, rhs, sub = (a.astype(kind) for a in (m, rhs, sub))
+    want = _numpy_entry_points(field, m, rhs, sub)
+    fresh = PrimeField(field.p)
+    got = {"rank": fresh.rank(m), "nullspace": fresh.nullspace(m),
+           "solve_many": fresh.solve_many(m, rhs), "column_reduce": fresh.column_reduce(m),
+           "quotient_projection": fresh.quotient_projection(sub, rows),
+           "contains": fresh.column_space_contains(m, rhs)}
+    for name in want:
+        if want[name] is None:
+            assert got[name] is None
+        else:
+            _assert_same(got[name], want[name])
+    arrays = [got["nullspace"], got["column_reduce"], *got["quotient_projection"]]
+    if got["solve_many"] is not None:
+        arrays.append(got["solve_many"])
+    if kind == "object":
+        # only eliminations above the cutoff, of the reduced int64 matrix
+        assert all(key[0] == "_rref" for key in fresh._memo)
+    else:
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_no_tiny_matrix_reaches_the_numpy_kernel(corpus, monkeypatch):
+    """On a corpus job's A1-A3op pass (counts, not times) no matrix of at
+    most SMALL_CELLS cells reaches the numpy kernel, and each entry-point
+    call that eliminates one either hits the memo, eliminating nothing, or
+    runs the list kernel once on it and stores its own entry only."""
+    from tiltbench import axioms
+    # never emptied during the pass, so a new entry marks a miss
+    monkeypatch.setattr(linalg, "MEMO_TOTAL_CELLS", 1 << 40)
+    x = corpus.fresh_x("nakayama_a3_rad2_bimodule").x
+    kernels = []
+    real_lists, real_numpy = PrimeField._rref_lists, PrimeField._rref_numpy
+    monkeypatch.setattr(PrimeField, "_rref_lists", lambda self, a: kernels.append(
+        ("lists", len(a) * len(a[0]))) or real_lists(self, a))
+    monkeypatch.setattr(PrimeField, "_rref_numpy", lambda self, a: kernels.append(
+        ("numpy", a.size)) or real_numpy(self, a))
+    tiny = []
+    for name in ("rank", "nullspace", "solve_many", "column_reduce", "quotient_projection"):
+        real = getattr(PrimeField, name)
+
+        def counted(self, *args, real=real):
+            # the eliminated matrix: m, [m | bs], m.T or sub.T
+            sizes = [np.size(a) for a in args if not isinstance(a, int)]
+            before, stored = len(kernels), len(self._memo)
+            out = real(self, *args)
+            if all(sizes) and sum(sizes) <= linalg.SMALL_CELLS:
+                tiny.append((kernels[before:], len(self._memo) - stored, sum(sizes)))
+            return out
+        monkeypatch.setattr(PrimeField, name, counted)
+
+    axioms.check_A1_A1op(x, 30, 42)
+    axioms.check_A2_A2op(x, 30, 42)
+    axioms.check_A3_A3op(x, 30, 42)
+    assert not [cells for kind, cells in kernels if kind == "numpy" and cells <= linalg.SMALL_CELLS]
+    misses = [t for t in tiny if t[0]]
+    assert misses and len(misses) < len(tiny)
+    for ran, grown, cells in tiny:
+        assert (ran, grown) in (([], 0), ([("lists", cells)], 1))
+
+
 # -- the elimination memo -------------------------------------------------------
 
 WARM = PrimeField(101)  # shared by every example below, so it runs warm
@@ -406,7 +524,7 @@ def _count_eliminations(monkeypatch):
     for name in ("_rref_lists", "_rref_numpy"):
         real = getattr(PrimeField, name)
         monkeypatch.setattr(PrimeField, name,
-                            lambda self, a, real=real: seen.append(a.shape) or real(self, a))
+                            lambda self, a, real=real: seen.append(np.shape(a)) or real(self, a))
     return seen
 
 
@@ -431,13 +549,22 @@ def test_repeat_calls_do_no_elimination(monkeypatch):
         for call in calls:
             call()
         assert len(seen) == first
-    # rank and nullspace of one matrix share one elimination
-    m = rng.integers(0, 101, size=(4, 7))
+    # above the cutoff, rank and nullspace of one matrix share one elimination
+    m = rng.integers(0, 101, size=(8, 9))
+    assert m.size > linalg.SMALL_CELLS
     before = len(seen)
     field.rank(m)
     field.nullspace(m)
     field.rank(m.astype(np.int32))  # another raw key, the same reduced matrix
     assert len(seen) == before + 1
+    # at or below it, each miss eliminates once on lists and stores only its
+    # own entry: no `_rref` entry is shared
+    m = rng.integers(0, 101, size=(4, 7))
+    before, stored = len(seen), len(field._memo)
+    field.rank(m)
+    field.nullspace(m)
+    assert len(seen) == before + 2 and len(field._memo) == stored + 2
+    assert not [key for key in field._memo if key[0] == "_rref" and key[2] == (4, 7)]
 
 
 def test_cached_results_are_read_only():
@@ -479,10 +606,10 @@ def test_memo_empties_at_the_total_cap(monkeypatch):
     for m in mats:
         field.nullspace(m)
         assert 0 < field._memo_cells <= 200
-    # a call stores 61 cells (the nullspace entry and the elimination
-    # entry), so the memo was emptied on the way and keeps the last few
+    # a call stores 28 cells (its 4x4 argument and the 4x3 basis), so the
+    # memo was emptied at the eighth call and keeps the last four
     assert len(seen) == len(mats)
-    assert len(field._memo) < 2 * len(mats)
+    assert len(field._memo) == 4 and field._memo_cells == 4 * 28
     field.nullspace(mats[-1])
     assert len(seen) == len(mats)
     field.nullspace(mats[0])
@@ -496,10 +623,15 @@ def test_object_inputs_are_not_stored():
     m = np.array([[5, 1], [3, 4]], dtype=object)
     assert field.rank(m) == 2
     assert np.array_equal(field.nullspace(m), np.zeros((2, 0), dtype=np.int64))
-    # only the elimination of the reduced int64 matrix is kept
-    assert [key[0] for key in field._memo] == ["_rref"]
+    # a tiny matrix is eliminated on lists, and nothing is kept
+    assert not field._memo
     assert field.rank(m.astype(np.int64)) == 2
-    assert "rank" in [key[0] for key in field._memo]
+    assert [key[0] for key in field._memo] == ["rank"]
+    # above the cutoff only the elimination of the reduced int64 matrix is kept
+    big = np.array(np.eye(9, dtype=np.int64) * 5, dtype=object)
+    assert field.rank(big) == 9
+    assert field.nullspace(big).shape == (9, 0)
+    assert [key[0] for key in field._memo] == ["rank", "_rref"]
 
 
 # -- the seeded stream: numpy's default_rng, bit for bit ----------------------
