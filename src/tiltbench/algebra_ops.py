@@ -6,17 +6,20 @@ Gamma is assembled from the hom blocks between the pairwise non-isomorphic
 indecomposable summands M_i of M, so it comes with its idempotents
 e_i = id_{M_i}, and each basis element lies in one block
 e_j Gamma e_i = Hom(M_i, M_j) (the Peirce decomposition; Assem-Simson-
-Skowronski, Elements vol. 1, ch. I-III).  Gamma is then presented on its
-Gabriel quiver: the arrows i -> j are a basis of rad/rad^2 in e_j Gamma e_i,
-each vertex i whose End(M_i)/rad has dimension d_i > 1 over F_p gets d_i - 1
-top loops, and the basis is e_i, the loops and paths in the arrows, chosen
-length by length; the presentation certifies that the arrows generate the
-radical (Gabriel's theorem, ibid. ch. II).  Gamma is a `quiver.Algebra`
-like Lambda, with the same opposite (the transposed table), so
-Gamma-modules are plain `rep.Representation`s, and their radicals,
-projective covers, injective envelopes and (co)syzygies are rep's, the same
-code as over Lambda.  Every cover is certified surjective with its kernel
-inside the radical, on either algebra.
+Skowronski, Elements vol. 1, ch. I-III).  Its products are compositions of
+hom bases, one block triple at a time and only where all three blocks are
+non-zero; no dense structure constants are built.  Gamma is then presented
+on its Gabriel quiver: the arrows i -> j are a basis of rad/rad^2 in
+e_j Gamma e_i, each vertex i whose End(M_i)/rad has dimension d_i > 1 over
+F_p gets d_i - 1 top loops, and the basis is e_i, the loops and paths in the
+arrows, chosen length by length; the presentation certifies that the arrows
+generate the radical (Gabriel's theorem, ibid. ch. II), and keeps each
+arrow's left and right action.  Gamma is a `quiver.Algebra` like Lambda,
+with the same opposite (the two actions swapped), so Gamma-modules are plain
+`rep.Representation`s, and their radicals, projective covers, injective
+envelopes and (co)syzygies are rep's, the same code as over Lambda.  Every
+cover is certified surjective with its kernel inside the radical, on either
+algebra.
 
 Resolution-length answers come back as DimBound values: exact, "at least n"
 (a resolution passed the configured cap while still alive), or infinite (a
@@ -94,79 +97,50 @@ class DimBound:
 
 
 class AbstractAlgebra(Algebra):
-    """Basic associative unital algebra from structure constants, presented
-    on its Gabriel quiver.
+    """Basic associative unital algebra A given block by block, presented on
+    its Gabriel quiver.
 
-    idempotents is a complete set of primitive orthogonal idempotents e_i
-    (coordinate vectors summing to the unit) whose projectives A*e_i are
-    pairwise non-isomorphic.  Every basis element must lie in a single block
-    e_j A e_i (ValueError otherwise), and `blocks[i, j]` keeps the indices of
-    the given basis of that block.
+    The blocks are indexed by pairs of n vertices: sizes[i, j] is the
+    dimension of e_j A e_i, units[i] the coordinates of e_i in the given
+    basis of e_i A e_i, and product(i, j, k) the products x_a y_b of the
+    given bases of e_k A e_j and e_j A e_i, an array (a, b, coordinates in
+    e_k A e_i), asked for only where all three blocks are non-zero, and at
+    most once per triple.  For Gamma = End(M) these are the hom blocks
+    Hom(M_i, M_j) with e_i = id_{M_i}, whose projectives are pairwise
+    non-isomorphic, and product is the composition of hom bases
+    (`subcat.SubcategoryX._compose`): no dense structure constants are
+    built.
 
     The basis of each block is replaced by paths in the Gabriel arrows,
     after e_i and its top loops on the diagonal (`_present`): `quiver` has
     the arrows i -> j, a basis of rad/rad^2 in e_j A e_i, which generate the
     radical and are `radical_arrows`, and after them d_i - 1 loops i -> i
     wherever e_i A e_i / rad has dimension d_i > 1 over F_p; the basis
-    elements are `basis_paths`, and `table` and `idempotents` are in that
-    basis.  Where every simple splits there are no loops, and the arrows
-    are all radical, as for Lambda.  The opposite keeps the basis and the
-    idempotents.
+    elements are `basis_paths`, in the blocks' order (i, j), and the arrows'
+    actions are in that basis.  Where every simple splits there are no
+    loops, and the arrows are all radical, as for Lambda.  The opposite
+    keeps the basis.
     """
 
-    def __init__(self, field: PrimeField, table: np.ndarray, unit: np.ndarray,
-                 idempotents: list[np.ndarray]):
-        table = np.asarray(table, dtype=np.int64) % field.p
-        dim = table.shape[0]
-        if table.shape != (dim, dim, dim):
-            raise ValueError("structure constants must be a cube")
-        unit = np.asarray(unit, dtype=np.int64) % field.p
-        self.idempotents = [np.asarray(e, dtype=np.int64) % field.p for e in idempotents]
-        n = len(self.idempotents)
-        ids = np.stack(self.idempotents)
-        # right[i, k] = b_k * e_i and left[j, k] = e_j * b_k, as coordinates,
-        # summed over the support of each e_i
-        support = [np.flatnonzero(e) for e in self.idempotents]
-        right = np.stack([np.tensordot(e[s], table[:, s], axes=([0], [1]))
-                          for e, s in zip(self.idempotents, support)]) % field.p
-        left = np.stack([np.tensordot(e[s], table[s], axes=1)
-                         for e, s in zip(self.idempotents, support)]) % field.p
-        # e_i * e_j = sum_k (e_j)_k (e_i * b_k), which is e_i when i = j, else 0
-        products = np.stack([np.tensordot(e[s], left[:, s], axes=([0], [1]))
-                             for e, s in zip(self.idempotents, support)], axis=1) % field.p
-        if not np.array_equal(products, np.eye(n, dtype=np.int64)[:, :, None] * ids):
-            raise ValueError("idempotents are not orthogonal")
-        if not np.array_equal(sum(self.idempotents) % field.p, unit):
-            raise ValueError("idempotents do not sum to the unit")
-        # in_source[i, k]: b_k * e_i = b_k; in_target[j, k]: e_j * b_k = b_k
-        eye = np.eye(dim, dtype=np.int64)
-        in_source = (right == eye).all(axis=2)
-        in_target = (left == eye).all(axis=2)
-        blocks: dict[tuple[int, int], list[int]] = {(i, j): [] for i in range(n) for j in range(n)}
-        for k in range(dim):
-            src, dst = np.flatnonzero(in_source[:, k]), np.flatnonzero(in_target[:, k])
-            if len(src) != 1 or len(dst) != 1:
-                raise ValueError(f"basis element {k} lies in no single block e_j A e_i")
-            blocks[int(src[0]), int(dst[0])].append(k)
+    def __init__(self, field: PrimeField, sizes: dict[tuple[int, int], int],
+                 units: list[np.ndarray], product):
+        product = functools.cache(product)
         # a map between non-isomorphic indecomposables is radical, so every
         # off-diagonal block lies in rad A; a diagonal block contributes
         # rad End(M_i), from the trace form of that block alone
-        rad = {(i, j): np.eye(len(idx), dtype=np.int64) if i != j
-               else fitting.radical_from_table(field, table[np.ix_(idx, idx, idx)],
-                                               self.idempotents[i][idx])
-               for (i, j), idx in blocks.items()}
-        quiver, table, unit, blocks, radical_arrows = self._present(field, table, blocks, rad)
-        position = {path: k for k, path in enumerate(self.basis_paths)}
-        super().__init__(field, quiver, table, unit, blocks,
-                         [position[int(a.source), (m,)] for m, a in enumerate(quiver.arrows)],
-                         radical_arrows)
+        rad = {(i, j): np.eye(size, dtype=np.int64) if i != j
+               else fitting.radical_from_table(field, product(i, i, i), units[i])
+               for (i, j), size in sizes.items()}
+        quiver, blocks, arrow_basis, radical_arrows, left, right = self._present(
+            field, sizes, units, product, rad)
+        super().__init__(field, quiver, blocks, arrow_basis, radical_arrows, left, right)
 
-    def _present(self, F: PrimeField, table: np.ndarray, blocks: dict[tuple[int, int], list[int]],
-                 rad: dict[tuple[int, int], np.ndarray]):
-        """The Gabriel quiver with its top loops, the table, unit and blocks
-        in a basis of paths in its arrows, block by block, and the indices
-        of the radical arrows; sets `basis_paths` and `idempotents` in that
-        basis.
+    def _present(self, F: PrimeField, sizes: dict[tuple[int, int], int], units: list[np.ndarray],
+                 product, rad: dict[tuple[int, int], np.ndarray]):
+        """The Gabriel quiver with its top loops, the blocks in a basis of
+        paths in its arrows, the basis index of each arrow, the indices of
+        the radical arrows, and each arrow's left and right actions on the
+        blocks; sets `basis_paths`.
 
         rad holds, per block, a basis of rad A meet e_j A e_i in the given
         coordinates: the whole block off the diagonal, the trace-form
@@ -199,24 +173,18 @@ class AbstractAlgebra(Algebra):
         paths in the arrows alone (rad = V + rad^2 for V the arrows' span
         gives rad = V + V^2 + ...), whether or not the tops split.  So the
         arrows are the Gabriel quiver's (Assem-Simson-Skowronski, Elements
-        vol. 1, ch. II), and the structure constants are rebased one block
-        triple at a time.  A failed certificate raises AssertionError.
+        vol. 1, ch. II).  An arrow's action on a projective A e_v is its
+        product with the chosen basis of each block through v, read in the
+        chosen basis of the block it lands in.  A failed certificate raises
+        AssertionError.
         """
-        p, n, dim = F.p, len(self.idempotents), table.shape[0]
-        # the basis in block order, so that each block is one slice
-        order = [k for idx in blocks.values() for k in idx]
-        if order != list(range(dim)):
-            table = table[np.ix_(order, order, order)]
-        at, sl = 0, {}
-        for st, idx in blocks.items():
-            sl[st] = slice(at, at + len(idx))
-            at += len(idx)
+        p, n, dim = F.p, len(units), sum(sizes.values())
 
         def products(i: int, j: int, k: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
             """The products x * y of the columns x of left, in e_k A e_j,
             and y of right, in e_j A e_i, as columns in the coordinates of
             e_k A e_i, x-major."""
-            slab = table[sl[j, k], sl[i, j], sl[i, k]]
+            slab = product(i, j, k)
             rows, inner, out = slab.shape
             half = (left.T @ slab.reshape(rows, inner * out) % p).reshape(-1, inner, out)
             return (half.transpose(2, 0, 1) @ right % p).reshape(out, -1)
@@ -227,15 +195,15 @@ class AbstractAlgebra(Algebra):
             pivots = F.rref(np.concatenate([base, new], axis=1))[1]
             return [c - base.shape[1] for c in pivots if c >= base.shape[1]]
 
-        pairs = [st for st, idx in blocks.items() if idx]
+        pairs = [st for st, size in sizes.items() if size]
         # arrows[j, k]: the arrow indices j -> k and their elements as columns
         arrows: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
         names = []
         for i, k in pairs:
             square = [products(i, j, k, rad[j, k], rad[i, j]) for j in range(n)
-                      if blocks[i, j] and blocks[j, k]]
+                      if sizes[i, j] and sizes[j, k]]
             base = (np.concatenate(square, axis=1) if square
-                    else np.zeros((len(blocks[i, k]), 0), dtype=np.int64))
+                    else np.zeros((sizes[i, k], 0), dtype=np.int64))
             picked = extend(base, rad[i, k])
             if picked:
                 arrows[i, k] = (list(range(len(names), len(names) + len(picked))),
@@ -245,11 +213,11 @@ class AbstractAlgebra(Algebra):
         # block (i, i) starts with e_i and its top loops, the columns of the
         # identity that extend e_i and rad_(i, i); the search below starts
         # from e_i alone and multiplies only by the Gabriel arrows
-        chosen = {st: ([], np.zeros((len(blocks[st]), 0), dtype=np.int64)) for st in pairs}
+        chosen = {st: ([], np.zeros((sizes[st], 0), dtype=np.int64)) for st in pairs}
         level = {}
         for i in range(n):
-            unit = self.idempotents[i][blocks[i, i]].reshape(-1, 1)
-            own = np.eye(len(blocks[i, i]), dtype=np.int64)
+            unit = units[i].reshape(-1, 1)
+            own = np.eye(sizes[i, i], dtype=np.int64)
             loops = own[:, extend(np.concatenate([unit, rad[i, i]], axis=1), own)]
             chosen[i, i] = ([(i, ())] + [(i, (len(names) + m,)) for m in range(loops.shape[1])],
                             np.concatenate([unit, loops], axis=1))
@@ -269,7 +237,7 @@ class AbstractAlgebra(Algebra):
                 chosen[i, j] = (have + [paths[c] for c in keep],
                                 np.concatenate([span, elems[:, keep]], axis=1))
                 for k in range(n):
-                    if (j, k) not in arrows or not blocks[i, k]:
+                    if (j, k) not in arrows or not sizes[i, k]:
                         continue
                     idx, elem = arrows[j, k]
                     got = nxt.setdefault((i, k), [[], []])
@@ -284,25 +252,33 @@ class AbstractAlgebra(Algebra):
         if level:
             raise AssertionError("the Gabriel arrows do not generate a nilpotent ideal")
         for st in pairs:
-            if len(chosen[st][0]) != len(blocks[st]):
+            if len(chosen[st][0]) != sizes[st]:
                 raise AssertionError(f"the paths do not span the block {st}")
         inverse = {st: F.solve_many(span, np.eye(span.shape[0], dtype=np.int64))
                    for st, (_, span) in chosen.items()}
-        rebased = np.zeros_like(table)
-        for i, j in pairs:
-            for k in range(n):
-                if blocks[j, k] and blocks[i, k]:
-                    prod = products(i, j, k, chosen[j, k][1], chosen[i, j][1])
-                    rebased[sl[j, k], sl[i, j], sl[i, k]] = (inverse[i, k] @ prod % p).reshape(
-                        -1, len(blocks[j, k]), len(blocks[i, j])).transpose(1, 2, 0)
         self.basis_paths = [path for st in pairs for path in chosen[st][0]]
-        eye = np.eye(dim, dtype=np.int64)
-        self.idempotents = [eye[sl[i, i].start] for i in range(n)]
-        return (Quiver([str(i) for i in range(n)], names), rebased, sum(self.idempotents),
-                {st: list(range(s.start, s.stop)) for st, s in sl.items()}, radical_arrows)
+        position = {path: k for k, path in enumerate(self.basis_paths)}
+        quiver = Quiver([str(i) for i in range(n)], names)
+        left = [[] for _ in range(n)]
+        right = [[] for _ in range(n)]
+        for m, (s, t) in enumerate(quiver.arrow_ends):
+            elem = chosen[s, t][1][:, [chosen[s, t][0].index((s, (m,)))]]
+            for v in range(n):
+                # a y for y in e_s A e_v, in e_t A e_v; x a for x in
+                # e_v A e_t, in e_v A e_s
+                left[v].append(inverse[v, t] @ products(v, s, t, elem, chosen[v, s][1]) % p
+                               if sizes[v, s] and sizes[v, t]
+                               else np.zeros((sizes[v, t], sizes[v, s]), dtype=np.int64))
+                right[v].append(inverse[s, v] @ products(s, t, v, chosen[t, v][1], elem) % p
+                                if sizes[t, v] and sizes[s, v]
+                                else np.zeros((sizes[s, v], sizes[t, v]), dtype=np.int64))
+        at, blocks = 0, {}
+        for st, size in sizes.items():
+            blocks[st], at = list(range(at, at + size)), at + size
+        return (quiver, blocks, [position[s, (m,)] for m, (s, _) in enumerate(quiver.arrow_ends)],
+                radical_arrows, left, right)
 
     def _reverse_into(self, op: "AbstractAlgebra") -> list[int]:
-        op.idempotents = self.idempotents
         op.basis_paths = [(path_target(self.quiver, path), path[1][::-1])
                           for path in self.basis_paths]
         return list(range(self.dim))

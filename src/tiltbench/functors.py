@@ -59,7 +59,7 @@ def _quotient(F, sub: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _solve(F, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """A solution x of m @ x = b for a vector b, or None."""
     if not m.size:
-        return None if b.any() else np.zeros(m.shape[1], dtype=np.int64)
+        return None if np.count_nonzero(b) else np.zeros(m.shape[1], dtype=np.int64)
     sol = F.solve_many(m, b.reshape(-1, 1))
     return None if sol is None else sol[:, 0]
 

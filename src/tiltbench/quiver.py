@@ -13,12 +13,14 @@ ideal for some L <= max_path_len; otherwise the ideal cannot be confirmed
 admissible at this bound and NotAdmissible is raised.
 
 `Algebra` is the structure a bound quiver algebra shares with End(M)
-(`algebra_ops.AbstractAlgebra`): structure constants, quiver, unit, Peirce
-blocks, the basis index of each arrow, each basis element as a path, the
-arrows that generate the radical, one memo, and the opposite, which is the
-transposed table over the reversed quiver; no algebra is built twice.  The
-projectives, their radicals and simple tops, and the regular module are
-`rep`'s, built once per algebra.
+(`algebra_ops.AbstractAlgebra`): quiver, Peirce blocks, the basis index of
+each arrow, each basis element as a path, the arrows that generate the
+radical, each arrow's left and right action block by block, one memo, and
+the opposite, which swaps the two actions over the reversed quiver; no
+algebra is built twice.  No algebra keeps its dense structure constants:
+`build_algebra` builds Lambda's to read the actions off and to certify
+associativity, and drops them.  The projectives, their radicals and simple
+tops, and the regular module are `rep`'s, built once per algebra.
 """
 
 from __future__ import annotations
@@ -100,16 +102,13 @@ class Algebra:
     (`algebra_ops.AbstractAlgebra`) share, and what `rep` reads of both.
 
     Attributes:
-        table: structure constants, table[i, j, k] = coefficient of basis
-            element k in the product (basis i) * (basis j).
         quiver: one vertex per primitive idempotent e_v; each arrow is a
             basis element, its length-one path (for Gamma, its Gabriel
             arrows and its top loops), and `arrow_basis[a]` is the basis
             index of arrow a.
-        unit: coordinates of 1 = sum of the e_v.
         blocks: blocks[s, t] lists the basis indices of e_t A e_s, in basis
             order, so the projective A e_s is the sum over t of these blocks
-            (`rep.projective`).
+            (`rep.projective`); the first index of blocks[v, v] is e_v.
         basis_paths (from the subclass): each basis element as the path of
             arrows whose product it is, so `rep` reads its action on a
             module off the arrow matrices, one arrow after a shared prefix.
@@ -117,30 +116,40 @@ class Algebra:
             an ideal, so rad(A)*m is the span of their images
             (`rep.radical_subspaces`): every arrow of Lambda, the Gabriel
             arrows of Gamma.
+        left_actions: left_actions[v][a] is the matrix of arrow a: s -> t
+            on the projective A e_v, from e_s A e_v to e_t A e_v in the
+            bases of blocks[v, s] and blocks[v, t], read-only.
+        right_actions: right_actions[v][a] is the matrix of x -> x a, from
+            e_v A e_t to e_v A e_s in the bases of blocks[t, v] and
+            blocks[s, v], read-only: the arrow matrices of the opposite's
+            projective at v.
 
-    `opposite` is A^op: the same structure constants with the factors
-    swapped, over the reversed quiver (Assem-Simson-Skowronski, Elements
-    vol. 1, ch. II).  Its basis is this one, reordered as a subclass says
-    (`_reverse_into`); the algebra that built it holds it, and it links
-    back weakly (`linalg.held`).  Each algebra keeps its cached results in
-    one dict, `_memo`, filled through `linalg.memo`: projectives, leaf
-    radicals and simples, the path actions, projective covers and
-    resolutions of modules by content, and Gamma's dimensions.
-    A module there is kept as `rep.stored` arrays, not as a module, which
-    would point back at the algebra: no algebra is in a reference cycle.
+    `opposite` is A^op, over the reversed quiver (Assem-Simson-Skowronski,
+    Elements vol. 1, ch. II): a right action of A is a left action of A^op,
+    so the opposite swaps the two actions.  Its basis is this one, reordered
+    as a subclass says (`_reverse_into`); the order keeps each block, and
+    each matrix has its rows and columns put in that order.  The algebra
+    that built it holds it, and it links back weakly (`linalg.held`).  Each
+    algebra keeps its cached results in one dict, `_memo`, filled through
+    `linalg.memo`: projectives, leaf radicals and simples, the path actions,
+    projective covers and resolutions of modules by content, and Gamma's
+    dimensions.  A module there is kept as `rep.stored` arrays, not as a
+    module, which would point back at the algebra: no algebra is in a
+    reference cycle.
     """
 
-    def __init__(self, field: PrimeField, quiver: Quiver, table: np.ndarray, unit: np.ndarray,
+    def __init__(self, field: PrimeField, quiver: Quiver,
                  blocks: dict[tuple[int, int], list[int]], arrow_basis: list[int],
-                 radical_arrows: list[int]):
+                 radical_arrows: list[int], left_actions: list[list[np.ndarray]],
+                 right_actions: list[list[np.ndarray]]):
         self.field = field
         self.quiver = quiver
-        self.table = table
-        self.dim = table.shape[0]
-        self.unit = unit
+        self.dim = sum(len(idx) for idx in blocks.values())
         self.blocks = blocks
         self.arrow_basis = arrow_basis
         self.radical_arrows = radical_arrows
+        self.left_actions = read_only(left_actions)
+        self.right_actions = read_only(right_actions)
         self._opposite = None  # the opposite, or a weak reference to it
         self._opposite_basis: np.ndarray | None = None  # see _link_opposite
         self._memo: dict[tuple, object] = {}
@@ -162,11 +171,21 @@ class Algebra:
         op = object.__new__(type(self))
         order = np.asarray(self._reverse_into(op), dtype=np.int64)
         at = np.argsort(order)  # at[k]: the index in op of basis element k
+        ends = self.quiver.arrow_ends
+        if np.array_equal(order, np.arange(len(order))):  # no row or column moves
+            left, right = self.right_actions, self.left_actions
+        else:
+            # move[s, t][r]: the position in blocks[s, t] of the r-th basis
+            # element of op's block (t, s)
+            move = {st: np.argsort(at[idx]) for st, idx in self.blocks.items()}
+            left = [[m[np.ix_(move[s, v], move[t, v])] if m.size else m
+                     for m, (s, t) in zip(acts, ends)] for v, acts in enumerate(self.right_actions)]
+            right = [[m[np.ix_(move[v, t], move[v, s])] if m.size else m
+                      for m, (s, t) in zip(acts, ends)] for v, acts in enumerate(self.left_actions)]
         Algebra.__init__(
             op, self.field, self.quiver.reversed(),
-            self.table.transpose(1, 0, 2)[np.ix_(order, order, order)], self.unit[order],
             {(t, s): sorted(int(at[k]) for k in idx) for (s, t), idx in self.blocks.items()},
-            [int(at[k]) for k in self.arrow_basis], self.radical_arrows)
+            [int(at[k]) for k in self.arrow_basis], self.radical_arrows, left, right)
         self._opposite, self._opposite_basis = op, order
         op._opposite, op._opposite_basis = weakref.ref(self), at
         return op
@@ -199,7 +218,10 @@ class Algebra:
 
 
 class BoundQuiverAlgebra(Algebra):
-    """Finite-dimensional quotient kQ/I of a path algebra.
+    """Finite-dimensional quotient kQ/I of a path algebra, given by the
+    structure constants `build_algebra` computes (table[i, j, k] is the
+    coefficient of basis element k in (basis i) * (basis j)); only the rows
+    at the arrows are kept, as the actions.
 
     Attributes (beyond `Algebra`'s):
         basis_paths: residue paths spanning the algebra, sorted by
@@ -225,12 +247,15 @@ class BoundQuiverAlgebra(Algebra):
                                                     for t in range(nv)}
         for k, path in enumerate(basis_paths):
             blocks[path[0], path_target(quiver, path)].append(k)
-        unit = np.zeros(len(basis_paths), dtype=np.int64)
-        unit[[self.path_position[v, ()] for v in range(nv)]] = 1
-        super().__init__(field, quiver, table, unit, blocks,
-                         [self.path_position[quiver.vertex_index[a.source], (i,)]
-                          for i, a in enumerate(quiver.arrows)],
-                         list(range(len(quiver.arrows))))
+        arrow_basis = [self.path_position[s, (a,)] for a, (s, _) in enumerate(quiver.arrow_ends)]
+        # each arrow's products with the blocks through v, as left and as right factor
+        super().__init__(field, quiver, blocks, arrow_basis, list(range(len(quiver.arrows))),
+                         [[_block(table[k], blocks[v, s], blocks[v, t])
+                           for k, (s, t) in zip(arrow_basis, quiver.arrow_ends)]
+                          for v in range(nv)],
+                         [[_block(table[:, k], blocks[t, v], blocks[s, v])
+                           for k, (s, t) in zip(arrow_basis, quiver.arrow_ends)]
+                          for v in range(nv)])
 
     @functools.cached_property
     def path_position(self) -> dict[Path, int]:
@@ -248,6 +273,14 @@ class BoundQuiverAlgebra(Algebra):
     def __repr__(self) -> str:
         return (f"BoundQuiverAlgebra(dim={self.dim}, vertices={len(self.quiver.vertices)}, "
                 f"arrows={len(self.quiver.arrows)}, p={self.field.p})")
+
+
+def _block(products: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
+    """The matrix products[rows, cols] transposed, from the span of rows to
+    that of cols; where it has no entries, from the shape alone."""
+    if rows and cols:
+        return products[np.ix_(rows, cols)].T
+    return np.zeros((len(cols), len(rows)), dtype=np.int64)
 
 
 def build_algebra(quiver: Quiver, relations, field: PrimeField,
@@ -351,7 +384,7 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField,
     def path_in_ideal(p: Path) -> bool:
         v = np.zeros(n, dtype=np.int64)
         v[col[p]] = 1
-        return not raw_reduce(v).any()
+        return not np.count_nonzero(raw_reduce(v))
 
     rad_len = None
     for ln in range(1, max_path_len + 1):
@@ -393,14 +426,15 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField,
 
     algebra = BoundQuiverAlgebra(quiver, field, basis, table, rad_len,
                                  [[(c, a) for c, a in terms] for terms in rels])
-    if not _associative(algebra):
+    if not _associative(algebra, table):
         raise NotAdmissible("multiplication table failed associativity; "
                             "non-homogeneous relations need a larger max_path_len")
     return algebra
 
 
-def _associative(algebra: BoundQuiverAlgebra) -> bool:
-    """Is the product given by `algebra.table` associative?  True is a proof.
+def _associative(algebra: BoundQuiverAlgebra, table: np.ndarray) -> bool:
+    """Is the product given by the structure constants table of algebra's
+    basis associative?  True is a proof.
 
     Let G be the trivial paths and the arrows, all of them basis elements
     (relation terms have length >= 2).  The check:
@@ -417,7 +451,7 @@ def _associative(algebra: BoundQuiverAlgebra) -> bool:
     so by step 1 every basis element: S is the algebra.  Without step 1
     nothing is proved, and the answer is False.
     """
-    p, table, dim = algebra.field.p, algebra.table, algebra.dim
+    p, dim = algebra.field.p, algebra.dim
     nv = algebra.quiver.num_vertices
     arrow = algebra.arrow_basis
     gens = [algebra.path_position[v, ()] for v in range(nv)] + list(arrow)
@@ -434,7 +468,7 @@ def _associative(algebra: BoundQuiverAlgebra) -> bool:
     by_right = table.reshape(dim * dim, dim)
     for g in gens:
         mult = table[g]  # mult[j, m]: coefficient of b_m in g b_j
-        rows = np.flatnonzero(mult.any(axis=1))
+        rows = np.flatnonzero(np.count_nonzero(mult, axis=1))
         left = np.zeros((dim, dim * dim), dtype=np.int64)
         left[rows] = mult[rows] @ by_left % p
         right = by_right[:, rows] @ mult[rows] % p

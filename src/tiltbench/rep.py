@@ -438,18 +438,16 @@ def simple(algebra: Algebra, v: int) -> Representation:
 
 def projective(algebra: Algebra, v: int) -> Representation:
     """The indecomposable projective A e_v: the space at w is e_w A e_v, with
-    basis `algebra.blocks[v, w]`, and an arrow acts by left multiplication
-    by its basis element.  Built once per (algebra, vertex) and kept in the
-    algebra's memo, its arrow matrices read-only."""
+    basis `algebra.blocks[v, w]`, and an arrow acts by left multiplication,
+    `algebra.left_actions[v]`.  Kept in the algebra's memo, read-only."""
     return Representation._of_reduced(
         algebra, *memo(algebra._memo, ("projective", v), _projective, algebra, v))
 
 
 def _projective(algebra: Algebra, v: int) -> tuple:
-    rows = [algebra.blocks[v, w] for w in range(algebra.quiver.num_vertices)]
-    maps = [algebra.table[k][np.ix_(rows[s], rows[t])].T
-            for k, (s, t) in zip(algebra.arrow_basis, algebra.quiver.arrow_ends)]
-    return read_only((np.array([len(r) for r in rows], dtype=np.int64), maps))
+    return read_only((np.array([len(algebra.blocks[v, w])
+                                for w in range(algebra.quiver.num_vertices)], dtype=np.int64),
+                      algebra.left_actions[v]))
 
 
 def dualize(m: Representation) -> Representation:

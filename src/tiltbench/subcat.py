@@ -10,9 +10,9 @@ A SubcategoryX fixes the indecomposable summands of a module M and provides:
   higher kernel/cokernel sequences whose exactness the axiom checkers test,
   the cokernel side run as the kernel side of the opposite subcategory;
 * membership ("is this module in add(M)?") with an explicit isomorphism;
-* End(M) of the basic module, built once from the cached block homs
-  together with its summand idempotents, and presented on its Gabriel
-  quiver where its simples split.
+* End(M) of the basic module, built once from the cached summand hom
+  bases, composed one block triple at a time on demand, and presented on
+  its Gabriel quiver with no dense structure constants.
 
 Module-level functions cover the algebra-side homology that does not depend
 on X: minimal projective resolutions, Ext groups, the transpose, and the
@@ -237,53 +237,33 @@ class SubcategoryX:
 
     def endomorphism_algebra(self) -> AbstractAlgebra:
         """Gamma = End(M_1 (+) ... (+) M_n) of the basic module, built once
-        from `_block_table` and presented on its Gabriel quiver where it
-        can be (`algebra_ops.AbstractAlgebra`).  The invariants read off
+        from the cached summand hom bases and presented on its Gabriel
+        quiver (`algebra_ops.AbstractAlgebra`).  The invariants read off
         downstream (global, dominant, selfinjective dimensions) are Morita
         invariant, so multiplicities in M do not matter.
         """
         return memo(self._memo, ("gamma",), self._endomorphism_algebra)
 
     def _endomorphism_algebra(self) -> AbstractAlgebra:
-        table, idempotents = self._block_table()
-        return AbstractAlgebra(self.field, table, sum(idempotents) % self.field.p, idempotents)
+        """Gamma from its block sizes dim Hom(M_i, M_j), the coordinates of
+        each e_i = id_{M_i} in the (i, i) hom basis, and `_compose`."""
+        n, p = len(self.summands), self.field.p
+        return AbstractAlgebra(
+            self.field, {(i, j): len(self.hom(i, j)) for i in range(n) for j in range(n)},
+            [self.hom_solver(i, i)[1] @ rep.identity_morphism(s).flatten() % p
+             for i, s in enumerate(self.summands)], self._compose)
 
-    def _block_table(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Gamma's structure constants in the basis of the cached hom bases
-        Hom(M_i, M_j), block by block, with e_i = id_{M_i}, its primitive
-        idempotents.  The products of Hom(M_j, M_k) x Hom(M_i, M_j) are one
-        slab: one product of the stacked components per vertex, and one
-        product with the left inverse of the (i, k) basis."""
-        F = self.field
-        n = len(self.summands)
-        nv = self.algebra.quiver.num_vertices
-        size = {(i, j): len(self.hom(i, j)) for i in range(n) for j in range(n)}
-        span: dict[tuple[int, int], slice] = {}
-        dim = 0
-        for st, m in size.items():
-            span[st] = slice(dim, dim + m)
-            dim += m
-        # b_g * b_h for h: M_i -> M_j and g: M_j -> M_k lies in block (i, k)
-        table = np.zeros((dim, dim, dim), dtype=np.int64)
-        for (i, j), inner in size.items():
-            for k in range(n):
-                outer = size[j, k]
-                if not (inner and outer and size[i, k]):
-                    continue
-                g, h = self._hom_stack(j, k), self._hom_stack(i, j)
-                # row (a, b): the flattened components of g_a o h_b
-                flats = np.concatenate([np.einsum("axy,byz->abxz", g[v], h[v]).reshape(
-                    outer * inner, -1) for v in range(nv)], axis=1) % F.p
-                table[span[j, k], span[i, j], span[i, k]] = (
-                    flats @ self.hom_solver(i, k)[1].T % F.p).reshape(outer, inner, -1)
-        idempotents = []
-        for i in range(n):
-            e = np.zeros(dim, dtype=np.int64)
-            _, left = self.hom_solver(i, i)
-            ident = rep.identity_morphism(self.summands[i]).flatten()
-            e[span[i, i]] = (left @ ident) % F.p
-            idempotents.append(e)
-        return table, idempotents
+    def _compose(self, i: int, j: int, k: int) -> np.ndarray:
+        """The products g_a o h_b of the (j, k) and (i, j) hom bases, as an
+        array (a, b, coordinates in the (i, k) basis): one product of the
+        stacked components per vertex, and one product with the left
+        inverse of the (i, k) basis.  Each of the three bases is non-empty."""
+        g, h = self._hom_stack(j, k), self._hom_stack(i, j)
+        outer, inner = len(g[0]), len(h[0])
+        # row (a, b): the flattened components of g_a o h_b
+        flats = np.concatenate([np.einsum("axy,byz->abxz", gv, hv).reshape(outer * inner, -1)
+                                for gv, hv in zip(g, h)], axis=1) % self.field.p
+        return (flats @ self.hom_solver(i, k)[1].T % self.field.p).reshape(outer, inner, -1)
 
     def hom_solver(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(stacked flats, left inverse) of the (i, j) hom basis; the
@@ -724,9 +704,9 @@ def _hom_complex_diff(diff: tuple[np.ndarray, ...], parts_hi: list[int],
     for j, u in enumerate(parts_hi):
         r1 = r0 + dims[u]
         if r1 > r0:
-            # generator j: e_u in part j, read in the block e_u A e_u
-            start, own = sum(len(blocks[w, u]) for w in parts_hi[:j]), blocks[u, u]
-            x = (diff[u][:, start:start + len(own)] @ algebra.unit[own] % p).tolist()
+            # generator j: e_u in part j, the first basis element of the
+            # block e_u A e_u, so its column in diff[u] is where part j starts
+            x = diff[u][:, sum(len(blocks[w, u]) for w in parts_hi[:j])].tolist()
             local = 0
             for c0, c1, v in zip(cols, cols[1:], parts_lo):
                 for act in acts[v][u]:

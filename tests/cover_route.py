@@ -15,6 +15,8 @@ import numpy as np
 
 from tiltbench import fitting, rep, subcat
 
+import dense_route
+
 
 def basis_actions(m):
     """The matrix on m of each basis element, in basis order."""
@@ -38,10 +40,11 @@ def block_action(m, i, j, acts=None):
 def radical_blocks(alg):
     """rad A block by block, as columns in the coordinates of blocks[s, t]:
     all of e_t A e_s for s != t, and the trace-form radical of the ring
-    e_s A e_s, whose unit is e_s, for s = t."""
+    e_s A e_s, whose unit is e_s, for s = t, read off the reference table
+    of `dense_route`."""
+    table, one = dense_route.table(alg), dense_route.unit(alg)
     return {(s, t): np.eye(len(idx), dtype=np.int64) if s != t
-            else fitting.radical_from_table(alg.field, alg.table[np.ix_(idx, idx, idx)],
-                                            alg.unit[idx])
+            else fitting.radical_from_table(alg.field, table[np.ix_(idx, idx, idx)], one[idx])
             for (s, t), idx in alg.blocks.items()}
 
 

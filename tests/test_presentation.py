@@ -1,4 +1,5 @@
-"""Gamma = End(M) on its Gabriel quiver: the slab-built block table, the
+"""Gamma = End(M) on its Gabriel quiver: the block compositions against the
+per-pair reference, the arrow actions against the dense route, the
 presentation's certificate, the arrow-image radical, and the seeded
 isomorphism probe."""
 import numpy as np
@@ -8,7 +9,9 @@ from tiltbench import algebra_ops, axioms, fitting, jobspec, rep
 from tiltbench.quiver import Algebra, Quiver, path_target
 
 import cover_route
+import dense_route
 from conftest import CORPUS_DIR, corpus_paths
+from test_homological import _non_split_x
 
 CORPUS = [p.stem for p in corpus_paths()]
 
@@ -50,7 +53,8 @@ def _subcategory(name):
 
 def _per_pair_table(x):
     """Gamma's block table built one composition at a time, as it was built
-    first.  Kept as the reference for `SubcategoryX._block_table`."""
+    first.  Kept as the reference for the slabs of `dense_route.block_table`
+    and for `SubcategoryX._compose`."""
     F, n = x.field, len(x.summands)
     offset, dim = {}, 0
     for i in range(n):
@@ -72,10 +76,64 @@ def _per_pair_table(x):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_block_table_equals_the_per_pair_reference(name):
+    """The dense route's slab-built table, and each composition of non-zero
+    blocks that Gamma is built from, one block triple at a time."""
     x = _realize(name)
-    table, _ = x._block_table()
+    table, _ = dense_route.block_table(x)
     want = _per_pair_table(x)
     assert table.dtype == want.dtype and np.array_equal(table, want)
+    n, at, span = len(x.summands), 0, {}
+    for i in range(n):
+        for j in range(n):
+            span[i, j], at = slice(at, at + len(x.hom(i, j))), at + len(x.hom(i, j))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if x.hom(i, j) and x.hom(j, k) and x.hom(i, k):
+                    got = x._compose(i, j, k)
+                    ref = want[span[j, k], span[i, j], span[i, k]]
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _same_actions(got, want):
+    """Per vertex and arrow: equal shape, dtype and entries."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert len(a) == len(b)
+        for m, r in zip(a, b):
+            assert m.shape == r.shape and m.dtype == r.dtype and np.array_equal(m, r)
+
+
+@pytest.mark.parametrize("name", CORPUS + list(FAMILIES) + ["non-split"])
+def test_actions_equal_the_dense_route(name):
+    """On Lambda, Lambda^op, Gamma and Gamma^op, each arrow's left and right
+    actions are the rows and columns of the reference table at the arrow,
+    and Gamma's presentation is the dense route's."""
+    x = _non_split_x() if name == "non-split" else _subcategory(name)
+    g = dense_route.gamma(x)
+    ref = dense_route.DenseGamma(x)
+    assert (g.basis_paths, g.blocks, g.arrow_basis, g.radical_arrows) == (
+        ref.basis_paths, ref.blocks, ref.arrow_basis, ref.radical_arrows)
+    assert ([(a.name, a.source, a.target) for a in g.quiver.arrows]
+            == [(a.name, a.source, a.target) for a in ref.quiver.arrows])
+    for alg in (x.algebra, x.algebra.opposite, g, g.opposite):
+        left, right = dense_route.actions(dense_route.table(alg), alg.blocks, alg.arrow_basis,
+                                          alg.quiver.arrow_ends, alg.quiver.num_vertices)
+        _same_actions(alg.left_actions, left)
+        _same_actions(alg.right_actions, right)
+        for v in range(alg.quiver.num_vertices):
+            _same_actions([rep.projective(alg, v).maps], [left[v]])
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_each_idempotent_is_first_in_its_block(name):
+    """e_u is the first basis element of the block (u, u), on Lambda,
+    Lambda^op, Gamma and Gamma^op."""
+    x = _realize(name)
+    g = x.endomorphism_algebra()
+    for alg in (x.algebra, x.algebra.opposite, g, g.opposite):
+        for u in range(alg.quiver.num_vertices):
+            assert alg.basis_paths[alg.blocks[u, u][0]] == (u, ())
 
 
 class _BlockQuiverGamma(Algebra):
@@ -89,7 +147,7 @@ class _BlockQuiverGamma(Algebra):
 
     def __init__(self, x):
         F, n = x.field, len(x.summands)
-        table, idempotents = x._block_table()
+        table, idempotents = dense_route.block_table(x)
         dim = table.shape[0]
         blocks, arrows, paths, radical, at = {}, [], [], [], 0
         change = np.zeros((dim, dim), dtype=np.int64)
@@ -118,9 +176,9 @@ class _BlockQuiverGamma(Algebra):
         eye = np.eye(dim, dtype=np.int64)
         fitting.certify_nilpotent(F, table, eye[:, radical])
         self.basis_paths = paths
-        super().__init__(F, Quiver([str(i) for i in range(n)], arrows), table,
-                         sum(eye[blocks[i, i][0]] for i in range(n)), blocks,
-                         list(range(dim)), radical)
+        q = Quiver([str(i) for i in range(n)], arrows)
+        super().__init__(F, q, blocks, list(range(dim)), radical,
+                         *dense_route.actions(table, blocks, list(range(dim)), q.arrow_ends, n))
 
     def _reverse_into(self, op):
         op.basis_paths = [(path_target(self.quiver, p), p[1]) for p in self.basis_paths]
@@ -142,48 +200,71 @@ def test_presented_dimensions_equal_the_block_quiver(name):
 
 
 def test_serial_x4_generator_gamma_is_its_gabriel_quiver():
-    g = _realize("serial_x4_generator").endomorphism_algebra()
+    g = dense_route.gamma(_realize("serial_x4_generator"))
     assert g.radical_arrows == list(range(len(g.quiver.arrows)))
     assert g.quiver.num_vertices == 4 and len(g.quiver.arrows) == 6
     # every basis element is the path of arrows it is named by, and the
     # opposite reads the same paths backwards
+    table = dense_route.table(g)
     for k, (src, arrows) in enumerate(g.basis_paths):
-        elem = g.idempotents[src]
+        elem = np.eye(g.dim, dtype=np.int64)[g.blocks[src, src][0]]
         for a in arrows:
-            elem = elem @ g.table[g.arrow_basis[a]] % g.field.p
+            elem = elem @ table[g.arrow_basis[a]] % g.field.p
         assert np.array_equal(elem, np.eye(g.dim, dtype=np.int64)[k])
     op = g.opposite
     assert op.basis_paths == [(path_target(g.quiver, p), p[1][::-1]) for p in g.basis_paths]
 
 
-def _bumped(g):
-    """For each arrow pair a: i -> j, b: j -> i, Gamma's table with e_i added
-    to the product b a: the idempotents and the blocks still check, and
-    so do the diagonal blocks' own radicals, which never see b a."""
-    F = g.field
+def _constructor_arguments(x):
+    """What `SubcategoryX._endomorphism_algebra` gives `AbstractAlgebra`:
+    the block sizes, the coordinates of each e_i and the compositions."""
+    n, p = len(x.summands), x.field.p
+    return ({(i, j): len(x.hom(i, j)) for i in range(n) for j in range(n)},
+            [x.hom_solver(i, i)[1] @ rep.identity_morphism(s).flatten() % p
+             for i, s in enumerate(x.summands)], x._compose)
+
+
+def _bumped(x):
+    """For each arrow pair a: i -> j, b: j -> i of Gamma, the compositions
+    with e_i added to the product b a: the blocks and the diagonal blocks'
+    own radicals, which never see b a, still check.  The presented basis of
+    a block is the dense route's `spans` in hom coordinates, so a's
+    coordinate of y is row a of the inverse of the (i, j) span, and the
+    bump adds that of y times b's of x, times e_i, to x y."""
+    g, ref, F = x.endomorphism_algebra(), dense_route.DenseGamma(x), x.field
+    sizes, units, compose = _constructor_arguments(x)
     out = []
-    for a, arr in enumerate(g.quiver.arrows):
-        for b, brr in enumerate(g.quiver.arrows):
-            if arr.source != arr.target and (brr.source, brr.target) == (arr.target, arr.source):
-                table = g.table.copy()
-                i = int(np.flatnonzero(g.idempotents[int(arr.source)])[0])
-                table[g.arrow_basis[b], g.arrow_basis[a], i] = (
-                    table[g.arrow_basis[b], g.arrow_basis[a], i] + 1) % F.p
-                out.append(table)
-    return out
+    for a, (i, j) in enumerate(g.quiver.arrow_ends):
+        for b, (jb, ib) in enumerate(g.quiver.arrow_ends):
+            if i != j and (jb, ib) == (j, i):
+                coord_a = F.solve_many(ref.spans[i, j], np.eye(sizes[i, j], dtype=np.int64))[
+                    g.arrow_basis[a] - g.blocks[i, j][0]]
+                coord_b = F.solve_many(ref.spans[j, i], np.eye(sizes[j, i], dtype=np.int64))[
+                    g.arrow_basis[b] - g.blocks[j, i][0]]
+
+                def bumped(s, t, u, coord_a=coord_a, coord_b=coord_b, i=i, j=j):
+                    slab = compose(s, t, u)
+                    if (s, t, u) == (i, j, i):
+                        slab = (slab + np.einsum("x,y,z->xyz", coord_b, coord_a, units[i])) % F.p
+                    return slab
+                out.append(bumped)
+    return sizes, units, out
 
 
 @pytest.mark.parametrize("name", ["serial_x3_generator", "serial_x4_generator"])
 def test_gamma_rejects_a_bumped_product(name):
-    g = _realize(name).endomorphism_algebra()
-    F, ids = g.field, g.idempotents
-    again = algebra_ops.AbstractAlgebra(F, g.table, g.unit, ids)
-    assert again.basis_paths == g.basis_paths and np.array_equal(again.table, g.table)
-    bumped = _bumped(g)
+    x = _realize(name)
+    g = x.endomorphism_algebra()
+    sizes, units, compose = _constructor_arguments(x)
+    again = algebra_ops.AbstractAlgebra(x.field, sizes, units, compose)
+    assert again.basis_paths == g.basis_paths and again.blocks == g.blocks
+    _same_actions(again.left_actions, g.left_actions)
+    _same_actions(again.right_actions, g.right_actions)
+    sizes, units, bumped = _bumped(x)
     assert bumped
-    for table in bumped:
+    for product in bumped:
         with pytest.raises(AssertionError, match="outside the radical|nilpotent|span"):
-            algebra_ops.AbstractAlgebra(F, table, g.unit, ids)
+            algebra_ops.AbstractAlgebra(x.field, sizes, units, product)
 
 
 def _tensordot_radical(m):

@@ -1,6 +1,4 @@
 """Bound quiver algebras: path bases, relations, opposites."""
-import copy
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from tiltbench import jobspec, quiver, rep
 from tiltbench.linalg import PrimeField
 from tiltbench.quiver import NotAdmissible, Quiver, build_algebra
 
+import dense_route
 from conftest import corpus_paths
 
 
@@ -18,9 +17,9 @@ def arrow_position(alg, name):
     return alg.path_position[q.vertex_index[q.arrows[a].source], (a,)]
 
 
-def product(alg, x, y):
+def product(table, p, x, y):
     """x * y, read off the structure constants."""
-    return np.einsum("i,j,ijk->k", x, y, alg.table) % alg.field.p
+    return np.einsum("i,j,ijk->k", x, y, table) % p
 
 
 def test_quiver_validation():
@@ -85,27 +84,27 @@ def test_relations_must_be_parallel(field):
 
 def test_multiplication_follows_traversal_order(field):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    alg = build_algebra(q, [], field)
+    alg, table = dense_route.build_algebra(q, [], field)
     ia, ib = arrow_position(alg, "a"), arrow_position(alg, "b")
     ea = alg.field.zeros(alg.dim, 1)[:, 0]
     eb = ea.copy()
     ea[ia], eb[ib] = 1, 1
-    prod = product(alg, eb, ea)  # b after a: the length-2 path
+    prod = product(table, field.p, eb, ea)  # b after a: the length-2 path
     assert prod.sum() == 1
     k = int(prod.argmax())
     assert alg.blocks[0, 2] == [k]  # the one basis element of e_2 A e_0
     # a after b starts where b ends and a does not: zero
-    assert not product(alg, ea, eb).any()
+    assert not product(table, field.p, ea, eb).any()
 
 
 def test_relation_kills_path(field):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    alg = build_algebra(q, [[(1, ["a", "b"])]], field)
+    alg, table = dense_route.build_algebra(q, [[(1, ["a", "b"])]], field)
     ia, ib = arrow_position(alg, "a"), arrow_position(alg, "b")
     ea = alg.field.zeros(alg.dim, 1)[:, 0]
     eb = ea.copy()
     ea[ia], eb[ib] = 1, 1
-    assert not product(alg, eb, ea).any()
+    assert not product(table, field.p, eb, ea).any()
 
 
 def test_opposite_is_involution(a3rad2):
@@ -120,22 +119,23 @@ def test_opposite_is_involution(a3rad2):
 
 
 def test_unit_is_identity(a2):
-    one = a2.unit
+    # the sum of the first basis elements of the blocks (v, v)
+    one, table, p = dense_route.unit(a2), dense_route.table(a2), a2.field.p
     for i in range(a2.dim):
         e = a2.field.zeros(a2.dim, 1)[:, 0]
         e[i] = 1
-        assert product(a2, one, e).tolist() == e.tolist()
-        assert product(a2, e, one).tolist() == e.tolist()
+        assert product(table, p, one, e).tolist() == e.tolist()
+        assert product(table, p, e, one).tolist() == e.tolist()
 
 
-# -- the opposite: the transposed table against a rebuild on the reversed quiver
+# -- the opposite: the swapped actions against a rebuild on the reversed quiver
 
 
 def rebuilt_opposite(alg):
     """The opposite as `build_algebra` makes it from the reversed quiver and
     the reversed relations, at the default bound every algebra here was
     built at: the reference for `opposite`, which reverses the basis paths
-    and transposes the table instead."""
+    and swaps the left and right actions instead."""
     q = alg.quiver
     names = [[(c, [q.arrows[i].name for i in reversed(arrows)]) for c, arrows in rel]
              for rel in alg.relations]
@@ -187,23 +187,29 @@ def test_opposite_equals_the_rebuild(rebuild_cases):
         op, ref = alg.opposite, rebuilt_opposite(alg)
         assert op.opposite is alg, name
         assert op.basis_paths == ref.basis_paths, name
-        assert np.array_equal(op.table, ref.table), name
+        assert np.array_equal(dense_route.table(op), dense_route.table(ref)), name
+        for got, want in ((op.left_actions, ref.left_actions),
+                          (op.right_actions, ref.right_actions)):
+            for a, b in zip(got, want, strict=True):
+                assert all(x.shape == y.shape and np.array_equal(x, y)
+                           for x, y in zip(a, b, strict=True)), name
         assert op.relations == ref.relations, name
         assert op.radical_length == ref.radical_length, name
         assert op.blocks == ref.blocks, name
-        assert op.arrow_basis == ref.arrow_basis and np.array_equal(op.unit, ref.unit), name
+        assert op.arrow_basis == ref.arrow_basis, name
 
 
 def test_non_monomial_opposite_is_an_algebra(field):
     """On ad = bc the rebuild keeps c*b where the reversal keeps d*a; the
-    transposed table is still the opposite algebra."""
+    swapped actions still make the opposite algebra, whose table is the
+    transposed one."""
     q = Quiver(["1", "2", "3", "4"],
                [("a", "1", "2"), ("d", "2", "4"), ("b", "1", "3"), ("c", "3", "4")])
     alg = build_algebra(q, [[(1, ["a", "d"]), (-1, ["b", "c"])]], field)
     op = alg.opposite
     assert op.opposite is alg
     assert op.basis_paths != rebuilt_opposite(alg).basis_paths
-    t, p = op.table, field.p
+    t, p, one = dense_route.table(op), field.p, dense_route.unit(op)
     assert np.array_equal(np.einsum("ijm,mkl->ijkl", t, t) % p,
                           np.einsum("jkm,iml->ijkl", t, t) % p)
     for v in range(op.quiver.num_vertices):
@@ -211,7 +217,7 @@ def test_non_monomial_opposite_is_an_algebra(field):
     for i in range(op.dim):
         e = np.zeros(op.dim, dtype=np.int64)
         e[i] = 1
-        assert product(op, op.unit, e).tolist() == e.tolist() == product(op, e, op.unit).tolist()
+        assert product(t, p, one, e).tolist() == e.tolist() == product(t, p, e, one).tolist()
 
 
 def test_associativity_failure_is_not_admissible(field):
@@ -225,10 +231,9 @@ def test_associativity_failure_is_not_admissible(field):
     assert build_algebra(q, rels, field, max_path_len=5).dim == 5
 
 
-def dense_associative(alg) -> bool:
+def dense_associative(t, p) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples at once: the
     dim^4 reference."""
-    t, p = alg.table, alg.field.p
     return np.array_equal(np.einsum("ijm,mkl->ijkl", t, t) % p,
                           np.einsum("jkm,iml->ijkl", t, t) % p)
 
@@ -240,14 +245,13 @@ def test_generator_associativity_agrees_with_the_dense_check():
     caught = 0
     for _, alg in corpus_algebras():
         for a in (alg, alg.opposite):
-            assert dense_associative(a) and quiver._associative(a)
-            p = a.field.p
-            for i, j in zip(*np.nonzero(a.table.any(axis=2))):
-                bent = copy.copy(a)
-                bent.table = a.table.copy()
-                k = int(np.argmax(a.table[i, j]))
-                bent.table[i, j, k] = (bent.table[i, j, k] + 1) % p
-                ours, ref = quiver._associative(bent), dense_associative(bent)
+            table, p = dense_route.table(a), a.field.p
+            assert dense_associative(table, p) and quiver._associative(a, table)
+            for i, j in zip(*np.nonzero(table.any(axis=2))):
+                bent = table.copy()
+                k = int(np.argmax(table[i, j]))
+                bent[i, j, k] = (bent[i, j, k] + 1) % p
+                ours, ref = quiver._associative(a, bent), dense_associative(bent, p)
                 assert ref or not ours, (a, i, j)
                 caught += not ours and not ref
     assert caught > 0
@@ -258,13 +262,12 @@ def test_associativity_needs_the_path_certificate(field):
     changed to xx = 0, xy = 0, yx = x, yy = x: the trivial path and the arrow
     pass step 2, but (yy)y = 0 and y(yy) = x.  Only the certificate, y = xx,
     sees it."""
-    bent = copy.copy(truncated(3, field))
-    bent.table = np.zeros((3, 3, 3), dtype=np.int64)
+    bent = np.zeros((3, 3, 3), dtype=np.int64)
     for k in range(3):
-        bent.table[0, k, k] = bent.table[k, 0, k] = 1
-    bent.table[2, 1, 1] = bent.table[2, 2, 1] = 1
-    assert not dense_associative(bent)
-    assert not quiver._associative(bent)
+        bent[0, k, k] = bent[k, 0, k] = 1
+    bent[2, 1, 1] = bent[2, 2, 1] = 1
+    assert not dense_associative(bent, field.p)
+    assert not quiver._associative(truncated(3, field), bent)
 
 
 def test_opposite_of_a_job_builds_no_algebra(monkeypatch):
